@@ -3,8 +3,7 @@
 Exit status: 0 on success, 1 when a computed quantity violates an asserted
 bound (or an experiment tolerance), 2 on invalid configuration.  JSON goes
 to --out or stdout; wall-clock timing goes to stderr so identical seeded
-runs stay byte-identical.  OHLAB_THREADS caps worker parallelism (the
-current runners are single-threaded, which always satisfies the cap).
+runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("OHLAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +138,9 @@ def run_ohnorm(args) -> tuple[Report, bool]:
             (args.n, args.m, args.m)
         )
         direct = ohspace.oh_norm_direct(xs)
-        res = ohspace.oh_norm_variational(xs, restarts=args.restarts, seed=args.seed + t)
+        # restart seed from the trial's own stream, so no two (seed, trial) pairs share it
+        restart_seed = int(rng.integers(2**63))
+        res = ohspace.oh_norm_variational(xs, restarts=args.restarts, seed=restart_seed)
         rel = abs(res.value - direct) / max(direct, 1e-300)
         rows.append(
             {
@@ -243,15 +236,23 @@ def run_bracket(args) -> tuple[Report, bool]:
 
 
 def run_free(args) -> tuple[Report, bool]:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    # trial t uses child t of the spawn, as trial t of free_clt_check does, so
+    # the first min(T, 5) trial families also give the CLT moments
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
+    clt_trials = min(args.trials, 5)
     base = freeprob.semicircle_diag(args.dim)
     rows = []
     failed = False
     target = 2.0 * math.sqrt(args.summands)
+    clt_acc = np.zeros(4)
     for t in range(args.trials):
         fam = freeprob.free_family([base] * args.summands, args.dim, seed=seeds[t])
         voi = freeprob.voiculescu_check(fam)
         conv = freeprob.voiculescu_converse_check(fam)
+        if t < clt_trials:
+            clt_acc += freeprob.clt_moments(fam)
         rows.append(
             {
                 "trial": t,
@@ -262,13 +263,15 @@ def run_free(args) -> tuple[Report, bool]:
                 "converse_triangle_margin": conv.triangle,
                 "converse_column_margin": conv.column,
                 "converse_row_margin": conv.row,
+                "unitarity_residual": fam.unitarity_residual,
             }
         )
         if voi.margin < -0.01 * voi.rhs:
             failed = True
         if conv.column < -args.slack * conv.column_rhs or conv.row < -args.slack * conv.row_rhs:
             failed = True
-    clt = freeprob.free_clt_check(args.summands, args.dim, trials=min(args.trials, 5), seed=args.seed)
+        del fam  # free the members before the next trial builds its family
+    clt = freeprob.CLTResult.from_moments(clt_acc / clt_trials)
     params = vars_params(args, ["dim", "summands", "trials", "slack", "seed"])
     params["clt_moments"] = list(clt.moments)
     params["clt_deviations"] = list(clt.deviations)
@@ -350,11 +353,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     else:
         sys.stdout.write(payload)
-    print(
-        f"ohlab {args.subcommand}: {len(report.rows)} rows in {elapsed:.3f}s "
-        f"(threads<={thread_cap()})",
-        file=sys.stderr,
-    )
+    print(f"ohlab {args.subcommand}: {len(report.rows)} rows in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_ASSERTION if failed else EXIT_OK
 
 

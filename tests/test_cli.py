@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ohlab import cli, freeprob
 from ohlab.cli import main
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
 
@@ -154,3 +156,50 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
         json.loads(out1)
+
+
+def run_in_process(args, capsys):
+    code = main(args)
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestFree:
+    @pytest.mark.parametrize("trials", [2, 6])
+    def test_clt_moments_come_from_the_trial_families(self, trials, capsys):
+        # trial t of `free` and of free_clt_check rotate by the same unitaries
+        dim, n, seed = 48, 4, 31
+        code, doc = run_in_process(
+            ["free", "--dim", str(dim), "--summands", str(n), "--trials", str(trials), "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        ref = freeprob.free_clt_check(n, dim, trials=min(trials, 5), seed=seed)
+        assert np.max(np.abs(np.array(doc["params"]["clt_moments"]) - ref.moments)) <= 1e-12
+        assert np.max(np.abs(np.array(doc["params"]["clt_deviations"]) - ref.deviations)) <= 1e-12
+
+    def test_unitarity_residual_in_every_row(self, capsys):
+        dim = 32
+        code, doc = run_in_process(["free", "--dim", str(dim), "--summands", "3", "--trials", "3"], capsys)
+        assert code == 0
+        bound = freeprob.UNITARITY_SLACK * dim * np.finfo(float).eps
+        assert len(doc["rows"]) == 3
+        assert all(0.0 < r["unitarity_residual"] <= bound for r in doc["rows"])
+
+    def test_zero_trials_rejected(self, capsys):
+        assert main(["free", "--dim", "8", "--summands", "2", "--trials", "0"]) == 2
+
+
+class TestOhnormSeeds:
+    def test_trial_streams_differ_across_adjacent_seeds(self, monkeypatch, capsys):
+        # trial t of seed s must not reuse the restart stream of trial t-1 of seed s+1
+        used = []
+        real = cli.ohspace.oh_norm_variational
+
+        def spy(xs, restarts, seed):
+            used.append(seed)
+            return real(xs, restarts=restarts, seed=seed)
+
+        monkeypatch.setattr(cli.ohspace, "oh_norm_variational", spy)
+        for seed in (5, 6):
+            assert main(["ohnorm", "--n", "2", "--m", "2", "--trials", "2", "--restarts", "2", "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert len(set(used)) == len(used) == 4

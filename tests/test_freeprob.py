@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ohlab import freeprob
 from ohlab.freeprob import (
+    UNITARITY_SLACK,
     FreeFamily,
     TruncatedFock,
     catalan_numbers,
+    clt_moments,
     fock_semicircular_moments,
     free_clt_check,
     free_family,
@@ -15,6 +18,7 @@ from ohlab.freeprob import (
     normalized_trace,
     semicircle_diag,
     trace_norm,
+    unitarity_residual,
     voiculescu_check,
     voiculescu_converse_check,
 )
@@ -64,6 +68,72 @@ class TestFreeFamily:
         a1, a2 = fam.members
         mixed = abs(np.trace(a1 @ a2 @ a1 @ a2) / 512)
         assert mixed <= 0.05
+
+
+def _sorted_sv(a):
+    return np.sort(np.linalg.svd(a, compute_uv=False))
+
+
+class TestKnownSpectra:
+    """Member spectra come from the base; the eigensolve route is the oracle."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "gue"])
+    def test_known_spectra_match_members(self, kind):
+        dim = 64
+        base = semicircle_diag(dim) if kind == "diagonal" else gue(dim, np.random.default_rng(20))
+        fam = free_family([base] * 3, dim, seed=21)
+        scale = float(np.max(np.abs(np.linalg.eigvalsh(base))))
+        for a, sv in zip(fam.members, fam.member_singular_values):
+            assert np.max(np.abs(np.sort(sv) - _sorted_sv(a))) <= 1e-12 * scale
+            assert np.max(np.abs(np.sort(sv) - np.sort(np.abs(np.linalg.eigvalsh(a))))) <= 1e-12 * scale
+
+    def test_direct_family_keeps_eigensolve_route(self):
+        dim, n = 48, 4
+        rng = np.random.default_rng(22)
+        rotated = free_family([gue(dim, rng) for _ in range(n)], dim, seed=23)
+        direct = FreeFamily(members=rotated.members)
+        assert direct.spectra is None and direct.unitarity_residual is None
+        # values as the eigensolve-per-member code computed them
+        total = np.sum(direct.members, axis=0)
+        sum_sv = _sorted_sv(total)
+        member_sv = [_sorted_sv(a) for a in direct.members]
+        col = math.sqrt(sum(np.vdot(a, a).real / dim for a in direct.members))
+        row = math.sqrt(sum(np.vdot(a.conj().T, a.conj().T).real / dim for a in direct.members))
+        voi = voiculescu_check(direct)
+        assert voi.lhs == pytest.approx(sum_sv[-1], rel=1e-12)
+        assert voi.max_member_norm == pytest.approx(max(sv[-1] for sv in member_sv), rel=1e-12)
+        assert voi.col_term == pytest.approx(col, rel=1e-12)
+        assert voi.row_term == pytest.approx(row, rel=1e-12)
+        conv = voiculescu_converse_check(direct)
+        l1 = sum_sv.sum() / dim
+        assert conv.triangle == pytest.approx(sum(sv.sum() for sv in member_sv) / dim - l1, rel=1e-12)
+        assert conv.row == pytest.approx(row - l1, rel=1e-12)
+        assert trace_norm(total) == pytest.approx(l1, rel=1e-12)
+        # the known-spectra route agrees with the eigensolve route
+        for a, b in zip((voi, conv), (voiculescu_check(rotated), voiculescu_converse_check(rotated))):
+            for x, y in zip(vars(a).values(), vars(b).values()):
+                assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
+
+    def test_sum_is_built_once(self):
+        fam = free_family([semicircle_diag(16)] * 3, 16, seed=24)
+        assert fam.sum is fam.sum
+        assert np.array_equal(fam.sum, np.sum(fam.members, axis=0))
+
+
+class TestUnitarity:
+    def test_residual_within_bound(self):
+        dim = 64
+        fam = free_family([semicircle_diag(dim)] * 4, dim, seed=25)
+        assert 0.0 < fam.unitarity_residual <= UNITARITY_SLACK * dim * np.finfo(float).eps
+
+    def test_non_unitary_factor_raises(self, monkeypatch):
+        real = freeprob.haar_unitary
+        monkeypatch.setattr(freeprob, "haar_unitary", lambda dim, rng: 1.001 * real(dim, rng))
+        with pytest.raises(RuntimeError, match="unitarity residual"):
+            free_family([semicircle_diag(8)], 8, seed=0)
+
+    def test_residual_of_identity(self):
+        assert unitarity_residual(np.eye(5, dtype=complex)) == 0.0
 
 
 class TestVoiculescu:
@@ -186,6 +256,19 @@ class TestCLT:
         res = free_clt_check(16, dim, trials=5, seed=2, base=signs)
         # free convolution of +-1 masses: fourth moment 2 - 1/n
         assert res.moments[3] == pytest.approx(2.0 - 1.0 / 16.0, abs=0.08)
+
+    def test_moments_match_power_traces(self):
+        # reference: tau(S^k) from successive products, S = n^{-1/2} sum a_i
+        dim, n = 64, 5
+        rng = np.random.default_rng(26)
+        fam = free_family([gue(dim, rng)] * n, dim, seed=27)
+        s = np.sum(fam.members, axis=0) / math.sqrt(sum(np.vdot(a, a).real / dim for a in fam.members))
+        power = np.eye(dim, dtype=complex)
+        expected = []
+        for _ in range(4):
+            power = power @ s
+            expected.append(np.trace(power).real / dim)
+        assert np.max(np.abs(clt_moments(fam) - expected)) <= 1e-12
 
     def test_determinism(self):
         a = free_clt_check(4, 64, trials=2, seed=3)
