@@ -371,8 +371,11 @@ def clt_moments(fam: FreeFamily) -> np.ndarray:
     variance.  S is Hermitian for Hermitian members, so one product suffices:
     tau(S^2) = ||S||_F^2 / d, tau(S^3) = Re<S, S^2> / d, tau(S^4) = ||S^2||_F^2 / d.
     """
+    var = sum(fam.second_moments)
+    if var == 0.0:
+        raise ValueError("every member is zero after centring: the CLT sum has no variance to normalise by")
     dim = fam.dim
-    s = fam.sum / math.sqrt(sum(fam.second_moments))
+    s = fam.sum / math.sqrt(var)
     s2 = s @ s
     return np.array(
         [np.trace(s).real, np.vdot(s, s).real, np.vdot(s, s2).real, np.vdot(s2, s2).real]

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 __all__ = [
+    "BoundViolation",
     "WeightedGrid",
     "ThreeTermSpec",
     "l2sum2_norm",
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 DEFAULT_OUTER_TOL = 1e-8
+
+
+class BoundViolation(RuntimeError):
+    """A numerically computed quantity violated an analytically proved bound."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,11 @@ def ik_t_parts(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL):
     x3 = 0.5 * y
     # the identity route (x1 = 0) is always feasible, so the three-term value
     # can never exceed the two-term K-norm
-    assert value <= k_route + 1e-9 * max(k_route, 1.0)
+    if not value <= k_route + 1e-9 * max(k_route, 1.0):
+        raise BoundViolation(
+            f"three-term value {value:.6e} exceeds the two-term K-norm {k_route:.6e} "
+            f"(t={spec.t_param:g}, {v.size} points)"
+        )
     return value, (x1, x2, x3)
 
 

@@ -31,7 +31,6 @@ class Report:
     rows: list
     constants: list = field(default_factory=list)
     version: str = SCHEMA_VERSION
-    wall_time_s: float | None = None   # stderr-only; excluded from canonical output
 
     def to_dict(self) -> dict:
         out = {
@@ -45,7 +44,7 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         flat = [flatten_row(r) for r in self.rows]

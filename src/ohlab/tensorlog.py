@@ -31,8 +31,16 @@ most 18 sqrt(1 + ln n) ||a||_2; the numeric evaluation is sharper.
 
 2-D integrals over I use the full arcsine product grid with the integrand
 zeroed outside I (delta never coincides with a node), preserving the global
-rule; the indicator discontinuity costs accuracy, so bracket runs default to
-2048^2 grids and convergence is monitored by resolution doubling.
+rule; the indicator discontinuity costs accuracy, and the tests monitor
+convergence by resolution doubling.  Bracket runs default to
+DEFAULT_BRACKET_GRID = 1024 nodes per axis, which ``ohlab bracket --grid``
+shares; the CLI rejects grids above 2048.
+
+``bracket_report`` computes the two brackets once per n and derives the rest
+by arithmetic: the completely-1-summing norm of the identity lies in
+[lower/18, 6 upper] (below n = 7, where the witness route does not apply, its
+floor is banach_c sqrt(n)), and by trace duality the projection constant lies
+in [fac/psc_c, min(gamma_c fac, n/pi1_lo)] with fac = sqrt(n/(1 + ln n)).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kfunc import WeightedGrid, l2sum1_norm
+from .kfunc import BoundViolation, WeightedGrid, l2sum1_norm
 from .quad import Grid2D, arcsine_rule, nu1_mass, nu2_mass
 
 __all__ = [
@@ -58,17 +66,10 @@ __all__ = [
     "witness_validate",
     "diag_lower_bound",
     "diag_upper_bound",
-    "pi1_bracket",
-    "pi1_lower_method",
-    "lambda_cb_bracket",
     "bracket_report",
 ]
 
-DEFAULT_BRACKET_GRID = 2048
-
-
-class BoundViolation(RuntimeError):
-    """A numerically computed quantity violated an analytically proved bound."""
+DEFAULT_BRACKET_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -267,28 +268,33 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
     )
 
 
-def diag_lower_bound(n: int, grid: Grid2D | None = None, enforce: bool = True) -> float:
-    """sqrt(n) times the scaled witness pairing; certified lower bracket.
-
-    For n >= 7 the value dominates lower_c * sqrt(n (1 + ln n)); with
-    ``enforce`` the analytic floor (and the witness bounds) are asserted.
-    """
+def _lower_route(n: int, grid: Grid2D) -> tuple[float, WitnessQuadruple]:
+    """Certified lower bracket for n >= 7 and the witness that proves it."""
     if n < 7:
         raise ValueError("quadrature lower route needs n >= 7")
-    if grid is None:
-        grid = default_grid()
     q = witness_build(n)
     norms = witness_validate(q, grid, n=n)
     value = math.sqrt(n) * norms.pairing / q.scale
-    if enforce:
-        if not (norms.scaled_fg_feasible and norms.scaled_hk_feasible):
-            raise BoundViolation(
-                f"scaled witness infeasible at n={n}: the pairing does not certify a lower bracket"
-            )
-        floor = CONSTANTS.lower_c * math.sqrt(n * (1.0 + math.log(n)))
-        if value < floor - 1e-8:
-            raise BoundViolation(f"lower bracket {value:.6e} below analytic floor {floor:.6e}")
-    return value
+    if not (norms.scaled_fg_feasible and norms.scaled_hk_feasible):
+        raise BoundViolation(
+            f"scaled witness infeasible at n={n}: the pairing does not certify a lower bracket"
+        )
+    floor = CONSTANTS.lower_c * math.sqrt(n * (1.0 + math.log(n)))
+    if value < floor - 1e-8:
+        raise BoundViolation(f"lower bracket {value:.6e} below analytic floor {floor:.6e}")
+    return value, q
+
+
+def diag_lower_bound(n: int, grid: Grid2D | None = None) -> float:
+    """sqrt(n) times the scaled witness pairing; certified lower bracket.
+
+    For n >= 7 the value dominates lower_c * sqrt(n (1 + ln n)); the witness
+    bounds, the feasibility of the scaled quadruple and that floor are
+    checked, and a violation raises BoundViolation.
+    """
+    if grid is None:
+        grid = default_grid()
+    return _lower_route(n, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -376,45 +382,6 @@ def diag_upper_bound(
     )
 
 
-def pi1_lower_method(n: int) -> str:
-    """Which route certifies the summing-norm floor at this size."""
-    return "tensor-lower/18" if n >= 7 else "banach-sqrt(n)"
-
-
-def pi1_bracket(n: int, grid: Grid2D | None = None):
-    """(lo, hi) bracket for the completely-1-summing norm of the identity.
-
-    lo comes from the tensor-norm lower bracket divided by 18 (quadrature
-    route, n >= 7) or the Banach-space floor banach_c * sqrt(n) below that;
-    hi is 6 times the numeric upper bracket.
-    """
-    if grid is None:
-        grid = default_grid()
-    upper = diag_upper_bound(n, grid=grid)
-    if n >= 7:
-        lo = CONSTANTS.pi1_lo_factor * diag_lower_bound(n, grid=grid)
-    else:
-        lo = CONSTANTS.banach_c * math.sqrt(n)
-    hi = CONSTANTS.pi1_hi_factor * upper.value
-    return lo, hi
-
-
-def lambda_cb_bracket(n: int, grid: Grid2D | None = None):
-    """(lo, hi) bracket for the projection constant of the size-n space.
-
-    lo is the proved constant floor; hi is the proved ceiling tightened by
-    trace duality (the product of the completely-1-summing norm and its dual
-    factorisation norm equals n, so hi <= n / pi1_lo).
-    """
-    fac = math.sqrt(n / (1.0 + math.log(n)))
-    lo = fac / CONSTANTS.psc_c
-    pi1_lo, _ = pi1_bracket(n, grid=grid)
-    hi = min(CONSTANTS.gamma_c * fac, n / pi1_lo)
-    if lo > hi:
-        raise BoundViolation(f"projection bracket inverted at n={n}: lo={lo:.6e} hi={hi:.6e}")
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class BracketReport:
     n: int
@@ -426,7 +393,7 @@ class BracketReport:
     lambda_lo: float
     lambda_hi: float
     grid: int
-    delta_lower: float
+    delta_lower: float | None   # None below n = 7, where no witness is built
     delta_upper: float
     upper_parts: UpperBoundParts = field(repr=False)
 
@@ -434,6 +401,11 @@ class BracketReport:
         if self.lower > self.upper:
             raise BoundViolation(
                 f"bracket inverted at n={self.n}: lower={self.lower:.6e} > upper={self.upper:.6e}"
+            )
+        if self.lambda_lo > self.lambda_hi:
+            raise BoundViolation(
+                f"projection bracket inverted at n={self.n}: "
+                f"lo={self.lambda_lo:.6e} hi={self.lambda_hi:.6e}"
             )
 
     def row(self) -> dict:
@@ -449,28 +421,37 @@ class BracketReport:
 
 
 def bracket_report(n: int, grid_nodes: int = DEFAULT_BRACKET_GRID) -> BracketReport:
-    """Full bracket bundle for one n on a grid_nodes^2 product rule."""
+    """Full bracket bundle for one n on a grid_nodes^2 product rule.
+
+    One upper pass and, for n >= 7, one witness pass; the pi1 and
+    projection-constant brackets are derived from those two values.
+    """
     grid = default_grid(grid_nodes)
     upper = diag_upper_bound(n, grid=grid)
     if n >= 7:
-        lower = diag_lower_bound(n, grid=grid)
-        delta_lower = 1.0 / (n * math.e)
+        lower, witness = _lower_route(n, grid)
+        pi1_lo = CONSTANTS.pi1_lo_factor * lower
+        pi1_lo_method = "tensor-lower/18"
+        delta_lower = witness.delta
     else:
         # below the quadrature route, chain the small-n summing-norm floor
         # back through the tensor-norm comparison: norm >= pi1 / 6
-        lower = CONSTANTS.banach_c * math.sqrt(n) / CONSTANTS.pi1_hi_factor
-        delta_lower = float("nan")
-    pi1_lo, pi1_hi = pi1_bracket(n, grid=grid)
-    lam_lo, lam_hi = lambda_cb_bracket(n, grid=grid)
+        pi1_lo = CONSTANTS.banach_c * math.sqrt(n)
+        lower = pi1_lo / CONSTANTS.pi1_hi_factor
+        pi1_lo_method = "banach-sqrt(n)"
+        delta_lower = None
+    # trace duality: pi1 times the dual factorisation norm is n, so the
+    # projection constant is at most n / pi1_lo
+    fac = math.sqrt(n / (1.0 + math.log(n)))
     return BracketReport(
         n=n,
         lower=lower,
         upper=upper.value,
         pi1_lo=pi1_lo,
-        pi1_hi=pi1_hi,
-        pi1_lo_method=pi1_lower_method(n),
-        lambda_lo=lam_lo,
-        lambda_hi=lam_hi,
+        pi1_hi=CONSTANTS.pi1_hi_factor * upper.value,
+        pi1_lo_method=pi1_lo_method,
+        lambda_lo=fac / CONSTANTS.psc_c,
+        lambda_hi=min(CONSTANTS.gamma_c * fac, n / pi1_lo),
         grid=grid_nodes,
         delta_lower=delta_lower,
         delta_upper=upper.delta,

@@ -228,9 +228,12 @@ def test_criterion_9_projection_constant_brackets(bracket_rows):
         ok = ok and abs(rep.lambda_lo - fac / CONSTANTS.psc_c) <= 1e-12 * fac
         ok = ok and rep.lambda_hi <= CONSTANTS.gamma_c * fac * (1 + 1e-12)
         ok = ok and rep.lambda_lo <= rep.lambda_hi
-        # trace-duality arithmetic: pi1_lo * (n / pi1_lo) = n and the implied
-        # factorisation ceiling stays above the projection floor
-        ok = ok and abs(rep.pi1_lo * (n / rep.pi1_lo) - n) <= 1e-9 * n
+        # trace duality: the ceiling is the smaller of the proved constant
+        # and n / pi1_lo, and the pi1 bracket is the tensor bracket scaled by
+        # the proved factors 1/18 and 6
+        ok = ok and rep.lambda_hi == min(CONSTANTS.gamma_c * fac, n / rep.pi1_lo)
+        ok = ok and abs(rep.pi1_lo - rep.lower / 18) <= 1e-15 * rep.pi1_lo
+        ok = ok and rep.pi1_hi == 6 * rep.upper
         ok = ok and n / rep.pi1_lo >= rep.lambda_lo
     verdict(9, ok, f"{len(rows)} sizes: scaled bracket within [1/108, 288*sqrt(2)*pi], duality arithmetic consistent")
 

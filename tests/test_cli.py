@@ -29,8 +29,13 @@ class TestReportObject:
         assert parsed["rows"][0]["x"] == 1.5
 
     def test_wall_time_excluded(self):
-        rep = Report("demo", {}, [], wall_time_s=1.23)
-        assert "wall_time" not in rep.to_json()
+        # timing goes to stderr only: the canonical document has no field for it
+        rep = Report("demo", {}, [])
+        assert set(json.loads(rep.to_json())) == {"experiment", "version", "params", "rows"}
+
+    def test_nan_is_not_serialised(self):
+        with pytest.raises(ValueError):
+            Report("demo", {}, [{"x": float("nan")}]).to_json()
 
     def test_csv_json_numeric_round_trip(self):
         rows = [{"a": 0.1 + 0.2, "nested": {"b": 1e-17}, "n": 3}]
@@ -158,9 +163,30 @@ class TestDeterminism:
         json.loads(out1)
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity, which are not RFC 8259 JSON."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_in_process(args, capsys):
     code = main(args)
-    return code, json.loads(capsys.readouterr().out)
+    return code, strict_loads(capsys.readouterr().out)
+
+
+class TestBracket:
+    def test_small_n_writes_null_delta(self, capsys):
+        code, doc = run_in_process(["bracket", "--n-list", "4,8", "--grid", "128"], capsys)
+        assert code == 0
+        assert [r["delta"]["lower"] for r in doc["rows"]] == [None, pytest.approx(1 / (8 * np.e))]
+
+    def test_grid_default_is_the_library_default(self):
+        assert cli.build_parser().parse_args(["bracket"]).grid == cli.tensorlog.DEFAULT_BRACKET_GRID
+
+    def test_grid_above_the_bound_rejected(self, capsys):
+        assert main(["bracket", "--n-list", "8", "--grid", str(cli.MAX_BRACKET_GRID + 1)]) == 2
+        assert "--grid" in capsys.readouterr().err
 
 
 class TestFree:
@@ -186,6 +212,12 @@ class TestFree:
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["free", "--dim", "8", "--summands", "2", "--trials", "0"]) == 2
+
+    def test_zero_centred_base_rejected(self, capsys):
+        # at dim 1 the centred base is 0, so the CLT sum cannot be normalised
+        assert main(["free", "--dim", "1", "--summands", "2", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "variance" in err
 
 
 class TestOhnormSeeds:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
+from ohlab import kfunc, tensorlog
 from ohlab.kfunc import (
+    BoundViolation,
     ik_t_parts,
     ThreeTermSpec,
     WeightedGrid,
@@ -187,6 +190,18 @@ class TestIKT:
                                  base_weights=np.full(8, 1 / 8))
             x = rng.standard_normal(8)
             assert ik_t_norm(x, spec) <= two_term_k_norm(x, spec) + 1e-9
+
+    def test_bound_above_k_norm_raises(self, monkeypatch):
+        # a broken scale search stuck at sigma = 0 returns the pure L1 route,
+        # which at large t exceeds the K-norm; the guard survives python -O
+        monkeypatch.setattr(
+            kfunc, "minimize_scalar",
+            lambda fun, bounds, method, options: SimpleNamespace(x=0.0, fun=fun(0.0), success=True),
+        )
+        spec = ThreeTermSpec(t_param=1e6, d=np.ones(4), base_weights=np.full(4, 0.25))
+        with pytest.raises(BoundViolation, match="K-norm"):
+            ik_t_parts(np.ones(4), spec)
+        assert tensorlog.BoundViolation is BoundViolation
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ohlab import quad, tensorlog
 from ohlab.tensorlog import (
     CONSTANTS,
     BoundViolation,
@@ -11,9 +12,6 @@ from ohlab.tensorlog import (
     default_grid,
     diag_lower_bound,
     diag_upper_bound,
-    lambda_cb_bracket,
-    pi1_bracket,
-    pi1_lower_method,
     witness_build,
     witness_validate,
 )
@@ -151,27 +149,60 @@ class TestUpperBound:
 
 class TestBrackets:
     def test_pi1_consistency(self):
+        methods = {}
         for n in (4, 8, 64):
-            lo, hi = pi1_bracket(n, grid=GRID)
-            assert 0 < lo <= hi
-            assert lo <= n  # trivial trace-duality ceiling on the summing norm
-        assert pi1_lower_method(4) == "banach-sqrt(n)"
-        assert pi1_lower_method(8) == "tensor-lower/18"
+            rep = bracket_report(n, grid_nodes=512)
+            assert 0 < rep.pi1_lo <= rep.pi1_hi
+            assert rep.pi1_lo <= n  # trivial trace-duality ceiling on the summing norm
+            methods[n] = rep.pi1_lo_method
+        assert methods[4] == "banach-sqrt(n)"
+        assert methods[8] == "tensor-lower/18"
 
     def test_lambda_bracket_contains_scaled_target(self):
         for n in (8, 64, 256):
-            lo, hi = lambda_cb_bracket(n, grid=GRID)
+            rep = bracket_report(n, grid_nodes=512)
+            lo, hi = rep.lambda_lo, rep.lambda_hi
             fac = math.sqrt(n / (1 + math.log(n)))
             assert lo == pytest.approx(fac / CONSTANTS.psc_c, rel=1e-12)
             assert hi <= CONSTANTS.gamma_c * fac * (1 + 1e-12)
             assert lo <= hi
 
     def test_trace_duality_arithmetic(self):
-        n = 64
-        pi1_lo, _ = pi1_bracket(n, grid=GRID)
-        lo, hi = lambda_cb_bracket(n, grid=GRID)
-        assert pi1_lo * (n / pi1_lo) == pytest.approx(n, rel=1e-12)
-        assert n / pi1_lo >= lo
+        for n in (4, 64):
+            rep = bracket_report(n, grid_nodes=512)
+            fac = math.sqrt(n / (1 + math.log(n)))
+            assert rep.lambda_hi == min(CONSTANTS.gamma_c * fac, n / rep.pi1_lo)
+            assert rep.pi1_hi == 6 * rep.upper
+            if n >= 7:
+                assert rep.pi1_lo == pytest.approx(rep.lower / 18, rel=1e-15)
+            else:
+                assert rep.pi1_lo == CONSTANTS.banach_c * math.sqrt(n)
+            assert n / rep.pi1_lo >= rep.lambda_lo
+
+    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 2)), (4, (1, 0, 1))])
+    def test_each_bracket_computed_once_per_n(self, n, counts, monkeypatch):
+        calls = {"upper": 0, "witness": 0, "meshes": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tensorlog, "diag_upper_bound", counting("upper", tensorlog.diag_upper_bound))
+        monkeypatch.setattr(tensorlog, "witness_validate", counting("witness", tensorlog.witness_validate))
+        monkeypatch.setattr(quad.Grid2D, "meshes", counting("meshes", quad.Grid2D.meshes))
+        bracket_report(n, grid_nodes=128)
+        assert (calls["upper"], calls["witness"], calls["meshes"]) == counts
+
+    def test_inverted_lambda_bracket_raises(self):
+        with pytest.raises(BoundViolation, match="projection bracket inverted"):
+            BracketReport(
+                n=8, lower=1.0, upper=2.0, pi1_lo=0.1, pi1_hi=1.0,
+                pi1_lo_method="x", lambda_lo=2.0, lambda_hi=1.0, grid=64,
+                delta_lower=0.01, delta_upper=0.001,
+                upper_parts=diag_upper_bound(8, grid=GRID),
+            )
 
     def test_report_row_schema(self):
         rep = bracket_report(8, grid_nodes=256)
