@@ -1,7 +1,8 @@
 """Command-line front door: seeded experiments with machine-readable reports.
 
 Exit status: 0 on success, 1 when a computed quantity violates an asserted
-bound (or an experiment tolerance), 2 on invalid configuration.  JSON goes
+bound (or an experiment tolerance), 2 on invalid configuration, 3 on a
+numerical failure (non-convergence, a singular or failed solve).  JSON goes
 to --out or stdout; wall-clock timing goes to stderr so identical seeded
 runs stay byte-identical.
 """
@@ -35,9 +36,10 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
-# each bracket pass builds three grid^2 float arrays; 2048 (465 MB peak RSS)
-# is the largest grid the tests, demos and benchmarks use
+# a bracket pass holds a few grid x grid/2 float blocks; 2048 (140 MB peak RSS
+# over n = 8..4096) is the largest grid the tests, demos and benchmarks use
 MAX_BRACKET_GRID = 2048
 
 
@@ -165,6 +167,8 @@ def run_ohnorm(args) -> tuple[Report, bool]:
 
 
 def run_basis(args) -> tuple[Report, bool]:
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     rule = arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -228,7 +232,7 @@ def run_sumspace(args) -> tuple[Report, bool]:
 
 def run_bracket(args) -> tuple[Report, bool]:
     if args.grid > MAX_BRACKET_GRID:
-        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}: each pass holds three grid^2 arrays")
+        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}: each pass holds grid x grid/2 arrays")
     n_list = [int(v) for v in args.n_list.split(",") if v]
     # BracketReport raises BoundViolation on an inverted bracket
     rows = [tensorlog.bracket_report(n, grid_nodes=args.grid).row() for n in n_list]
@@ -341,7 +345,10 @@ def main(argv=None) -> int:
     except MergeError as exc:
         print(f"merge error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     elapsed = time.perf_counter() - start

@@ -22,19 +22,23 @@ The analytic estimates certified in ``witness_validate``:
 trace-class constraints are discharged).  Any numerical violation of these
 inequalities indicates a quadrature or formula bug and raises hard.
 
-Upper route: decompose a (x) 1 = a1 + a2 where a1 lives on four rectangles
-avoiding the corners (0,1) and (1,0) and is measured in the +_1 sum of the
-two Hilbertian slots, while the corner remainder a2 splits into four strips,
-each a rank-one indicator product measured in the trace-class slots by exact
-one-dimensional interval masses.  With delta = 1/(e^2 n^2) the total is at
+Upper route: a (x) 1 = a1 + a2.  a1 lives on R = [0,1/2]^2 u [delta,1/2] x
+[1/2,1-delta] u [1/2,1-delta] x [delta,1/2] u [1/2,1]^2, away from the
+corners (0,1) and (1,0), in the +_1 sum of the Hilbertian slots, where the
+norm of 1_R is the minimum over theta of F(theta)^{1/2}, F(theta) =
+int_R d(mu x mu) / (theta ts + (1-theta)(1-t)(1-s)).  R, mu x mu and the node
+set are symmetric under (t,s) -> (1-t,1-s), which swaps ts and (1-t)(1-s), so
+the convex F has F(theta) = F(1-theta) and its minimum is F(1/2) = 2 int_R v.
+The corner remainder a2 is four rank-one strips, charged in the trace-class
+slots by exact 1-D interval masses.  With delta = 1/(e^2 n^2) the total is at
 most 18 sqrt(1 + ln n) ||a||_2; the numeric evaluation is sharper.
 
-2-D integrals over I use the full arcsine product grid with the integrand
-zeroed outside I (delta never coincides with a node), preserving the global
-rule; the indicator discontinuity costs accuracy, and the tests monitor
-convergence by resolution doubling.  Bracket runs default to
-DEFAULT_BRACKET_GRID = 1024 nodes per axis, which ``ohlab bracket --grid``
-shares; the CLI rejects grids above 2048.
+I and R are unions of node blocks t[t_sel] x s[s_sel] of the product rule (R
+row by row; delta never falls on a node), so each 2-D integral is a sum over
+blocks, with no mask over the full grid.  The cut-off between nodes at the
+block edges costs accuracy; the tests monitor convergence by resolution
+doubling.  Bracket runs default to DEFAULT_BRACKET_GRID = 1024 nodes per
+axis, shared with ``ohlab bracket --grid``; the CLI rejects grids above 2048.
 
 ``bracket_report`` computes the two brackets once per n and derives the rest
 by arithmetic: the completely-1-summing norm of the identity lies in
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kfunc import BoundViolation, WeightedGrid, l2sum1_norm
+from .kfunc import BoundViolation
 from .quad import Grid2D, arcsine_rule, nu1_mass, nu2_mass
 
 __all__ = [
@@ -72,6 +76,19 @@ __all__ = [
 DEFAULT_BRACKET_GRID = 1024
 
 
+# the inequality each constant of BracketConstants certifies, in report order
+_CITATIONS = {
+    "lower_c": "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7",
+    "upper_c": "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2",
+    "pi1_lo_factor": "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm",
+    "pi1_hi_factor": "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm",
+    "psc_c": "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))",
+    "gamma_c": "projection constant <= gamma_c * sqrt(n/(1+ln n))",
+    "banach_c": "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)",
+    "witness_scale_c": "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible",
+}
+
+
 @dataclass(frozen=True)
 class BracketConstants:
     """Fixed constants entering the brackets, with the inequalities they certify."""
@@ -87,51 +104,23 @@ class BracketConstants:
 
     def provenance(self):
         """name/value/citation rows for machine-readable reports."""
-        return [
-            {
-                "name": "lower_c",
-                "value": self.lower_c,
-                "citation": "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7",
-            },
-            {
-                "name": "upper_c",
-                "value": self.upper_c,
-                "citation": "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2",
-            },
-            {
-                "name": "pi1_lo_factor",
-                "value": self.pi1_lo_factor,
-                "citation": "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm",
-            },
-            {
-                "name": "pi1_hi_factor",
-                "value": self.pi1_hi_factor,
-                "citation": "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm",
-            },
-            {
-                "name": "psc_c",
-                "value": self.psc_c,
-                "citation": "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))",
-            },
-            {
-                "name": "gamma_c",
-                "value": self.gamma_c,
-                "citation": "projection constant <= gamma_c * sqrt(n/(1+ln n))",
-            },
-            {
-                "name": "banach_c",
-                "value": self.banach_c,
-                "citation": "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)",
-            },
-            {
-                "name": "witness_scale_c",
-                "value": self.witness_scale_c,
-                "citation": "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible",
-            },
-        ]
-
+        return [{"name": name, "value": getattr(self, name), "citation": citation}
+                for name, citation in _CITATIONS.items()]
 
 CONSTANTS = BracketConstants()
+
+
+def _v(t, s):
+    """Common ratio value 1/(ts + (1-t)(1-s)) of the witness and the upper route."""
+    return 1.0 / (t * s + (1.0 - t) * (1.0 - s))
+
+
+def _block_integral(grid: Grid2D, t_sel, s_sel, integrand=lambda t, s, v: v) -> float:
+    """Sum of (w_t (x) w_s) * integrand(t, s, v) over the node block t[t_sel] x s[s_sel]."""
+    t = grid.rule_t.nodes[t_sel][:, None]
+    s = grid.rule_s.nodes[s_sel][None, :]
+    w = np.outer(grid.rule_t.weights[t_sel], grid.rule_s.weights[s_sel])
+    return float(np.sum(integrand(t, s, _v(t, s)) * w))
 
 
 @dataclass(frozen=True)
@@ -159,8 +148,7 @@ class WitnessQuadruple:
         """Common ratio value on I, zero outside."""
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        raw = 1.0 / (t * s + (1.0 - t) * (1.0 - s))
-        return np.where(self.indicator(t, s), raw, 0.0)
+        return np.where(self.indicator(t, s), _v(t, s), 0.0)
 
     def f(self, t, s):
         return t * s * self.v(t, s)
@@ -219,16 +207,19 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
     failure.  When ``n`` is given the feasibility of the scaled quadruple for
     the size-n pairing is also flagged.
     """
-    T, S, W = grid.meshes()
-    if not np.any(q.indicator(T, S)):
+    # I is a product, so its node block is its sections through (1/2, 1/2)
+    t_sel = q.indicator(grid.rule_t.nodes, 0.5)
+    s_sel = q.indicator(0.5, grid.rule_s.nodes)
+    if not (t_sel.any() and s_sel.any()):
         raise ValueError("grid does not resolve the witness rectangle (no nodes inside)")
-    v = q.v(T, S)
     # f^2/(ts) + g^2/((1-t)(1-s)) = v, so the Hilbertian slots sum to the pairing
-    pairing = float(np.sum(v * W))
-    f_sq = float(np.sum(T * S * v * v * W))
-    g_sq = float(np.sum((1.0 - T) * (1.0 - S) * v * v * W))
-    h_sq = float(np.sum(T * (1.0 - S) * v * v * W))
-    k_sq = float(np.sum((1.0 - T) * S * v * v * W))
+    pairing, f_sq, g_sq, h_sq, k_sq = (_block_integral(grid, t_sel, s_sel, integrand) for integrand in (
+        lambda t, s, v: v,
+        lambda t, s, v: t * s * v * v,
+        lambda t, s, v: (1.0 - t) * (1.0 - s) * v * v,
+        lambda t, s, v: t * (1.0 - s) * v * v,
+        lambda t, s, v: (1.0 - t) * s * v * v,
+    ))
     fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
     h_bound = 16.0 / (3.0 * math.pi**2)
     k_bound = 32.0 / math.pi**2 / q.delta
@@ -307,28 +298,18 @@ class UpperBoundParts:
     delta: float
 
 
-def _rectangle_indicator(T, S, delta):
-    return (
-        ((T <= 0.5) & (S <= 0.5))
-        | ((T >= delta) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - delta))
-        | ((T >= 0.5) & (T <= 1.0 - delta) & (S >= delta) & (S <= 0.5))
-        | ((T >= 0.5) & (S >= 0.5))
-    )
-
-
 def diag_upper_bound(
     n: int,
     a: np.ndarray | None = None,
     grid: Grid2D | None = None,
     delta: float | None = None,
-    outer_tol: float = 1e-10,
 ) -> UpperBoundParts:
     """Upper bracket for sum a_ij f_i (x) f_j via the corner decomposition.
 
     ``a`` defaults to the n x n identity (the diagonal case).  The rectangle
-    part is evaluated with the +_1 sum norm on the 2-D grid (densities 1/(ts)
-    and 1/((1-t)(1-s))); the four corner strips are rank-one products charged
-    by exact interval masses of nu1 and nu2.
+    part is the +_1 sum norm over R (densities 1/(ts) and 1/((1-t)(1-s))) at
+    the optimal theta = 1/2, sqrt(2 int_R v); the four corner strips are
+    rank-one products charged by exact interval masses of nu1 and nu2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -350,14 +331,17 @@ def diag_upper_bound(
     if fro == 0.0:
         return UpperBoundParts(0.0, 0.0, 0.0, 0.0, 0.0, delta)
 
-    T, S, W = grid.meshes()
-    mask = _rectangle_indicator(T, S, delta).ravel()
-    base = W.ravel()[mask]
-    g = 1.0 / (T * S).ravel()[mask]
-    h = 1.0 / ((1.0 - T) * (1.0 - S)).ravel()[mask]
-    wgrid = WeightedGrid(base_weights=base, g=g, h=h)
-    rect_scalar = l2sum1_norm(np.ones(base.size), wgrid, outer_tol=outer_tol)
-    rectangle_part = fro * rect_scalar
+    # R row by row: the s nodes each run of t nodes meets (t = 1/2 meets all)
+    t, s = grid.rule_t.nodes, grid.rule_s.nodes
+    r_integral = sum(_block_integral(grid, t_sel, s_sel) for t_sel, s_sel in (
+        (t < delta, s <= 0.5),
+        ((t >= delta) & (t < 0.5), s <= 1.0 - delta),
+        (t == 0.5, slice(None)),
+        ((t > 0.5) & (t <= 1.0 - delta), s >= delta),
+        (t > 1.0 - delta, s >= 0.5),
+    ))
+    # F(1/2) = 2 int_R v is the minimum of the convex, symmetric F(theta)
+    rectangle_part = fro * math.sqrt(2.0 * r_integral)
 
     # corner strips: [0,d]x[1/2,1] and [1/2,1]x[0,d] sit in the mixed slots
     # with masses nu2([0,d]) * nu1([1/2,1]); the thin strips [d,1/2]x[1-d,1]

@@ -10,6 +10,7 @@ import pytest
 from ohlab import cli, freeprob
 from ohlab.cli import main
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
+from ohlab.tensorlog import BoundViolation
 
 
 def run_cli(args, tmp_path=None):
@@ -94,6 +95,33 @@ class TestCLI:
         assert code == 0
         data = json.loads(out)
         assert [r["moment"] for r in data["rows"]] == [1.0, 2.0, 5.0]
+
+    def test_cold_start_writes_no_runtime_warning(self):
+        # the package leaves cli unimported, so runpy executes it only once
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "ohlab.cli", "fock", "--cutoff", "2", "--kmax", "1"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert b"RuntimeWarning" not in proc.stderr
+
+    def test_basis_rejects_nonpositive_n(self, capsys):
+        assert main(["basis", "--n", "0", "--nodes", "16", "--vectors", "1"]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (RuntimeError("outer ratio search did not converge"), 3),
+        (np.linalg.LinAlgError("Singular matrix"), 3),
+        (ValueError("--trials must be >= 1"), 2),
+        (BoundViolation("pairing below analytic floor"), 1),
+    ])
+    def test_exit_code_per_failure_kind(self, exc, code, monkeypatch, capsys):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli.RUNNERS, "fock", failing)
+        assert main(["fock"]) == code
+        assert str(exc) in capsys.readouterr().err
 
     def test_tolerance_failure_exit_code(self):
         # quadrature error ~1e-14 can never satisfy an impossible tolerance

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from ohlab import quad, tensorlog
+from ohlab import kfunc, quad, tensorlog
 from ohlab.tensorlog import (
     CONSTANTS,
     BoundViolation,
@@ -179,9 +180,9 @@ class TestBrackets:
                 assert rep.pi1_lo == CONSTANTS.banach_c * math.sqrt(n)
             assert n / rep.pi1_lo >= rep.lambda_lo
 
-    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 2)), (4, (1, 0, 1))])
+    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 0, 0)), (4, (1, 0, 0, 0))])
     def test_each_bracket_computed_once_per_n(self, n, counts, monkeypatch):
-        calls = {"upper": 0, "witness": 0, "meshes": 0}
+        calls = {"upper": 0, "witness": 0, "meshes": 0, "l2sum1": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -192,8 +193,9 @@ class TestBrackets:
         monkeypatch.setattr(tensorlog, "diag_upper_bound", counting("upper", tensorlog.diag_upper_bound))
         monkeypatch.setattr(tensorlog, "witness_validate", counting("witness", tensorlog.witness_validate))
         monkeypatch.setattr(quad.Grid2D, "meshes", counting("meshes", quad.Grid2D.meshes))
+        monkeypatch.setattr(kfunc, "l2sum1_norm", counting("l2sum1", kfunc.l2sum1_norm))
         bracket_report(n, grid_nodes=128)
-        assert (calls["upper"], calls["witness"], calls["meshes"]) == counts
+        assert tuple(calls.values()) == counts
 
     def test_inverted_lambda_bracket_raises(self):
         with pytest.raises(BoundViolation, match="projection bracket inverted"):
@@ -237,3 +239,58 @@ class TestBrackets:
             targets.append(math.sqrt(n * (1 + math.log(n))))
         slope = np.polyfit(np.log(targets), np.log(mids), 1)[0]
         assert abs(slope - 1.0) <= 0.1
+
+
+def masked_reference(grid, witness_delta, upper_delta):
+    """The five witness integrals and the rectangle scalar the brute-force way:
+    indicator masks on the full product grid and a bounded theta search."""
+    T, S, W = grid.meshes()
+    d = witness_delta
+    inside = (T >= d) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - d)
+    v = np.where(inside, 1.0 / (T * S + (1.0 - T) * (1.0 - S)), 0.0)
+    witness = {
+        "pairing": np.sum(v * W),
+        "f_sq": np.sum(T * S * v * v * W),
+        "g_sq": np.sum((1.0 - T) * (1.0 - S) * v * v * W),
+        "h_sq": np.sum(T * (1.0 - S) * v * v * W),
+        "k_sq": np.sum((1.0 - T) * S * v * v * W),
+    }
+    d = upper_delta
+    region = (
+        ((T <= 0.5) & (S <= 0.5))
+        | ((T >= d) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - d))
+        | ((T >= 0.5) & (T <= 1.0 - d) & (S >= d) & (S <= 0.5))
+        | ((T >= 0.5) & (S >= 0.5))
+    )
+    t, s, w = T[region], S[region], W[region]
+
+    def F(theta):
+        return np.sum(w / (theta * t * s + (1.0 - theta) * (1.0 - t) * (1.0 - s)))
+
+    res = minimize_scalar(F, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
+    return witness, math.sqrt(min(res.fun, F(0.0), F(1.0)))
+
+
+class TestBlockSumsAgainstMasks:
+    # 127 nodes put one node at exactly 1/2, 128 nodes none
+    @pytest.mark.parametrize("nodes", [127, 128])
+    @pytest.mark.parametrize("n, deltas", [
+        (1, None), (8, None), (4096, None),
+        (8, (0.05, 1e-3)),
+        (8, "nodes"),  # both deltas on a node, where the closed edges matter
+    ])
+    def test_witness_and_rectangle_match_masked_grid(self, nodes, n, deltas):
+        grid = default_grid(nodes)
+        if deltas is None:
+            q = witness_build(n)
+            upper = diag_upper_bound(n, grid=grid)
+        else:
+            if deltas == "nodes":
+                deltas = (grid.rule_t.nodes[-6], grid.rule_t.nodes[-3])
+            q = witness_build(n, delta=deltas[0])
+            upper = diag_upper_bound(n, grid=grid, delta=deltas[1])
+        norms = witness_validate(q, grid)
+        witness, rect_scalar = masked_reference(grid, q.delta, upper.delta)
+        for name, ref in witness.items():
+            assert getattr(norms, name) == pytest.approx(ref, rel=1e-12, abs=0.0), name
+        assert upper.rectangle_part == pytest.approx(math.sqrt(n) * rect_scalar, rel=1e-12, abs=0.0)
