@@ -12,7 +12,7 @@ Submodules:
 * ``cli``       -- seeded experiment runner with machine-readable reports
 """
 
-from . import freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog
+from . import cli, freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,3 @@ __all__ = [
     "tensorlog",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    # cli loads on first use, so that `python -m ohlab.cli` executes it only once
-    if name == "cli":
-        import importlib
-        return importlib.import_module(".cli", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

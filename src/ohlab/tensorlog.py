@@ -22,21 +22,18 @@ The analytic estimates certified in ``witness_validate``:
 trace-class constraints are discharged).  Any numerical violation of these
 inequalities indicates a quadrature or formula bug and raises hard.
 
-Upper route: a (x) 1 = a1 + a2.  a1 lives on R = [0,1/2]^2 u [delta,1/2] x
-[1/2,1-delta] u [1/2,1-delta] x [delta,1/2] u [1/2,1]^2, away from the
-corners (0,1) and (1,0), in the +_1 sum of the Hilbertian slots, where the
-norm of 1_R is the minimum over theta of F(theta)^{1/2}, F(theta) =
-int_R d(mu x mu) / (theta ts + (1-theta)(1-t)(1-s)).  R, mu x mu and the node
-set are symmetric under (t,s) -> (1-t,1-s), which swaps ts and (1-t)(1-s), so
-the convex F has F(theta) = F(1-theta) and its minimum is F(1/2) = 2 int_R v.
-The corner remainder a2 is four rank-one strips, charged in the trace-class
-slots by exact 1-D interval masses.  With delta = 1/(e^2 n^2) the total is at
-most 18 sqrt(1 + ln n) ||a||_2; the numeric evaluation is sharper.
+Upper route: a (x) 1 = a1 + a2.  a1 lives on a region R of four rectangles
+avoiding the corners (0,1) and (1,0), in the +_1 sum of the Hilbertian
+slots, where 1_R has norm min_theta F(theta)^{1/2} for the convex F(theta) =
+int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R, mu x mu and the nodes are
+symmetric under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the
+minimum is F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one
+strips, charged in the trace-class slots by exact 1-D interval masses.  With
+delta = 1/(e^2 n^2) the total is at most 18 sqrt(1 + ln n) ||a||_2.
 
-I and R are unions of node blocks t[t_sel] x s[s_sel] of the product rule (R
-row by row; delta never falls on a node), so each 2-D integral is a sum over
-blocks, with no mask over the full grid.  The cut-off between nodes at the
-block edges costs accuracy; the tests monitor convergence by resolution
+I and R are unions of node blocks of the product rule (delta never falls on a
+node), so each 2-D integral is a sum over blocks; the cut-off at the block
+edges costs accuracy, and the tests monitor convergence by resolution
 doubling.  Bracket runs default to DEFAULT_BRACKET_GRID = 1024 nodes per
 axis, shared with ``ohlab bracket --grid``; the CLI rejects grids above 2048.
 
@@ -76,19 +73,6 @@ __all__ = [
 DEFAULT_BRACKET_GRID = 1024
 
 
-# the inequality each constant of BracketConstants certifies, in report order
-_CITATIONS = {
-    "lower_c": "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7",
-    "upper_c": "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2",
-    "pi1_lo_factor": "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm",
-    "pi1_hi_factor": "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm",
-    "psc_c": "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))",
-    "gamma_c": "projection constant <= gamma_c * sqrt(n/(1+ln n))",
-    "banach_c": "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)",
-    "witness_scale_c": "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible",
-}
-
-
 @dataclass(frozen=True)
 class BracketConstants:
     """Fixed constants entering the brackets, with the inequalities they certify."""
@@ -104,8 +88,49 @@ class BracketConstants:
 
     def provenance(self):
         """name/value/citation rows for machine-readable reports."""
-        return [{"name": name, "value": getattr(self, name), "citation": citation}
-                for name, citation in _CITATIONS.items()]
+        return [
+            {
+                "name": "lower_c",
+                "value": self.lower_c,
+                "citation": "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7",
+            },
+            {
+                "name": "upper_c",
+                "value": self.upper_c,
+                "citation": "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2",
+            },
+            {
+                "name": "pi1_lo_factor",
+                "value": self.pi1_lo_factor,
+                "citation": "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm",
+            },
+            {
+                "name": "pi1_hi_factor",
+                "value": self.pi1_hi_factor,
+                "citation": "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm",
+            },
+            {
+                "name": "psc_c",
+                "value": self.psc_c,
+                "citation": "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))",
+            },
+            {
+                "name": "gamma_c",
+                "value": self.gamma_c,
+                "citation": "projection constant <= gamma_c * sqrt(n/(1+ln n))",
+            },
+            {
+                "name": "banach_c",
+                "value": self.banach_c,
+                "citation": "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)",
+            },
+            {
+                "name": "witness_scale_c",
+                "value": self.witness_scale_c,
+                "citation": "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible",
+            },
+        ]
+
 
 CONSTANTS = BracketConstants()
 
@@ -213,13 +238,11 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
     if not (t_sel.any() and s_sel.any()):
         raise ValueError("grid does not resolve the witness rectangle (no nodes inside)")
     # f^2/(ts) + g^2/((1-t)(1-s)) = v, so the Hilbertian slots sum to the pairing
-    pairing, f_sq, g_sq, h_sq, k_sq = (_block_integral(grid, t_sel, s_sel, integrand) for integrand in (
-        lambda t, s, v: v,
-        lambda t, s, v: t * s * v * v,
-        lambda t, s, v: (1.0 - t) * (1.0 - s) * v * v,
-        lambda t, s, v: t * (1.0 - s) * v * v,
-        lambda t, s, v: (1.0 - t) * s * v * v,
-    ))
+    pairing = _block_integral(grid, t_sel, s_sel)
+    f_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: t * s * v * v)
+    g_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: (1.0 - t) * (1.0 - s) * v * v)
+    h_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: t * (1.0 - s) * v * v)
+    k_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: (1.0 - t) * s * v * v)
     fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
     h_bound = 16.0 / (3.0 * math.pi**2)
     k_bound = 32.0 / math.pi**2 / q.delta

@@ -96,15 +96,6 @@ class TestCLI:
         data = json.loads(out)
         assert [r["moment"] for r in data["rows"]] == [1.0, 2.0, 5.0]
 
-    def test_cold_start_writes_no_runtime_warning(self):
-        # the package leaves cli unimported, so runpy executes it only once
-        proc = subprocess.run(
-            [sys.executable, "-W", "always", "-m", "ohlab.cli", "fock", "--cutoff", "2", "--kmax", "1"],
-            capture_output=True,
-        )
-        assert proc.returncode == 0
-        assert b"RuntimeWarning" not in proc.stderr
-
     def test_basis_rejects_nonpositive_n(self, capsys):
         assert main(["basis", "--n", "0", "--nodes", "16", "--vectors", "1"]) == 2
         assert "--n" in capsys.readouterr().err

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from ohlab import kfunc, quad, tensorlog
+from ohlab.kfunc import WeightedGrid, l2sum1_norm
 from ohlab.tensorlog import (
     CONSTANTS,
     BoundViolation,
@@ -182,7 +182,7 @@ class TestBrackets:
 
     @pytest.mark.parametrize("n, counts", [(8, (1, 1, 0, 0)), (4, (1, 0, 0, 0))])
     def test_each_bracket_computed_once_per_n(self, n, counts, monkeypatch):
-        calls = {"upper": 0, "witness": 0, "meshes": 0, "l2sum1": 0}
+        calls = {"upper": 0, "witness": 0, "meshes": 0, "theta_search": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -193,7 +193,8 @@ class TestBrackets:
         monkeypatch.setattr(tensorlog, "diag_upper_bound", counting("upper", tensorlog.diag_upper_bound))
         monkeypatch.setattr(tensorlog, "witness_validate", counting("witness", tensorlog.witness_validate))
         monkeypatch.setattr(quad.Grid2D, "meshes", counting("meshes", quad.Grid2D.meshes))
-        monkeypatch.setattr(kfunc, "l2sum1_norm", counting("l2sum1", kfunc.l2sum1_norm))
+        # l2sum1_norm runs its theta search through kfunc's own minimize_scalar
+        monkeypatch.setattr(kfunc, "minimize_scalar", counting("theta_search", kfunc.minimize_scalar))
         bracket_report(n, grid_nodes=128)
         assert tuple(calls.values()) == counts
 
@@ -243,7 +244,8 @@ class TestBrackets:
 
 def masked_reference(grid, witness_delta, upper_delta):
     """The five witness integrals and the rectangle scalar the brute-force way:
-    indicator masks on the full product grid and a bounded theta search."""
+    indicator masks on the full product grid, and for the rectangle the
+    l2sum1_norm theta search over the masked points."""
     T, S, W = grid.meshes()
     d = witness_delta
     inside = (T >= d) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - d)
@@ -262,13 +264,8 @@ def masked_reference(grid, witness_delta, upper_delta):
         | ((T >= 0.5) & (T <= 1.0 - d) & (S >= d) & (S <= 0.5))
         | ((T >= 0.5) & (S >= 0.5))
     )
-    t, s, w = T[region], S[region], W[region]
-
-    def F(theta):
-        return np.sum(w / (theta * t * s + (1.0 - theta) * (1.0 - t) * (1.0 - s)))
-
-    res = minimize_scalar(F, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
-    return witness, math.sqrt(min(res.fun, F(0.0), F(1.0)))
+    wgrid = WeightedGrid(W[region], 1.0 / (T * S)[region], 1.0 / ((1.0 - T) * (1.0 - S))[region])
+    return witness, l2sum1_norm(np.ones(wgrid.points), wgrid, outer_tol=1e-10)
 
 
 class TestBlockSumsAgainstMasks:
