@@ -102,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_pw(args) -> tuple[Report, bool]:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     rule = arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -131,11 +133,13 @@ def run_pw(args) -> tuple[Report, bool]:
         if rel_primal > args.tol or rel_dual > 2.0 * args.tol:
             failed = True
     params = vars_params(args, ["dim", "trials", "nodes", "tol", "cond", "seed"])
-    params["max_rel_error"] = max(r["rel_err_primal"] for r in rows) if rows else 0.0
+    params["max_rel_error"] = max(r["rel_err_primal"] for r in rows)
     return Report("pw", params, rows), failed
 
 
 def run_ohnorm(args) -> tuple[Report, bool]:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
     failed = False

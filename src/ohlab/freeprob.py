@@ -36,7 +36,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "haar_unitary",
@@ -78,6 +77,16 @@ def gue(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _semicircle_cdf(x: float) -> float:
     return 0.5 + (x * math.sqrt(4.0 - x * x) + 4.0 * math.asin(x / 2.0)) / (4.0 * math.pi)
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first root solve."""
+    # deferred: scipy.optimize takes about 0.7 s to import, and only the
+    # quantile solves of semicircle_diag use it, so commands without one
+    # never load it
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 def semicircle_diag(dim: int) -> np.ndarray:

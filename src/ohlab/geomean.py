@@ -23,7 +23,7 @@ agreement isolates algebra bugs from quadrature error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class PWProblem:
     A: PositiveMatrix
     B: PositiveMatrix
     commutator_norm: float
+    # (rule, pencil inverses) of the last rule used, so that pw_primal and
+    # pw_dual on one rule share a single batched inversion
+    _pencils: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a, b) -> "PWProblem":
@@ -96,11 +99,19 @@ def _check_vector(x, dim: int) -> np.ndarray:
 
 
 def _pencil_inverses(p: PWProblem, rule: ArcsineRule) -> np.ndarray:
-    """Batched (t A^{-1} + (1-t) B^{-1})^{-1} over the rule nodes."""
+    """Batched (t A^{-1} + (1-t) B^{-1})^{-1} over the rule nodes, read-only.
+
+    Built once per (problem, rule): the last result is kept on the problem.
+    """
+    if p._pencils is not None and p._pencils[0] is rule:
+        return p._pencils[1]
     ainv = np.linalg.inv(p.A.mat)
     binv = np.linalg.inv(p.B.mat)
     t = rule.nodes[:, None, None]
-    return np.linalg.inv(t * ainv + (1.0 - t) * binv)
+    winv = np.linalg.inv(t * ainv + (1.0 - t) * binv)
+    winv.flags.writeable = False
+    object.__setattr__(p, "_pencils", (rule, winv))
+    return winv
 
 
 def pw_primal(p: PWProblem, x, rule: ArcsineRule) -> float:
@@ -180,6 +191,8 @@ def random_commuting_pair(dim: int, rng: np.random.Generator, cond: float = 100.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if not cond >= 1.0:
+        raise ValueError(f"cond must be >= 1, got {cond}")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     q = q * (np.diag(r) / np.abs(np.diag(r)))

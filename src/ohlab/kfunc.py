@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "BoundViolation",
@@ -49,6 +48,15 @@ DEFAULT_OUTER_TOL = 1e-8
 
 class BoundViolation(RuntimeError):
     """A numerically computed quantity violated an analytically proved bound."""
+
+
+def minimize_scalar(fun, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on the first search."""
+    # deferred: scipy.optimize takes about 0.7 s to import, and only the two
+    # 1-D searches below use it, so commands without a search never load it
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(fun, **kwargs)
 
 
 @dataclass(frozen=True)

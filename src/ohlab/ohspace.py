@@ -19,8 +19,20 @@ the objective is monotone nondecreasing, and every iterate is feasible.
 ``fn_scalar_norm`` computes the first-level norm of a coefficient vector
 against the canonical basis of the two-density quotient: representatives
 (sqrt(t) a, (1 - sqrt(t)) a) with the constraint that scalar profiles sum to
-one, reduced by projection onto span(a) and solved with the convex ratio
-search from :mod:`ohlab.kfunc`.
+one, reduced by projection onto span(a) to the +_1 sum norm of the constant
+1 with densities g = 1/t and h = 1/(1-t).  That norm is the square root of
+the minimum over theta in [0, 1] of the convex ratio objective of
+:mod:`ohlab.kfunc`, which here reads
+
+    F(theta) = sum_j w_j / (theta t_j + (1 - theta)(1 - t_j)),
+    F'(1/2)  = -4 sum_j w_j (2 t_j - 1).
+
+F'(1/2) vanishes exactly when the rule's mean sum_j w_j t_j / sum_j w_j is
+1/2, which an arcsine rule meets because it integrates degree 1 exactly (its
+nodes are symmetric under t -> 1-t).  A convex function is least where its
+derivative vanishes, so the minimum is F(1/2) = 2 sum_j w_j with no search,
+and the norm is ||a||_2 sqrt(2 sum_j w_j) = sqrt(2) ||a||_2.  A rule whose
+mean is not 1/2 to within rounding is rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kfunc import WeightedGrid, l2sum1_norm
 from .quad import ArcsineRule
 
 __all__ = [
@@ -194,7 +205,7 @@ def oh_norm_variational(
     )
 
 
-def fn_scalar_norm(a, rule: ArcsineRule, outer_tol: float = 1e-8) -> float:
+def fn_scalar_norm(a, rule: ArcsineRule) -> float:
     """First-level quotient norm of a coefficient vector against the f-basis.
 
     Decompositions f(t) + g(t) = a reduce by projection onto span(a) to
@@ -204,13 +215,15 @@ def fn_scalar_norm(a, rule: ArcsineRule, outer_tol: float = 1e-8) -> float:
                                     + (int |psi|^2/(1-t) dmu)^{1/2} ],
 
     the +_1 sum norm of the constant function 1 with densities 1/t, 1/(1-t).
+    Its ratio search is solved at theta = 1/2 (see the module docstring).
     """
+    t, w = rule.nodes, rule.weights
+    # F'(1/2) = -4 * sum w (2t - 1), zero when the rule's mean is 1/2; each
+    # term of the sum rounds by at most about eps
+    if abs(float(np.dot(w, 2.0 * t - 1.0))) > rule.n_nodes * np.finfo(float).eps:
+        mean = float(np.dot(w, t) / np.sum(w))
+        raise ValueError(f"rule mean {mean:.17g} is not 1/2, so theta = 1/2 is not the minimiser")
     v = np.asarray(a, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("coefficients must be finite")
-    scale = float(np.linalg.norm(v))
-    if scale == 0.0:
-        return 0.0
-    t = rule.nodes
-    grid = WeightedGrid(base_weights=rule.weights, g=1.0 / t, h=1.0 / (1.0 - t))
-    return scale * l2sum1_norm(np.ones_like(t), grid, outer_tol=outer_tol)
+    return float(np.linalg.norm(v)) * float(np.sqrt(2.0 * np.sum(w)))

@@ -239,6 +239,66 @@ class TestFree:
         assert out == "" and "variance" in err
 
 
+class TestPw:
+    def test_one_pencil_inversion_per_trial(self, monkeypatch, capsys):
+        # pw_primal and pw_dual share the trial's batched pencil inverses
+        real = np.linalg.inv
+        batched = []
+
+        def counting(a):
+            if np.ndim(a) == 3:
+                batched.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        assert main(["pw", "--dim", "4", "--trials", "1", "--nodes", "256"]) == 0
+        capsys.readouterr()
+        assert batched == [(256, 4, 4)]
+
+    @pytest.mark.parametrize("subcommand", ["pw", "ohnorm"])
+    def test_zero_trials_rejected(self, subcommand, capsys):
+        assert main([subcommand, "--trials", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--trials" in err
+
+    def test_cond_below_one_rejected(self, capsys):
+        assert main(["pw", "--dim", "2", "--trials", "1", "--cond", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cond must be >= 1" in err
+
+
+COLD_START = """
+import json, sys
+from ohlab.cli import main
+
+tmp = sys.argv[1] + "/"
+codes = [
+    main(["bracket", "--n-list", "8", "--grid", "128", "--out", tmp + "bracket.json"]),
+    main(["pw", "--dim", "2", "--trials", "1", "--nodes", "64", "--out", tmp + "pw.json"]),
+    main(["ohnorm", "--n", "2", "--m", "2", "--trials", "1", "--restarts", "2", "--out", tmp + "ohnorm.json"]),
+    main(["basis", "--n", "2", "--nodes", "64", "--vectors", "2", "--out", tmp + "basis.json"]),
+    main(["fock", "--cutoff", "4", "--kmax", "2", "--out", tmp + "fock.json"]),
+    main(["report", tmp + "bracket.json", tmp + "bracket.json", "--out", tmp + "merged.json"]),
+]
+loaded = "scipy" in sys.modules
+codes += [
+    main(["free", "--dim", "8", "--summands", "2", "--trials", "1", "--out", tmp + "free.json"]),
+    main(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1", "--out", tmp + "sumspace.json"]),
+]
+print(json.dumps({"codes": codes, "scipy_loaded": loaded}))
+"""
+
+
+class TestColdStart:
+    def test_solve_free_commands_never_load_scipy(self, tmp_path):
+        # scipy.optimize is imported on the first 1-D solve, which only free
+        # (semicircle quantiles) and sumspace (ratio and scale searches) run
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result == {"codes": [0] * 8, "scipy_loaded": False}
+
+
 class TestOhnormSeeds:
     def test_trial_streams_differ_across_adjacent_seeds(self, monkeypatch, capsys):
         # trial t of seed s must not reuse the restart stream of trial t-1 of seed s+1

@@ -145,3 +145,28 @@ class TestWitness:
             perturbed = type(w)(h_values=w.h_values + profile * c, multiplier=w.multiplier)
             fn, _ = dual_witness_validate(perturbed, p, RULE)
             assert fn**2 >= val - 1e-9 * max(val, 1.0)
+
+
+class TestPencilInverses:
+    def test_primal_and_dual_match_fresh_problems(self):
+        # the second call on a problem reuses the inverses the first one built
+        rng = np.random.default_rng(12)
+        prob = random_commuting_pair(4, rng, cond=1e3)
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+        def fresh():
+            return PWProblem.build(prob.A, prob.B)
+
+        primal = pw_primal(prob, x, RULE)
+        dual, witness = pw_dual(prob, x, RULE)
+        fresh_dual, fresh_witness = pw_dual(fresh(), x, RULE)
+        assert primal == pw_primal(fresh(), x, RULE)
+        assert dual == fresh_dual
+        assert np.array_equal(witness.h_values, fresh_witness.h_values)
+        # another rule is not served from the memo
+        small = arcsine_rule(64)
+        assert pw_primal(prob, x, small) == pw_primal(fresh(), x, small)
+
+    def test_cond_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cond"):
+            random_commuting_pair(2, np.random.default_rng(0), cond=0.5)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ohlab.kfunc import WeightedGrid, l2sum1_norm
 from ohlab.ohspace import OHTuple, fn_scalar_norm, oh_norm_direct, oh_norm_variational
-from ohlab.quad import arcsine_rule
+from ohlab.quad import ArcsineRule, arcsine_rule
 
 RULE = arcsine_rule(4096)
 
@@ -142,3 +143,20 @@ class TestScalarBasisNorm:
             a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             ratios.append(fn_scalar_norm(a, RULE) / np.linalg.norm(a))
         assert max(ratios) - min(ratios) < 1e-6
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 7, 4096])
+    def test_closed_form_matches_theta_search(self, n_nodes):
+        # oracle: the +_1 ratio search over theta with densities 1/t, 1/(1-t)
+        rule = arcsine_rule(n_nodes)
+        t = rule.nodes
+        grid = WeightedGrid(base_weights=rule.weights, g=1.0 / t, h=1.0 / (1.0 - t))
+        search = l2sum1_norm(np.ones(n_nodes), grid, outer_tol=1e-12)
+        assert fn_scalar_norm([1.0], rule) == pytest.approx(search, rel=1e-12)
+        a = np.array([3.0 - 1.0j, 0.5, 2.0j])
+        assert fn_scalar_norm(a, rule) == pytest.approx(np.linalg.norm(a) * search, rel=1e-12)
+
+    def test_rule_with_mean_off_half_rejected(self):
+        # theta = 1/2 is the minimiser only when the rule's mean is 1/2
+        skewed = ArcsineRule(2, np.array([0.25, 0.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="mean"):
+            fn_scalar_norm([1.0], skewed)
