@@ -173,6 +173,8 @@ def run_ohnorm(args) -> tuple[Report, bool]:
 def run_basis(args) -> tuple[Report, bool]:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.vectors < 1:
+        raise ValueError("--vectors must be >= 1")
     rule = arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -182,17 +184,16 @@ def run_basis(args) -> tuple[Report, bool]:
         rows.append({"vector": i, "norm": val, "ratio": val / float(np.linalg.norm(a))})
     ratios = [r["ratio"] for r in rows]
     params = vars_params(args, ["n", "nodes", "vectors", "seed"])
-    params["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
-    failed = bool(
-        rows
-        and not all(1 / math.sqrt(2) - 1e-3 <= r <= math.sqrt(2) + 1e-3 for r in ratios)
-    )
+    params["ratio_spread"] = max(ratios) - min(ratios)
+    failed = not all(1 / math.sqrt(2) - 1e-3 <= r <= math.sqrt(2) + 1e-3 for r in ratios)
     return Report("basis", params, rows), failed
 
 
 def run_sumspace(args) -> tuple[Report, bool]:
-    rng = np.random.default_rng(args.seed)
     t_values = [float(v) for v in args.t_sweep.split(",") if v]
+    if not t_values:
+        raise ValueError("--t-sweep needs at least one value")
+    rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
     base /= base.sum()
     g = rng.uniform(0.2, 5.0, size=args.points)

@@ -26,6 +26,9 @@ inequality for a family (a_i) reads
 
 and its trace-norm converse gives  || sum_i a_i ||_1 <= sum_i ||a_i||_1  and
 || sum_i a_i ||_1 <= (sum_i tau(a_i^* a_i))^{1/2}  (plus the adjoint twin).
+
+The semicircle quantiles of the rotated base are roots of the closed-form
+CDF, found by :func:`brentq`, a port of scipy's Brent root finder.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ import numpy as np
 
 __all__ = [
     "haar_unitary",
-    "gue",
     "semicircle_diag",
-    "trace_norm",
     "unitarity_residual",
     "FreeFamily",
     "free_family",
@@ -69,24 +70,67 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def gue(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE matrix normalised so tau(a^2) ~ 1."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
-    return (g + g.conj().T) / np.sqrt(2.0)
-
-
 def _semicircle_cdf(x: float) -> float:
     return 0.5 + (x * math.sqrt(4.0 - x * x) + 4.0 * math.asin(x / 2.0)) / (4.0 * math.pi)
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on the first root solve."""
-    # deferred: scipy.optimize takes about 0.7 s to import, and only the
-    # quantile solves of semicircle_diag use it, so commands without one
-    # never load it
-    from scipy.optimize import brentq as scipy_brentq
+def brentq(f, a, b, xtol=2e-12, maxiter=100):
+    """Root of f in [a, b] by Brent's method; f(a) and f(b) must differ in sign.
 
-    return scipy_brentq(f, a, b, **kwargs)
+    A step-for-step port of ``brentq.c`` from scipy.optimize (BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy Developers),
+    so it returns scipy's root (at scipy's default rtol = 4 eps) bit for bit.
+    It stops when half the bracket is below (xtol + rtol |x|)/2; ValueError on
+    a same-sign bracket or a NaN value, RuntimeError after ``maxiter``
+    iterations.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant (linear interpolation)
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations (last x = {xcur!r})")
 
 
 def semicircle_diag(dim: int) -> np.ndarray:
@@ -112,11 +156,6 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     if _is_hermitian(a):
         return np.abs(np.linalg.eigvalsh(a))
     return np.linalg.svd(a, compute_uv=False)
-
-
-def trace_norm(a: np.ndarray) -> float:
-    """Normalised trace norm tau(|a|)."""
-    return float(np.sum(_singular_values(a)) / a.shape[0])
 
 
 # Householder QR returns a factor with ||Q^H Q - I|| = O(dim * eps) (Higham,
@@ -311,10 +350,6 @@ class TruncatedFock:
             if len(w) < self.cutoff:
                 m[self.index[(letter,) + w], i] = 1.0
         return m
-
-    def top_level_projection(self) -> np.ndarray:
-        d = np.array([1.0 if len(w) == self.cutoff else 0.0 for w in self.words])
-        return np.diag(d)
 
     def letter_start_projection(self, letter: int) -> np.ndarray:
         """Projection onto words whose first letter is ``letter``."""

@@ -17,13 +17,23 @@ form: h(t) = W(t)^{-1} A^{-1/2} lam with W(t) = t A^{-1} + (1-t) B^{-1} and
 lam fixed by one dim x dim solve against the quadrature-assembled Gram
 operator  G = int A^{-1/2} W(t)^{-1} A^{-1/2} dmu.
 
+Both formulas need W(t)^{-1} at every quadrature node.  One congruence per
+problem diagonalises the whole pencil: with B^{-1} = L L^H and
+L^{-1} A^{-1} L^{-H} = V diag(lam) V^H,
+
+    W(t)^{-1} = X diag(1 / (t lam + 1 - t)) X^H,   X = L^{-H} V,
+
+for every t, and for any strictly positive pair (commuting or not), so no
+node needs an inverse of its own.
+
 Both formulas are discretised on the same ArcsineRule so that primal/dual
 agreement isolates algebra bugs from quadrature error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +64,6 @@ class PWProblem:
     A: PositiveMatrix
     B: PositiveMatrix
     commutator_norm: float
-    # (rule, pencil inverses) of the last rule used, so that pw_primal and
-    # pw_dual on one rule share a single batched inversion
-    _pencils: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, a, b) -> "PWProblem":
@@ -76,6 +83,25 @@ class PWProblem:
     @property
     def dim(self) -> int:
         return self.A.dim
+
+    @cached_property
+    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, X) with (t A^{-1} + (1-t) B^{-1})^{-1} = X diag(1/(t lam + 1 - t)) X^H.
+
+        From the Cholesky factors B = R R^H and A = S S^H: L = R^{-H} gives
+        B^{-1} = L L^H, and L^{-1} A^{-1} L^{-H} = R^H A^{-1} R = C^H C with
+        C = S^{-1} R.  The SVD C = U diag(sqrt(lam)) V^H gives lam and V, and
+        X = L^{-H} V = R V.  Neither A^{-1} nor B^{-1} is formed, and the SVD
+        keeps the small lam to a relative accuracy that eigh of C^H C loses.
+        Read-only; computed once per problem, whatever the rule.
+        """
+        r = np.linalg.cholesky(self.B.mat)
+        c = np.linalg.solve(np.linalg.cholesky(self.A.mat), r)
+        _, sv, vh = np.linalg.svd(c)
+        lam, x = sv**2, r @ vh.conj().T
+        lam.flags.writeable = False
+        x.flags.writeable = False
+        return lam, x
 
 
 @dataclass(frozen=True)
@@ -98,28 +124,18 @@ def _check_vector(x, dim: int) -> np.ndarray:
     return v
 
 
-def _pencil_inverses(p: PWProblem, rule: ArcsineRule) -> np.ndarray:
-    """Batched (t A^{-1} + (1-t) B^{-1})^{-1} over the rule nodes, read-only.
-
-    Built once per (problem, rule): the last result is kept on the problem.
-    """
-    if p._pencils is not None and p._pencils[0] is rule:
-        return p._pencils[1]
-    ainv = np.linalg.inv(p.A.mat)
-    binv = np.linalg.inv(p.B.mat)
-    t = rule.nodes[:, None, None]
-    winv = np.linalg.inv(t * ainv + (1.0 - t) * binv)
-    winv.flags.writeable = False
-    object.__setattr__(p, "_pencils", (rule, winv))
-    return winv
+def _resolvent_weights(lam: np.ndarray, rule: ArcsineRule) -> np.ndarray:
+    """1/(t lam_j + 1 - t) at every node, shape (n_nodes, dim)."""
+    t = rule.nodes[:, None]
+    return 1.0 / (t * lam + (1.0 - t))
 
 
 def pw_primal(p: PWProblem, x, rule: ArcsineRule) -> float:
-    """Quadrature of the pointwise parallel-sum integrand at x."""
+    """Quadrature of the pointwise parallel-sum integrand (x, W(t)^{-1} x) at x."""
     v = _check_vector(x, p.dim)
-    winv = _pencil_inverses(p, rule)
-    integrand = np.einsum("i,nij,j->n", v.conj(), winv, v).real
-    return float(np.sum(integrand * rule.weights))
+    lam, xs = p.pencil
+    coeff = np.abs(xs.conj().T @ v) ** 2
+    return float(rule.weights @ (_resolvent_weights(lam, rule) @ coeff))
 
 
 def _sqrt_and_invsqrt(p: PositiveMatrix):
@@ -137,8 +153,9 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     quadrature error and the witness realises it.
     """
     v = _check_vector(y, p.dim)
-    winv = _pencil_inverses(p, rule)
-    s = np.tensordot(rule.weights, winv, axes=(0, 0))      # int W(t)^{-1} dmu
+    lam, xs = p.pencil
+    res = _resolvent_weights(lam, rule)
+    s = (xs * (rule.weights @ res)) @ xs.conj().T          # int W(t)^{-1} dmu
     b_root, _ = _sqrt_and_invsqrt(p.B)
     _, a_invroot = _sqrt_and_invsqrt(p.A)
     gram = hermitian_part(a_invroot @ s @ a_invroot)
@@ -146,10 +163,11 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e14:
         raise RuntimeError(f"Gram operator numerically singular (cond={cond:.3e})")
-    lam = np.linalg.solve(gram, rhs)
-    value = float(np.vdot(rhs, lam).real)
-    h_values = np.einsum("nij,j->ni", winv, a_invroot @ lam)
-    return value, DualWitness(h_values=h_values, multiplier=lam)
+    multiplier = np.linalg.solve(gram, rhs)
+    value = float(np.vdot(rhs, multiplier).real)
+    # h(t_n) = W(t_n)^{-1} A^{-1/2} multiplier, all nodes in one (N, dim) product
+    h_values = (res * (xs.conj().T @ (a_invroot @ multiplier))) @ xs.T
+    return value, DualWitness(h_values=h_values, multiplier=multiplier)
 
 
 def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):

@@ -23,10 +23,14 @@ extra L1 slot), all over a common base measure nu given by point weights:
 
 ``k_d1d2_norm`` re-expresses the two-density quotient norm as l2sum1_norm
 with densities 1/d1 and 1/d2.
+
+Both outer searches run :func:`minimize_scalar`, a numpy-free port of
+scipy's bounded Brent method, so this module needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +54,109 @@ class BoundViolation(RuntimeError):
     """A numerically computed quantity violated an analytically proved bound."""
 
 
-def minimize_scalar(fun, **kwargs):
-    """``scipy.optimize.minimize_scalar``, imported on the first search."""
-    # deferred: scipy.optimize takes about 0.7 s to import, and only the two
-    # 1-D searches below use it, so commands without a search never load it
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+@dataclass(frozen=True)
+class ScalarMinimum:
+    """Result of :func:`minimize_scalar`, named as scipy's OptimizeResult."""
 
-    return scipy_minimize_scalar(fun, **kwargs)
+    x: float
+    fun: float
+    nfev: int
+    success: bool
+    message: str
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def minimize_scalar(fun, bounds, method="bounded", options=None) -> ScalarMinimum:
+    """Minimum of fun on the interval ``bounds`` by Brent's bounded method.
+
+    A step-for-step port of ``_minimize_scalar_bounded`` from scipy.optimize
+    (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
+    Developers), so it returns scipy's x, fun and nfev bit for bit: golden
+    section steps safeguard parabolic ones, and the search stops when x is
+    within 2 (sqrt(eps) |x| + xatol/3) of the bracket midpoint.  Only
+    ``method="bounded"`` and the options ``xatol`` (default 1e-5) and
+    ``maxiter`` (default 500) are supported; ``success`` is false when the
+    search stops at ``maxiter`` evaluations or meets a NaN.
+    """
+    if method != "bounded":
+        raise ValueError(f"unsupported method {method!r}; only 'bounded' is implemented")
+    options = options or {}
+    xatol = options.get("xatol", 1e-5)
+    maxfun = options.get("maxiter", 500)
+    a, b = (float(v) for v in bounds)
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = fun(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    status = 0
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (_sign(xm - xf) + (xm - xf == 0.0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (_sign(rat) + (rat == 0.0)) * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            status = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        status = 2
+    message = ("Solution found.", "Maximum number of function calls reached.", "NaN result encountered.")[status]
+    return ScalarMinimum(x=xf, fun=fx, nfev=num, success=status == 0, message=message)
 
 
 @dataclass(frozen=True)

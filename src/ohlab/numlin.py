@@ -1,11 +1,10 @@
 """Dense complex linear-algebra substrate.
 
-Hermitian eigendecomposition, Schatten (quasi-)norms, Kronecker products,
-parallel sums and square roots of commuting positive pairs.  Everything
-operates on plain complex ndarrays; the thin ``HermitianMatrix`` /
-``PositiveMatrix`` wrappers certify structure at construction (symmetrised
-ingest, eigenvalue clamping, strict-positivity flag) and are accepted
-anywhere an ndarray is.
+Hermitian eigendecomposition, Kronecker products and square roots of
+commuting positive pairs.  Everything operates on plain complex ndarrays;
+the thin ``HermitianMatrix`` / ``PositiveMatrix`` wrappers certify structure
+at construction (symmetrised ingest, eigenvalue clamping, strict-positivity
+flag) and are accepted anywhere an ndarray is.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -20,10 +19,8 @@ __all__ = [
     "hermitian_part",
     "opnorm",
     "herm_eig",
-    "schatten_norm",
     "kron",
     "conj",
-    "parallel_sum",
     "sqrt_commuting",
 ]
 
@@ -111,11 +108,8 @@ class PositiveMatrix(HermitianMatrix):
         object.__setattr__(self, "strictly_positive", bool(w[0] > EPS_PD * scale) if scale > 0 else False)
 
 
-def _as_positive(x, strict: bool = False) -> PositiveMatrix:
-    p = x if isinstance(x, PositiveMatrix) else PositiveMatrix(x)
-    if strict and not p.strictly_positive:
-        raise ValueError("strictly positive matrix required (min_eig too small)")
-    return p
+def _as_positive(x) -> PositiveMatrix:
+    return x if isinstance(x, PositiveMatrix) else PositiveMatrix(x)
 
 
 def herm_eig(h):
@@ -136,21 +130,6 @@ def herm_eig(h):
     return w, u
 
 
-def schatten_norm(x, p) -> float:
-    """Schatten (quasi-)norm: (sum sigma_i^p)^(1/p), max sigma for p=inf.
-
-    Supported exponents: p = 1/2 (quasi-norm) and p in [1, inf].
-    """
-    a = as_matrix(x)
-    p = float(p)
-    if not (p == 0.5 or p >= 1.0):
-        raise ValueError(f"unsupported Schatten exponent p={p}; need p=1/2 or p>=1")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))
-
-
 def kron(x, y) -> np.ndarray:
     """Kronecker product with row-major block convention."""
     return np.kron(as_matrix(x), as_matrix(y))
@@ -159,21 +138,6 @@ def kron(x, y) -> np.ndarray:
 def conj(x) -> np.ndarray:
     """Entrywise complex conjugation."""
     return np.conj(as_matrix(x))
-
-
-def parallel_sum(c1, c2) -> PositiveMatrix:
-    """(C1^{-1} + C2^{-1})^{-1} of two strictly positive matrices.
-
-    This is the pointwise minimiser of min over x=a+b of (C1 a,a) + (C2 b,b),
-    computed stably as C1 (C1+C2)^{-1} C2.  The result is dominated by both
-    arguments.
-    """
-    p1 = _as_positive(c1, strict=True)
-    p2 = _as_positive(c2, strict=True)
-    if p1.dim != p2.dim:
-        raise ValueError("dimension mismatch")
-    m = p1.mat @ np.linalg.solve(p1.mat + p2.mat, p2.mat)
-    return PositiveMatrix(hermitian_part(m))
 
 
 def _group_close(values: np.ndarray, rel_tol: float):

@@ -240,26 +240,37 @@ class TestFree:
 
 
 class TestPw:
-    def test_one_pencil_inversion_per_trial(self, monkeypatch, capsys):
-        # pw_primal and pw_dual share the trial's batched pencil inverses
-        real = np.linalg.inv
-        batched = []
+    def test_one_pencil_factorisation_per_problem(self, monkeypatch, capsys):
+        # each trial's problem factorises its pencil once (one SVD), and no
+        # node gets an inverse of its own
+        calls = {"inverse_ndim": [], "svd": 0}
+        real_inv, real_svd = np.linalg.inv, np.linalg.svd
 
-        def counting(a):
-            if np.ndim(a) == 3:
-                batched.append(np.shape(a))
-            return real(a)
+        def counting_inv(a):
+            calls["inverse_ndim"].append(np.ndim(a))
+            return real_inv(a)
 
-        monkeypatch.setattr(np.linalg, "inv", counting)
-        assert main(["pw", "--dim", "4", "--trials", "1", "--nodes", "256"]) == 0
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"] += 1
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert main(["pw", "--dim", "4", "--trials", "3", "--nodes", "256"]) == 0
         capsys.readouterr()
-        assert batched == [(256, 4, 4)]
+        assert calls["svd"] == 3
+        assert 3 not in calls["inverse_ndim"]
 
-    @pytest.mark.parametrize("subcommand", ["pw", "ohnorm"])
-    def test_zero_trials_rejected(self, subcommand, capsys):
-        assert main([subcommand, "--trials", "0"]) == 2
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["pw", "--trials", "0"], "--trials", id="pw"),
+        pytest.param(["ohnorm", "--trials", "0"], "--trials", id="ohnorm"),
+        pytest.param(["basis", "--vectors", "0", "--nodes", "16"], "--vectors", id="basis"),
+        pytest.param(["sumspace", "--t-sweep", ","], "--t-sweep", id="sumspace"),
+    ])
+    def test_empty_run_rejected(self, argv, flag, capsys):
+        assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--trials" in err
+        assert out == "" and flag in err
 
     def test_cond_below_one_rejected(self, capsys):
         assert main(["pw", "--dim", "2", "--trials", "1", "--cond", "0.5"]) == 2
@@ -279,20 +290,18 @@ codes = [
     main(["basis", "--n", "2", "--nodes", "64", "--vectors", "2", "--out", tmp + "basis.json"]),
     main(["fock", "--cutoff", "4", "--kmax", "2", "--out", tmp + "fock.json"]),
     main(["report", tmp + "bracket.json", tmp + "bracket.json", "--out", tmp + "merged.json"]),
-]
-loaded = "scipy" in sys.modules
-codes += [
     main(["free", "--dim", "8", "--summands", "2", "--trials", "1", "--out", tmp + "free.json"]),
     main(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1", "--out", tmp + "sumspace.json"]),
 ]
-print(json.dumps({"codes": codes, "scipy_loaded": loaded}))
+print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules}))
 """
 
 
 class TestColdStart:
-    def test_solve_free_commands_never_load_scipy(self, tmp_path):
-        # scipy.optimize is imported on the first 1-D solve, which only free
-        # (semicircle quantiles) and sumspace (ratio and scale searches) run
+    def test_no_command_loads_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: the 1-D solves of free
+        # (semicircle quantiles) and sumspace (ratio and scale searches) are
+        # in-house ports of scipy's Brent routines
         proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from ohlab import freeprob
 from ohlab.freeprob import (
@@ -13,15 +14,32 @@ from ohlab.freeprob import (
     fock_semicircular_moments,
     free_clt_check,
     free_family,
-    gue,
     haar_unitary,
     normalized_trace,
     semicircle_diag,
-    trace_norm,
     unitarity_residual,
     voiculescu_check,
     voiculescu_converse_check,
 )
+
+
+# test-only oracles: nothing in the library calls them
+
+
+def gue(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """GUE matrix normalised so tau(a^2) ~ 1."""
+    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0 * dim)
+    return (g + g.conj().T) / np.sqrt(2.0)
+
+
+def trace_norm(a: np.ndarray) -> float:
+    """Normalised trace norm tau(|a|), from a full SVD."""
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)) / a.shape[0])
+
+
+def top_level_projection(fock: TruncatedFock) -> np.ndarray:
+    """Projection onto the words of length ``fock.cutoff``."""
+    return np.diag([1.0 if len(w) == fock.cutoff else 0.0 for w in fock.words])
 
 
 class TestHaar:
@@ -220,7 +238,7 @@ class TestFock:
         fock = TruncatedFock(letter_dim=2, cutoff=4)
         l0, l1 = fock.creation(0), fock.creation(1)
         eye = np.eye(fock.dim)
-        top = fock.top_level_projection()
+        top = top_level_projection(fock)
         assert np.max(np.abs(l0.T @ l0 - (eye - top))) == 0.0
         assert np.max(np.abs(l0.T @ l1)) == 0.0
 
@@ -274,3 +292,42 @@ class TestCLT:
         a = free_clt_check(4, 64, trials=2, seed=3)
         b = free_clt_check(4, 64, trials=2, seed=3)
         assert a.moments == b.moments
+
+
+class TestBrentqPort:
+    """freeprob.brentq against scipy.optimize.brentq, the routine it ports."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 512])
+    def test_semicircle_quantiles_bit_equal(self, dim):
+        ref = []
+        for q in (np.arange(1, dim + 1) - 0.5) / dim:
+            def f(x, q=q):
+                return freeprob._semicircle_cdf(x) - q
+
+            root = freeprob.brentq(f, -2.0, 2.0, xtol=1e-14)
+            assert root == scipy_brentq(f, -2.0, 2.0, xtol=1e-14)
+            ref.append(root)
+        assert np.array_equal(np.diag(semicircle_diag(dim)), np.array(ref, dtype=complex))
+
+    def test_monotone_cubics_bit_equal(self):
+        rng = np.random.default_rng(70)
+        for _ in range(30):
+            lead, slope, root = rng.uniform(0.1, 3.0), rng.uniform(0.0, 2.0), rng.uniform(-1.5, 2.5)
+
+            def cubic(x, lead=lead, slope=slope, root=root):
+                return lead * (x - root) ** 3 + slope * (x - root)
+
+            for xtol in (2e-12, 1e-14):
+                assert freeprob.brentq(cubic, -2.0, 3.0, xtol=xtol) == scipy_brentq(cubic, -2.0, 3.0, xtol=xtol)
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            freeprob.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_iteration_cap(self):
+        with pytest.raises(RuntimeError, match="did not converge in 2"):
+            freeprob.brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-15, maxiter=2)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            freeprob.brentq(lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0)

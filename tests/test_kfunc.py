@@ -250,3 +250,56 @@ class TestKd1d2:
     def test_zero(self):
         base = np.full(4, 0.25)
         assert k_d1d2_norm(np.zeros(4), np.ones(4), np.ones(4), base) == 0.0
+
+
+class TestMinimizeScalarPort:
+    """kfunc.minimize_scalar against scipy's bounded method, the routine it ports."""
+
+    @staticmethod
+    def assert_matches_scipy(fun, bounds, xatol):
+        ours = kfunc.minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
+        ref = minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
+        assert (ours.x, ours.fun, ours.nfev) == (float(ref.x), float(ref.fun), ref.nfev)
+        assert ours.success and ref.success and ours.message == ref.message
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-12])
+    def test_random_convex_quadratics(self, xatol):
+        rng = np.random.default_rng(60)
+        for _ in range(40):
+            centre, scale, floor = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0), rng.standard_normal()
+
+            def quadratic(x, centre=centre, scale=scale, floor=floor):
+                return scale * (x - centre) ** 2 + floor
+
+            self.assert_matches_scipy(quadratic, (0.0, 1.0), xatol)
+
+    @pytest.mark.parametrize("xatol", [1e-8, 1e-12])
+    def test_minimum_at_an_endpoint(self, xatol):
+        self.assert_matches_scipy(lambda x: (x + 1.0) ** 2, (0.0, 1.0), xatol)
+        self.assert_matches_scipy(lambda x: -x, (0.0, 2.5), xatol)
+
+    @pytest.mark.parametrize("xatol", [1e-8, 1e-12])
+    def test_nonconvex(self, xatol):
+        self.assert_matches_scipy(lambda x: math.sin(5.0 * x) + 0.1 * x * x, (-3.0, 4.0), xatol)
+        self.assert_matches_scipy(lambda x: abs(x - 0.3) ** 0.5, (-1.0, 2.0), xatol)
+
+    def test_the_searches_kfunc_runs(self):
+        # the l2sum1 ratio objective and the ik_t scale objective, as called
+        rng = np.random.default_rng(61)
+        w = random_grid(rng, 12)
+        k2 = np.abs(rng.standard_normal(12)) ** 2
+        self.assert_matches_scipy(kfunc._ratio_objective(k2, w), (0.0, 1.0), kfunc.DEFAULT_OUTER_TOL)
+        spec = ThreeTermSpec(t_param=0.5, d=rng.uniform(0.2, 5.0, 12), base_weights=w.base_weights)
+        absx = np.abs(rng.standard_normal(12))
+        phi = lambda s: 0.5 * s + float(np.sum(spec.base_weights * kfunc._huber_value(absx, s * spec.d, 0.5**0.5)))
+        self.assert_matches_scipy(phi, (0.0, 3.0), kfunc.DEFAULT_OUTER_TOL)
+
+    def test_evaluation_cap(self):
+        res = kfunc.minimize_scalar(lambda x: (x - 0.3) ** 2, bounds=(0.0, 1.0), method="bounded",
+                                    options={"xatol": 1e-12, "maxiter": 3})
+        assert (res.nfev, res.success) == (3, False)
+        assert res.message == "Maximum number of function calls reached."
+
+    def test_other_methods_rejected(self):
+        with pytest.raises(ValueError, match="bounded"):
+            kfunc.minimize_scalar(lambda x: x * x, bounds=(0.0, 1.0), method="brent", options={})

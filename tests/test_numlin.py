@@ -8,12 +8,40 @@ from ohlab.numlin import (
     PositiveMatrix,
     conj,
     herm_eig,
+    hermitian_part,
     kron,
     opnorm,
-    parallel_sum,
-    schatten_norm,
     sqrt_commuting,
 )
+
+
+# test-only oracles: nothing in the library calls them
+
+
+def schatten_norm(x, p) -> float:
+    """Schatten (quasi-)norm: (sum sigma_i^p)^(1/p), max sigma for p=inf.
+
+    Supported exponents: p = 1/2 (quasi-norm) and p in [1, inf].
+    """
+    p = float(p)
+    if not (p == 0.5 or p >= 1.0):
+        raise ValueError(f"unsupported Schatten exponent p={p}; need p=1/2 or p>=1")
+    sv = np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)
+    if np.isinf(p):
+        return float(sv[0]) if sv.size else 0.0
+    return float(np.sum(sv**p) ** (1.0 / p))
+
+
+def parallel_sum(c1, c2) -> PositiveMatrix:
+    """(C1^{-1} + C2^{-1})^{-1} of two strictly positive matrices, computed
+    stably as C1 (C1+C2)^{-1} C2: the pointwise minimiser of
+    min over x=a+b of (C1 a,a) + (C2 b,b).  The result is dominated by both."""
+    p1, p2 = PositiveMatrix(c1), PositiveMatrix(c2)
+    if not (p1.strictly_positive and p2.strictly_positive):
+        raise ValueError("strictly positive matrix required (min_eig too small)")
+    if p1.dim != p2.dim:
+        raise ValueError("dimension mismatch")
+    return PositiveMatrix(hermitian_part(p1.mat @ np.linalg.solve(p1.mat + p2.mat, p2.mat)))
 
 
 def random_hermitian(rng, dim):
