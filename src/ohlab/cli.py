@@ -38,8 +38,9 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# a bracket pass holds a few grid x grid/2 float blocks; 2048 (140 MB peak RSS
-# over n = 8..4096) is the largest grid the tests, demos and benchmarks use
+# a bracket pass holds 64-row tiles of grid floats (about 3 MB traced at 2048),
+# but its time grows as grid^2; 2048 is the largest grid the tests, demos and
+# benchmarks use
 MAX_BRACKET_GRID = 2048
 
 
@@ -237,7 +238,7 @@ def run_sumspace(args) -> tuple[Report, bool]:
 
 def run_bracket(args) -> tuple[Report, bool]:
     if args.grid > MAX_BRACKET_GRID:
-        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}: each pass holds grid x grid/2 arrays")
+        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}: a pass takes time in grid^2")
     n_list = [int(v) for v in args.n_list.split(",") if v]
     # BracketReport raises BoundViolation on an inverted bracket
     rows = [tensorlog.bracket_report(n, grid_nodes=args.grid).row() for n in n_list]

@@ -180,16 +180,15 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
     h = np.asarray(w.h_values, dtype=complex)
     if h.ndim != 2 or h.shape != (rule.n_nodes, p.dim):
         raise ValueError(f"witness has shape {h.shape}, expected ({rule.n_nodes}, {p.dim})")
-    t = rule.nodes[:, None]
-    ainv = np.linalg.inv(p.A.mat)
-    binv = np.linalg.inv(p.B.mat)
-    f = t * (h @ ainv.T)
-    g = (1.0 - t) * (h @ binv.T)
+    t = rule.nodes
+    # rows of h A^{-T} and h B^{-T} are A^{-1} h(t) = f(t)/t and B^{-1} h(t) = g(t)/(1-t)
+    ah = h @ np.linalg.inv(p.A.mat).T
+    bh = h @ np.linalg.inv(p.B.mat).T
     # ||f||^2_{L2(nu1,H_A)} = int (A f, f)/t dmu = int t (A^{-1} h, h) dmu
-    e_f = np.einsum("ni,ni->n", f.conj(), f @ p.A.mat.T).real
-    e_g = np.einsum("ni,ni->n", g.conj(), g @ p.B.mat.T).real
-    energy = np.sum((e_f / rule.nodes + e_g / (1.0 - rule.nodes)) * rule.weights)
-    ratio = f / t @ p.A.mat.T - g / (1.0 - t) @ p.B.mat.T
+    e_a = np.einsum("ni,ni->n", h.conj(), ah).real
+    e_b = np.einsum("ni,ni->n", h.conj(), bh).real
+    energy = rule.weights @ (t * e_a + (1.0 - t) * e_b)
+    ratio = ah @ p.A.mat.T - bh @ p.B.mat.T
     residual = float(np.max(np.abs(ratio))) if ratio.size else 0.0
     return float(np.sqrt(max(energy, 0.0))), residual
 

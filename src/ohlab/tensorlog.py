@@ -31,8 +31,16 @@ minimum is F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one
 strips, charged in the trace-class slots by exact 1-D interval masses.  With
 delta = 1/(e^2 n^2) the total is at most 18 sqrt(1 + ln n) ||a||_2.
 
-I and R are unions of node blocks of the product rule (delta never falls on a
-node), so each 2-D integral is a sum over blocks; the cut-off at the block
+I and R are unions of node blocks t x s of the product rule (delta never
+falls on a node).  On a block, V = v(t, s) is formed once, _TILE_ROWS t-rows
+at a time, and only its row sums are kept, so memory is O(64 x grid) at any
+grid.  The witness takes one pass over I, keeping V w_s, a = V^2 (w_s s) and
+b = V^2 (w_s (1-s)); its five integrals are bilinear forms of these:
+
+    pairing = w_t . V w_s        f^2 = (w_t t) . a      g^2 = (w_t (1-t)) . b
+    h^2     = (w_t t) . b        k^2 = (w_t (1-t)) . a
+
+R is five row blocks, each one pass for V w_s.  The cut-off at the block
 edges costs accuracy, and the tests monitor convergence by resolution
 doubling.  Bracket runs default to DEFAULT_BRACKET_GRID = 1024 nodes per
 axis, shared with ``ohlab bracket --grid``; the CLI rejects grids above 2048.
@@ -140,12 +148,25 @@ def _v(t, s):
     return 1.0 / (t * s + (1.0 - t) * (1.0 - s))
 
 
-def _block_integral(grid: Grid2D, t_sel, s_sel, integrand=lambda t, s, v: v) -> float:
-    """Sum of (w_t (x) w_s) * integrand(t, s, v) over the node block t[t_sel] x s[s_sel]."""
-    t = grid.rule_t.nodes[t_sel][:, None]
-    s = grid.rule_s.nodes[s_sel][None, :]
-    w = np.outer(grid.rule_t.weights[t_sel], grid.rule_s.weights[s_sel])
-    return float(np.sum(integrand(t, s, _v(t, s)) * w))
+_TILE_ROWS = 64
+
+
+def _row_sums(t, s, w_s, cols=None):
+    """Row sums V w_s and, given cols, V^2 cols of V = _v(t, s) on the block t x s.
+
+    V is formed _TILE_ROWS rows at a time, so the block never exists whole;
+    cols has shape (len(s), k) and V^2 is the entrywise square.
+    """
+    rows = np.empty(t.size)
+    sq = None if cols is None else np.empty((t.size, cols.shape[1]))
+    for i in range(0, t.size, _TILE_ROWS):
+        tile = slice(i, i + _TILE_ROWS)
+        v = _v(t[tile, None], s)
+        rows[tile] = v @ w_s
+        if cols is not None:
+            v *= v
+            sq[tile] = v @ cols
+    return rows, sq
 
 
 @dataclass(frozen=True)
@@ -237,12 +258,19 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
     s_sel = q.indicator(0.5, grid.rule_s.nodes)
     if not (t_sel.any() and s_sel.any()):
         raise ValueError("grid does not resolve the witness rectangle (no nodes inside)")
+    t, w_t = grid.rule_t.nodes[t_sel], grid.rule_t.weights[t_sel]
+    s, w_s = grid.rule_s.nodes[s_sel], grid.rule_s.weights[s_sel]
+    # one pass over I gives V w_s, a = V^2 (w_s s) and b = V^2 (w_s (1-s));
+    # each integral is a bilinear form in them, e.g. h^2 = (w_t t) . b
+    rows, sq = _row_sums(t, s, w_s, np.column_stack((w_s * s, w_s * (1.0 - s))))
+    a, b = sq.T
+    wt_t, wt_1mt = w_t * t, w_t * (1.0 - t)
     # f^2/(ts) + g^2/((1-t)(1-s)) = v, so the Hilbertian slots sum to the pairing
-    pairing = _block_integral(grid, t_sel, s_sel)
-    f_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: t * s * v * v)
-    g_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: (1.0 - t) * (1.0 - s) * v * v)
-    h_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: t * (1.0 - s) * v * v)
-    k_sq = _block_integral(grid, t_sel, s_sel, lambda t, s, v: (1.0 - t) * s * v * v)
+    pairing = float(w_t @ rows)
+    f_sq = float(wt_t @ a)
+    g_sq = float(wt_1mt @ b)
+    h_sq = float(wt_t @ b)
+    k_sq = float(wt_1mt @ a)
     fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
     h_bound = 16.0 / (3.0 * math.pi**2)
     k_bound = 32.0 / math.pi**2 / q.delta
@@ -356,13 +384,16 @@ def diag_upper_bound(
 
     # R row by row: the s nodes each run of t nodes meets (t = 1/2 meets all)
     t, s = grid.rule_t.nodes, grid.rule_s.nodes
-    r_integral = sum(_block_integral(grid, t_sel, s_sel) for t_sel, s_sel in (
+    r_integral = 0.0
+    for t_sel, s_sel in (
         (t < delta, s <= 0.5),
         ((t >= delta) & (t < 0.5), s <= 1.0 - delta),
         (t == 0.5, slice(None)),
         ((t > 0.5) & (t <= 1.0 - delta), s >= delta),
         (t > 1.0 - delta, s >= 0.5),
-    ))
+    ):
+        rows, _ = _row_sums(t[t_sel], s[s_sel], grid.rule_s.weights[s_sel])
+        r_integral += float(grid.rule_t.weights[t_sel] @ rows)
     # F(1/2) = 2 int_R v is the minimum of the convex, symmetric F(theta)
     rectangle_part = fro * math.sqrt(2.0 * r_integral)
 

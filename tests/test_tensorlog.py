@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ohlab import kfunc, quad, tensorlog
+from ohlab.cli import MAX_BRACKET_GRID
 from ohlab.kfunc import WeightedGrid, l2sum1_norm
 from ohlab.tensorlog import (
     CONSTANTS,
@@ -180,9 +182,10 @@ class TestBrackets:
                 assert rep.pi1_lo == CONSTANTS.banach_c * math.sqrt(n)
             assert n / rep.pi1_lo >= rep.lambda_lo
 
-    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 0, 0)), (4, (1, 0, 0, 0))])
+    # v passes: one per row block of R (five), plus one for all five witness integrals
+    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 6, 0, 0)), (4, (1, 0, 5, 0, 0))])
     def test_each_bracket_computed_once_per_n(self, n, counts, monkeypatch):
-        calls = {"upper": 0, "witness": 0, "meshes": 0, "theta_search": 0}
+        calls = {"upper": 0, "witness": 0, "v_passes": 0, "meshes": 0, "theta_search": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -192,6 +195,7 @@ class TestBrackets:
 
         monkeypatch.setattr(tensorlog, "diag_upper_bound", counting("upper", tensorlog.diag_upper_bound))
         monkeypatch.setattr(tensorlog, "witness_validate", counting("witness", tensorlog.witness_validate))
+        monkeypatch.setattr(tensorlog, "_row_sums", counting("v_passes", tensorlog._row_sums))
         monkeypatch.setattr(quad.Grid2D, "meshes", counting("meshes", quad.Grid2D.meshes))
         # l2sum1_norm runs its theta search through kfunc's own minimize_scalar
         monkeypatch.setattr(kfunc, "minimize_scalar", counting("theta_search", kfunc.minimize_scalar))
@@ -231,6 +235,18 @@ class TestBrackets:
             widths.append((rep.upper - rep.lower) / rep.upper)
         assert widths[1] <= widths[0] * 1.05
 
+    @pytest.mark.parametrize("n", [8, 4096])
+    def test_traced_memory_bounded_at_largest_grid(self, n):
+        # v is held in 64-row tiles, never as a grid x grid block (48 MB at 2048)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            bracket_report(n, grid_nodes=MAX_BRACKET_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_loglog_slope(self):
         ns = [8, 32, 128, 512]
         mids, targets = [], []
@@ -269,14 +285,22 @@ def masked_reference(grid, witness_delta, upper_delta):
 
 
 class TestBlockSumsAgainstMasks:
-    # 127 nodes put one node at exactly 1/2, 128 nodes none
-    @pytest.mark.parametrize("nodes", [127, 128])
+    # 127 nodes put one node at exactly 1/2, 128 nodes none; at 301 nodes the
+    # blocks span several 64-row tiles and end in a ragged one
+    @pytest.mark.parametrize("nodes", [127, 128, 301])
     @pytest.mark.parametrize("n, deltas", [
         (1, None), (8, None), (4096, None),
         (8, (0.05, 1e-3)),
         (8, "nodes"),  # both deltas on a node, where the closed edges matter
     ])
     def test_witness_and_rectangle_match_masked_grid(self, nodes, n, deltas):
+        self.check(nodes, n, deltas)
+
+    def test_default_grid_at_n4096(self):
+        self.check(1024, 4096, None)
+
+    @staticmethod
+    def check(nodes, n, deltas):
         grid = default_grid(nodes)
         if deltas is None:
             q = witness_build(n)
