@@ -19,7 +19,7 @@ def main():
           f"{'pi1 lo':>9} {'pi1 hi':>9} {'lam lo':>8} {'lam hi':>9}")
     mids, targets = [], []
     for n in (8, 32, 128, 512, 2048):
-        rep = bracket_report(n, grid_nodes=1024)
+        rep = bracket_report(n)
         target = math.sqrt(n * (1 + math.log(n)))
         mids.append(0.5 * (rep.lower + rep.upper))
         targets.append(target)

@@ -38,9 +38,9 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# a bracket pass holds 64-row tiles of grid floats (about 3 MB traced at 2048),
-# but its time grows as grid^2; 2048 is the largest grid the tests, demos and
-# benchmarks use
+# the brackets are closed forms: `bracket --grid` has no effect, but keeps its
+# default and ceiling and is echoed in each row, so old invocations still work
+DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
 
 
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("bracket", help="logarithmic tensor-norm brackets"))
     p.add_argument("--n-list", type=str, default="8,16,32,64")
-    p.add_argument("--grid", type=int, default=tensorlog.DEFAULT_BRACKET_GRID,
-                   help=f"nodes per axis, at most {MAX_BRACKET_GRID}")
+    p.add_argument("--grid", type=int, default=DEFAULT_BRACKET_GRID,
+                   help=f"no effect (the brackets are closed forms); at most {MAX_BRACKET_GRID}")
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
     p.add_argument("--dim", type=int, default=512)
@@ -238,10 +238,10 @@ def run_sumspace(args) -> tuple[Report, bool]:
 
 def run_bracket(args) -> tuple[Report, bool]:
     if args.grid > MAX_BRACKET_GRID:
-        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}: a pass takes time in grid^2")
+        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}")
     n_list = [int(v) for v in args.n_list.split(",") if v]
     # BracketReport raises BoundViolation on an inverted bracket
-    rows = [tensorlog.bracket_report(n, grid_nodes=args.grid).row() for n in n_list]
+    rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
     params = vars_params(args, ["grid", "seed"])
     params["n_list"] = n_list
     return Report("bracket", params, rows, constants=tensorlog.CONSTANTS.provenance()), False

@@ -19,31 +19,36 @@ The analytic estimates certified in ``witness_validate``:
     pairing integral over I     >= (-ln 8 delta) / pi^2
 
 (the h, k operator norms are dominated by their L2 norms, which is how the
-trace-class constraints are discharged).  Any numerical violation of these
-inequalities indicates a quadrature or formula bug and raises hard.
+trace-class constraints are discharged).  A violation raises hard.
 
 Upper route: a (x) 1 = a1 + a2.  a1 lives on a region R of four rectangles
 avoiding the corners (0,1) and (1,0), in the +_1 sum of the Hilbertian
 slots, where 1_R has norm min_theta F(theta)^{1/2} for the convex F(theta) =
-int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R, mu x mu and the nodes are
-symmetric under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the
-minimum is F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one
-strips, charged in the trace-class slots by exact 1-D interval masses.  With
+int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R and mu x mu are symmetric
+under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the minimum is
+F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one strips,
+charged in the trace-class slots by exact 1-D interval masses.  With
 delta = 1/(e^2 n^2) the total is at most 18 sqrt(1 + ln n) ||a||_2.
 
-I and R are unions of node blocks t x s of the product rule (delta never
-falls on a node).  On a block, V = v(t, s) is formed once, _TILE_ROWS t-rows
-at a time, and only its row sums are kept, so memory is O(64 x grid) at any
-grid.  The witness takes one pass over I, keeping V w_s, a = V^2 (w_s s) and
-b = V^2 (w_s (1-s)); its five integrals are bilinear forms of these:
+Closed forms.  Under t = (1 - cos alpha)/2, s = (1 - cos beta)/2 the measure
+mu x mu becomes d alpha d beta / pi^2 and v = 2 / (1 + cos alpha cos beta).
+The inner integral is (2 / sin alpha) atan(tan(alpha/2) tan(beta/2)), and
+with x = tan(alpha/2) the outer one is the inverse tangent integral
+Ti2(x) = int_0^x atan(y)/y dy, closed by the reflection Ti2(x) - Ti2(1/x) =
+(pi/2) ln x (Lewin, Polylogarithms and Associated Functions, 1981, ch. 2).
+With u = sqrt(delta/(1-delta)) = tan(alpha_delta/2) and Catalan's constant G:
 
-    pairing = w_t . V w_s        f^2 = (w_t t) . a      g^2 = (w_t (1-t)) . b
-    h^2     = (w_t t) . b        k^2 = (w_t (1-t)) . a
+    pairing P = ||f||^2 + ||g||^2 = (4/pi^2) [(pi/2) ln(1/u) + 2 Ti2(u) - 2G]
+    int_R v                       = (8/pi^2) [(pi/2) ln(1/u) + 2 Ti2(u) - G]
+    ||h||^2 = (1-u) [(1+u)(pi/2 - 2 atan u) - (1-u)] / pi^2,  ||k||^2 = ||h||^2 / u^2
 
-R is five row blocks, each one pass for V w_s.  The cut-off at the block
-edges costs accuracy, and the tests monitor convergence by resolution
-doubling.  Bracket runs default to DEFAULT_BRACKET_GRID = 1024 nodes per
-axis, shared with ``ohlab bracket --grid``; the CLI rejects grids above 2048.
+For u <= 1/2 (delta <= 1/5; a larger delta raises ValueError) Ti2(u) is the
+alternating series sum_{k<25} (-1)^k u^(2k+1)/(2k+1)^2, off by less than its
+first omitted term, u^51/51^2 <= 1.7e-19.  Each value carries that bound plus
+an outward slack of c eps times the magnitudes of the terms it sums; a term
+takes a handful of roundings, u's included (libm's log and atan are within
+one ulp), so c = 64 also covers the final scaling.  Lower, upper and every
+check take the safe end of each enclosure; the corner strips get 1 + c eps.
 
 ``bracket_report`` computes the two brackets once per n and derives the rest
 by arithmetic: the completely-1-summing norm of the identity lies in
@@ -55,30 +60,34 @@ in [fac/psc_c, min(gamma_c fac, n/pi1_lo)] with fac = sqrt(n/(1 + ln n)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .kfunc import BoundViolation
-from .quad import Grid2D, arcsine_rule, nu1_mass, nu2_mass
+from .quad import nu1_mass, nu2_mass
 
 __all__ = [
     "BoundViolation",
+    "Bounded",
     "WitnessQuadruple",
     "WitnessNorms",
     "BracketConstants",
     "CONSTANTS",
     "UpperBoundParts",
     "BracketReport",
-    "default_grid",
+    "ti2",
+    "pairing",
+    "r_integral",
+    "hk_sq",
     "witness_build",
     "witness_validate",
     "diag_lower_bound",
     "diag_upper_bound",
     "bracket_report",
 ]
-
-DEFAULT_BRACKET_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -142,31 +151,71 @@ class BracketConstants:
 
 CONSTANTS = BracketConstants()
 
-
-def _v(t, s):
-    """Common ratio value 1/(ts + (1-t)(1-s)) of the witness and the upper route."""
-    return 1.0 / (t * s + (1.0 - t) * (1.0 - s))
-
-
-_TILE_ROWS = 64
+CATALAN = 0.915965594177219015054603514932384110774
+TI2_TERMS = 25
+ROUNDING = 64 * sys.float_info.epsilon   # c eps per unit of term magnitude
 
 
-def _row_sums(t, s, w_s, cols=None):
-    """Row sums V w_s and, given cols, V^2 cols of V = _v(t, s) on the block t x s.
+class Bounded(NamedTuple):
+    """A computed value and a bound on its distance from the exact one."""
 
-    V is formed _TILE_ROWS rows at a time, so the block never exists whole;
-    cols has shape (len(s), k) and V^2 is the entrywise square.
-    """
-    rows = np.empty(t.size)
-    sq = None if cols is None else np.empty((t.size, cols.shape[1]))
-    for i in range(0, t.size, _TILE_ROWS):
-        tile = slice(i, i + _TILE_ROWS)
-        v = _v(t[tile, None], s)
-        rows[tile] = v @ w_s
-        if cols is not None:
-            v *= v
-            sq[tile] = v @ cols
-    return rows, sq
+    value: float
+    err: float
+
+    @property
+    def lo(self) -> float:
+        return self.value - self.err
+
+    @property
+    def hi(self) -> float:
+        return self.value + self.err
+
+
+def _bounded(terms, trunc=0.0, factor=1.0) -> Bounded:
+    """factor * sum(terms), off by at most factor * (trunc + c eps sum |term|)."""
+    return Bounded(factor * math.fsum(terms),
+                   factor * (trunc + ROUNDING * math.fsum(abs(x) for x in terms)))
+
+
+def _u(delta: float) -> float:
+    """u = tan(alpha_delta / 2) = sqrt(delta / (1 - delta)), inside the series' domain."""
+    if not 0.0 < delta <= 0.2:
+        raise ValueError(f"delta={delta} outside (0, 1/5]: the Ti2 series needs u <= 1/2")
+    return math.sqrt(delta / (1.0 - delta))
+
+
+def ti2(u: float) -> Bounded:
+    """Inverse tangent integral int_0^u atan(y)/y dy for 0 <= u <= 1/2, by its series."""
+    if not 0.0 <= u <= 0.5:
+        raise ValueError(f"u={u} outside [0, 1/2]")
+    terms = [(-1) ** k * u ** (2 * k + 1) / (2 * k + 1) ** 2 for k in range(TI2_TERMS)]
+    m = 2 * TI2_TERMS + 1
+    return _bounded(terms, trunc=u**m / m**2)
+
+
+def _log_form(delta: float, catalans: float, factor: float) -> Bounded:
+    """factor [(pi/2) ln(1/u) + 2 Ti2(u) - catalans G], the shape of both v integrals."""
+    u = _u(delta)
+    t = ti2(u)
+    return _bounded([-0.5 * math.pi * math.log(u), 2.0 * t.value, -catalans * CATALAN], 2.0 * t.err, factor)
+
+
+def pairing(delta: float) -> Bounded:
+    """Witness pairing P = int_I v d(mu x mu), which also equals ||f||^2 + ||g||^2."""
+    return _log_form(delta, 2.0, 4.0 / math.pi**2)
+
+
+def r_integral(delta: float) -> Bounded:
+    """int_R v d(mu x mu) over the upper route's region R."""
+    return _log_form(delta, 1.0, 8.0 / math.pi**2)
+
+
+def hk_sq(delta: float) -> tuple[Bounded, Bounded]:
+    """The trace-class slot norms ||h||^2 and ||k||^2 = ||h||^2 / u^2 of the witness."""
+    u = _u(delta)
+    terms = [0.5 * math.pi * (1.0 + u), -2.0 * (1.0 + u) * math.atan(u), u - 1.0]
+    return (_bounded(terms, factor=(1.0 - u) / math.pi**2),
+            _bounded(terms, factor=(1.0 - u) / (math.pi * u) ** 2))
 
 
 @dataclass(frozen=True)
@@ -176,6 +225,7 @@ class WitnessQuadruple:
     The common factor v(t,s) = 1/(ts + (1-t)(1-s)) restricted to
     I = [delta, 1/2] x [1/2, 1-delta] makes the four ratio constraints hold
     identically; ``scale`` divides all four components for feasibility.
+    These pointwise definitions are what the closed forms integrate.
     """
 
     delta: float
@@ -191,10 +241,9 @@ class WitnessQuadruple:
         return (t >= self.delta) & (t <= 0.5) & (s >= 0.5) & (s <= 1.0 - self.delta)
 
     def v(self, t, s):
-        """Common ratio value on I, zero outside."""
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return np.where(self.indicator(t, s), _v(t, s), 0.0)
+        """Common ratio value on I, zero outside; scalars keep their type (mpmath too)."""
+        t, s = np.asarray(t), np.asarray(s)
+        return np.where(self.indicator(t, s), 1.0 / (t * s + (1.0 - t) * (1.0 - s)), 0.0)[()]
 
     def f(self, t, s):
         return t * s * self.v(t, s)
@@ -207,11 +256,6 @@ class WitnessQuadruple:
 
     def k(self, t, s):
         return (1.0 - t) * s * self.v(t, s)
-
-
-def default_grid(n_nodes: int = DEFAULT_BRACKET_GRID) -> Grid2D:
-    rule = arcsine_rule(n_nodes)
-    return Grid2D(rule, rule)
 
 
 def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
@@ -231,12 +275,11 @@ class WitnessNorms:
     """Unscaled witness integrals, their analytic bounds, and feasibility flags."""
 
     delta: float
-    f_sq: float             # ||f||^2_{L2(nu1xnu1)}
-    g_sq: float             # ||g||^2_{L2(nu2xnu2)}
-    fg_sq: float            # their sum, which collapses to the pairing
+    fg_sq: float            # ||f||^2 + ||g||^2, which collapses to the pairing
     h_sq: float             # ||h||^2_{L2(nu1xnu2)}
     k_sq: float             # ||k||^2_{L2(nu2xnu1)}
     pairing: float          # integral of v over I against mu x mu
+    pairing_err: float      # bound on the pairing's truncation and rounding error
     fg_bound: float
     h_bound: float
     k_bound: float
@@ -245,32 +288,13 @@ class WitnessNorms:
     scaled_hk_feasible: bool
 
 
-def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
+def witness_validate(q: WitnessQuadruple, n: int | None = None,
                      slack: float = 1e-8) -> WitnessNorms:
-    """Compute the four witness integrals and enforce the analytic bounds.
-
-    A computed value above its proved bound (beyond ``slack``) is a hard
-    failure.  When ``n`` is given the feasibility of the scaled quadruple for
-    the size-n pairing is also flagged.
-    """
-    # I is a product, so its node block is its sections through (1/2, 1/2)
-    t_sel = q.indicator(grid.rule_t.nodes, 0.5)
-    s_sel = q.indicator(0.5, grid.rule_s.nodes)
-    if not (t_sel.any() and s_sel.any()):
-        raise ValueError("grid does not resolve the witness rectangle (no nodes inside)")
-    t, w_t = grid.rule_t.nodes[t_sel], grid.rule_t.weights[t_sel]
-    s, w_s = grid.rule_s.nodes[s_sel], grid.rule_s.weights[s_sel]
-    # one pass over I gives V w_s, a = V^2 (w_s s) and b = V^2 (w_s (1-s));
-    # each integral is a bilinear form in them, e.g. h^2 = (w_t t) . b
-    rows, sq = _row_sums(t, s, w_s, np.column_stack((w_s * s, w_s * (1.0 - s))))
-    a, b = sq.T
-    wt_t, wt_1mt = w_t * t, w_t * (1.0 - t)
-    # f^2/(ts) + g^2/((1-t)(1-s)) = v, so the Hilbertian slots sum to the pairing
-    pairing = float(w_t @ rows)
-    f_sq = float(wt_t @ a)
-    g_sq = float(wt_1mt @ b)
-    h_sq = float(wt_t @ b)
-    k_sq = float(wt_1mt @ a)
+    """Witness integrals in closed form, checked against the analytic bounds
+    (beyond ``slack`` a violation raises); given ``n``, also flags whether the
+    scaled quadruple is feasible for the size-n pairing."""
+    p = pairing(q.delta)
+    h, k = hk_sq(q.delta)
     fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
     h_bound = 16.0 / (3.0 * math.pi**2)
     k_bound = 32.0 / math.pi**2 / q.delta
@@ -280,27 +304,24 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
         if value > bound * (1.0 + 1e-12) + slack:
             raise BoundViolation(f"{label} = {value:.6e} exceeds analytic bound {bound:.6e}")
 
-    _check_upper(f_sq + g_sq, fg_bound, "||f||^2 + ||g||^2")
-    _check_upper(h_sq, h_bound, "||h||^2")
-    _check_upper(k_sq, k_bound, "||k||^2")
-    if pairing < pairing_bound - slack:
-        raise BoundViolation(
-            f"pairing {pairing:.6e} below analytic floor {pairing_bound:.6e}"
-        )
+    _check_upper(p.hi, fg_bound, "||f||^2 + ||g||^2")
+    _check_upper(h.hi, h_bound, "||h||^2")
+    _check_upper(k.hi, k_bound, "||k||^2")
+    if p.lo < pairing_bound - slack:
+        raise BoundViolation(f"pairing {p.lo:.6e} below analytic floor {pairing_bound:.6e}")
 
     sc2 = q.scale**2
-    fg_ok = pairing / sc2 <= 1.0 + slack
+    fg_ok = p.hi / sc2 <= 1.0 + slack
     hk_ok = True
     if n is not None:
-        hk_ok = max(h_sq, k_sq) / sc2 <= float(n) + slack
+        hk_ok = max(h.hi, k.hi) / sc2 <= float(n) + slack
     return WitnessNorms(
         delta=q.delta,
-        f_sq=f_sq,
-        g_sq=g_sq,
-        fg_sq=f_sq + g_sq,
-        h_sq=h_sq,
-        k_sq=k_sq,
-        pairing=pairing,
+        fg_sq=p.value,
+        h_sq=h.value,
+        k_sq=k.value,
+        pairing=p.value,
+        pairing_err=p.err,
         fg_bound=fg_bound,
         h_bound=h_bound,
         k_bound=k_bound,
@@ -310,13 +331,13 @@ def witness_validate(q: WitnessQuadruple, grid: Grid2D, n: int | None = None,
     )
 
 
-def _lower_route(n: int, grid: Grid2D) -> tuple[float, WitnessQuadruple]:
+def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     """Certified lower bracket for n >= 7 and the witness that proves it."""
     if n < 7:
-        raise ValueError("quadrature lower route needs n >= 7")
+        raise ValueError("witness lower route needs n >= 7")
     q = witness_build(n)
-    norms = witness_validate(q, grid, n=n)
-    value = math.sqrt(n) * norms.pairing / q.scale
+    norms = witness_validate(q, n=n)
+    value = math.sqrt(n) * (norms.pairing - norms.pairing_err) / q.scale
     if not (norms.scaled_fg_feasible and norms.scaled_hk_feasible):
         raise BoundViolation(
             f"scaled witness infeasible at n={n}: the pairing does not certify a lower bracket"
@@ -327,21 +348,15 @@ def _lower_route(n: int, grid: Grid2D) -> tuple[float, WitnessQuadruple]:
     return value, q
 
 
-def diag_lower_bound(n: int, grid: Grid2D | None = None) -> float:
-    """sqrt(n) times the scaled witness pairing; certified lower bracket.
-
-    For n >= 7 the value dominates lower_c * sqrt(n (1 + ln n)); the witness
-    bounds, the feasibility of the scaled quadruple and that floor are
-    checked, and a violation raises BoundViolation.
-    """
-    if grid is None:
-        grid = default_grid()
-    return _lower_route(n, grid)[0]
+def diag_lower_bound(n: int) -> float:
+    """Certified lower bracket for n >= 7 from the rectangle witness; it
+    dominates lower_c * sqrt(n (1 + ln n)), and every check raises BoundViolation."""
+    return _lower_route(n)[0]
 
 
 @dataclass(frozen=True)
 class UpperBoundParts:
-    value: float            # sharper numeric total (rectangle part + corner part)
+    value: float            # certified total (rectangle part + corner part)
     rectangle_part: float
     corner_part: float
     analytic_value: float   # same split estimated with the proved constants
@@ -352,24 +367,21 @@ class UpperBoundParts:
 def diag_upper_bound(
     n: int,
     a: np.ndarray | None = None,
-    grid: Grid2D | None = None,
     delta: float | None = None,
 ) -> UpperBoundParts:
     """Upper bracket for sum a_ij f_i (x) f_j via the corner decomposition.
 
     ``a`` defaults to the n x n identity (the diagonal case).  The rectangle
     part is the +_1 sum norm over R (densities 1/(ts) and 1/((1-t)(1-s))) at
-    the optimal theta = 1/2, sqrt(2 int_R v); the four corner strips are
-    rank-one products charged by exact interval masses of nu1 and nu2.
+    the optimal theta = 1/2, sqrt(2 int_R v) with int_R v at the upper end of
+    its enclosure; the four corner strips are rank-one products charged by
+    exact interval masses of nu1 and nu2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if grid is None:
-        grid = default_grid()
     if delta is None:
         delta = 1.0 / (math.e**2 * n**2)
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta={delta} outside (0, 1/2)")
+    region = r_integral(delta)
     if a is None:
         fro = math.sqrt(n)
         nuc = float(n)
@@ -382,27 +394,15 @@ def diag_upper_bound(
     if fro == 0.0:
         return UpperBoundParts(0.0, 0.0, 0.0, 0.0, 0.0, delta)
 
-    # R row by row: the s nodes each run of t nodes meets (t = 1/2 meets all)
-    t, s = grid.rule_t.nodes, grid.rule_s.nodes
-    r_integral = 0.0
-    for t_sel, s_sel in (
-        (t < delta, s <= 0.5),
-        ((t >= delta) & (t < 0.5), s <= 1.0 - delta),
-        (t == 0.5, slice(None)),
-        ((t > 0.5) & (t <= 1.0 - delta), s >= delta),
-        (t > 1.0 - delta, s >= 0.5),
-    ):
-        rows, _ = _row_sums(t[t_sel], s[s_sel], grid.rule_s.weights[s_sel])
-        r_integral += float(grid.rule_t.weights[t_sel] @ rows)
     # F(1/2) = 2 int_R v is the minimum of the convex, symmetric F(theta)
-    rectangle_part = fro * math.sqrt(2.0 * r_integral)
+    rectangle_part = fro * math.sqrt(2.0 * region.hi)
 
     # corner strips: [0,d]x[1/2,1] and [1/2,1]x[0,d] sit in the mixed slots
     # with masses nu2([0,d]) * nu1([1/2,1]); the thin strips [d,1/2]x[1-d,1]
     # and [1-d,1]x[d,1/2] contribute nu2([d,1/2]) * nu1([1-d,1]).
     strip_a = math.sqrt(nu2_mass(0.0, delta) * nu1_mass(0.5, 1.0))
     strip_b = math.sqrt(nu2_mass(delta, 0.5) * nu1_mass(1.0 - delta, 1.0))
-    corner_part = nuc * 2.0 * (strip_a + strip_b)
+    corner_part = nuc * 2.0 * (strip_a + strip_b) * (1.0 + ROUNDING)
 
     # the same split with the proved constants instead of numerics
     analytic_rect = (4.0 * math.sqrt(2.0)
@@ -430,7 +430,6 @@ class BracketReport:
     pi1_lo_method: str
     lambda_lo: float
     lambda_hi: float
-    grid: int
     delta_lower: float | None   # None below n = 7, where no witness is built
     delta_upper: float
     upper_parts: UpperBoundParts = field(repr=False)
@@ -453,26 +452,21 @@ class BracketReport:
             "upper": self.upper,
             "pi1": {"lo": self.pi1_lo, "hi": self.pi1_hi, "lo_method": self.pi1_lo_method},
             "lambda_cb": {"lo": self.lambda_lo, "hi": self.lambda_hi},
-            "grid": self.grid,
             "delta": {"lower": self.delta_lower, "upper": self.delta_upper},
         }
 
 
-def bracket_report(n: int, grid_nodes: int = DEFAULT_BRACKET_GRID) -> BracketReport:
-    """Full bracket bundle for one n on a grid_nodes^2 product rule.
-
-    One upper pass and, for n >= 7, one witness pass; the pi1 and
-    projection-constant brackets are derived from those two values.
-    """
-    grid = default_grid(grid_nodes)
-    upper = diag_upper_bound(n, grid=grid)
+def bracket_report(n: int) -> BracketReport:
+    """Full bracket bundle for one n: one upper-route and, for n >= 7, one
+    witness evaluation, from which the pi1 and projection brackets follow."""
+    upper = diag_upper_bound(n)
     if n >= 7:
-        lower, witness = _lower_route(n, grid)
+        lower, witness = _lower_route(n)
         pi1_lo = CONSTANTS.pi1_lo_factor * lower
         pi1_lo_method = "tensor-lower/18"
         delta_lower = witness.delta
     else:
-        # below the quadrature route, chain the small-n summing-norm floor
+        # below the witness route, chain the small-n summing-norm floor
         # back through the tensor-norm comparison: norm >= pi1 / 6
         pi1_lo = CONSTANTS.banach_c * math.sqrt(n)
         lower = pi1_lo / CONSTANTS.pi1_hi_factor
@@ -490,7 +484,6 @@ def bracket_report(n: int, grid_nodes: int = DEFAULT_BRACKET_GRID) -> BracketRep
         pi1_lo_method=pi1_lo_method,
         lambda_lo=fac / CONSTANTS.psc_c,
         lambda_hi=min(CONSTANTS.gamma_c * fac, n / pi1_lo),
-        grid=grid_nodes,
         delta_lower=delta_lower,
         delta_upper=upper.delta,
         upper_parts=upper,

@@ -30,7 +30,6 @@ from ohlab.quad import arcsine_rule, integrate_mu
 from ohlab.tensorlog import (
     CONSTANTS,
     bracket_report,
-    default_grid,
     witness_build,
     witness_validate,
 )
@@ -58,7 +57,7 @@ def pw_instances():
 def bracket_rows():
     ns = [2**k for k in range(3, 13)]  # 8 .. 4096
     start = time.perf_counter()
-    rows = [bracket_report(n, grid_nodes=1024) for n in ns]
+    rows = [bracket_report(n) for n in ns]
     return rows, time.perf_counter() - start
 
 
@@ -184,12 +183,11 @@ def test_criterion_6_closed_form_and_sandwich():
 
 
 def test_criterion_7_witness_inequality_audit():
-    grid = default_grid(1024)
     ok = True
     details = []
     for delta in (1e-2, 1e-4):
         q = witness_build(8, delta=delta)
-        norms = witness_validate(q, grid, slack=1e-8)  # raises on violation
+        norms = witness_validate(q, slack=1e-8)  # raises on violation
         ok = ok and norms.fg_sq <= norms.fg_bound + 1e-8
         ok = ok and norms.h_sq <= norms.h_bound + 1e-8
         ok = ok and norms.k_sq <= norms.k_bound + 1e-8
@@ -215,7 +213,7 @@ def test_criterion_8_logarithmic_growth(bracket_rows):
     verdict(
         8,
         ok,
-        f"n=8..4096 grid 1024^2: floors/ceilings hold, slope {slope:.3f} (1+-0.1), {elapsed:.1f} s (<60 s)",
+        f"n=8..4096: floors/ceilings hold, slope {slope:.3f} (1+-0.1), {elapsed:.1f} s (<60 s)",
     )
 
 

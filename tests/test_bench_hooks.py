@@ -31,3 +31,17 @@ def test_tracing_enters_and_restores(capsys):
     assert (m["freeprob.families"], m["freeprob.clt_families"]) == (1, 0)
     assert (m["freeprob.haar_calls"], m["freeprob.eigensolves"]) == (3, 1)
     assert m["freeprob.brentq_calls"] == 16
+
+
+def test_traced_bracket_sees_the_closed_forms(capsys):
+    # the benchmark counts bracket work by the names it patches; a rewrite
+    # that drops one of them would read 0 here instead of 1
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    with tracing.tracing(rec):
+        with rec.op_span(0):
+            assert cli.main(["bracket", "--n-list", "8", "--grid", "128"]) == 0
+    capsys.readouterr()
+    m = tracing.layer_metrics(rec.records(), 1)
+    assert (m["tensorlog.upper_calls_per_n"], m["tensorlog.witness_calls_per_n"]) == (1, 1)
+    assert (m["quad.meshes_calls"], m["kfunc.theta_evals"]) == (0, 0)

@@ -201,7 +201,15 @@ class TestBracket:
         assert [r["delta"]["lower"] for r in doc["rows"]] == [None, pytest.approx(1 / (8 * np.e))]
 
     def test_grid_default_is_the_library_default(self):
-        assert cli.build_parser().parse_args(["bracket"]).grid == cli.tensorlog.DEFAULT_BRACKET_GRID
+        assert cli.build_parser().parse_args(["bracket"]).grid == cli.DEFAULT_BRACKET_GRID == 1024
+
+    def test_grid_is_echoed_and_has_no_effect(self, capsys):
+        rows = {}
+        for grid in (16, 2048):
+            code, doc = run_in_process(["bracket", "--n-list", "8", "--grid", str(grid)], capsys)
+            assert code == 0 and doc["rows"][0]["grid"] == grid
+            rows[grid] = {k: v for k, v in doc["rows"][0].items() if k != "grid"}
+        assert rows[16] == rows[2048]
 
     def test_grid_above_the_bound_rejected(self, capsys):
         assert main(["bracket", "--n-list", "8", "--grid", str(cli.MAX_BRACKET_GRID + 1)]) == 2

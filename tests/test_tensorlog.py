@@ -1,25 +1,27 @@
+import functools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ohlab import kfunc, quad, tensorlog
-from ohlab.cli import MAX_BRACKET_GRID
-from ohlab.kfunc import WeightedGrid, l2sum1_norm
 from ohlab.tensorlog import (
     CONSTANTS,
+    TI2_TERMS,
     BoundViolation,
     BracketReport,
     bracket_report,
-    default_grid,
     diag_lower_bound,
     diag_upper_bound,
+    hk_sq,
+    pairing,
+    r_integral,
+    ti2,
     witness_build,
     witness_validate,
 )
-
-GRID = default_grid(512)
 
 
 class TestConstants:
@@ -73,7 +75,7 @@ class TestWitness:
 
     def test_validate_canonical_n7(self):
         q = witness_build(7)
-        norms = witness_validate(q, GRID, n=7)
+        norms = witness_validate(q, n=7)
         assert norms.scaled_fg_feasible and norms.scaled_hk_feasible
         assert norms.fg_sq <= norms.fg_bound
         assert norms.h_sq <= norms.h_bound
@@ -83,54 +85,50 @@ class TestWitness:
     @pytest.mark.parametrize("delta", [1e-2, 1e-4])
     def test_validate_audit_deltas(self, delta):
         q = witness_build(8, delta=delta)
-        norms = witness_validate(q, default_grid(1024))
+        norms = witness_validate(q)
         # strictly below the analytic ceilings, strictly above the floor
         assert norms.fg_sq < norms.fg_bound
         assert norms.h_sq < norms.h_bound
         assert norms.k_sq < norms.k_bound
         assert norms.pairing > norms.pairing_bound
 
-    def test_collapsing_rectangle(self):
-        q = witness_build(8, delta=0.499)
-        norms = witness_validate(q, default_grid(1024))
-        assert norms.fg_sq < 5e-3
-        assert norms.h_sq < 5e-3
-        assert norms.k_sq < 5e-3
-
-    def test_unresolved_rectangle_rejected(self):
-        q = witness_build(8, delta=0.4999999)
-        with pytest.raises(ValueError, match="resolve"):
-            witness_validate(q, default_grid(16))
+    @pytest.mark.parametrize("delta", [0.2000001, 0.3, 0.499])
+    def test_delta_above_one_fifth_rejected(self, delta):
+        # the Ti2 series covers u = sqrt(delta/(1-delta)) <= 1/2 only
+        with pytest.raises(ValueError, match="1/5"):
+            witness_validate(witness_build(8, delta=delta))
+        with pytest.raises(ValueError, match="1/5"):
+            diag_upper_bound(8, delta=delta)
 
 
 class TestLowerBound:
     def test_floor_at_n7(self):
-        val = diag_lower_bound(7, GRID)
+        val = diag_lower_bound(7)
         assert val >= CONSTANTS.lower_c * math.sqrt(7 * (1 + math.log(7)))
 
     def test_requires_n7(self):
         with pytest.raises(ValueError):
-            diag_lower_bound(6, GRID)
+            diag_lower_bound(6)
 
     def test_monotone_under_doubling(self):
-        vals = [diag_lower_bound(n, GRID) for n in (8, 16, 32, 64, 128)]
+        vals = [diag_lower_bound(n) for n in (8, 16, 32, 64, 128)]
         assert np.all(np.diff(vals) > 0)
 
     def test_ratio_window_large_n(self):
         n = 4096
-        val = diag_lower_bound(n, default_grid(1024))
+        val = diag_lower_bound(n)
         target = math.sqrt(n * (1 + math.log(n)))
         assert CONSTANTS.lower_c <= val / target <= 1.0
 
 
 class TestUpperBound:
     def test_zero_matrix(self):
-        parts = diag_upper_bound(4, a=np.zeros((4, 4)), grid=GRID)
+        parts = diag_upper_bound(4, a=np.zeros((4, 4)))
         assert parts.value == 0.0
 
     def test_log_ceiling_diagonal(self):
         for n in (1, 4, 8, 64):
-            parts = diag_upper_bound(n, grid=GRID)
+            parts = diag_upper_bound(n)
             assert parts.value <= parts.log_ceiling
             if n >= 2:
                 # the crude-constant route overshoots the 18-ceiling by 0.5%
@@ -138,14 +136,14 @@ class TestUpperBound:
                 assert parts.analytic_value <= parts.log_ceiling + 1e-12
 
     def test_orders_against_lower(self):
-        lo = diag_lower_bound(8, GRID)
-        up = diag_upper_bound(8, grid=GRID)
+        lo = diag_lower_bound(8)
+        up = diag_upper_bound(8)
         assert lo <= up.value
 
     def test_general_matrix(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5))
-        parts = diag_upper_bound(5, a=a, grid=GRID)
+        parts = diag_upper_bound(5, a=a)
         bound = CONSTANTS.upper_c * math.sqrt(1 + math.log(5)) * np.linalg.norm(a, "fro")
         assert 0 < parts.value <= bound
 
@@ -154,7 +152,7 @@ class TestBrackets:
     def test_pi1_consistency(self):
         methods = {}
         for n in (4, 8, 64):
-            rep = bracket_report(n, grid_nodes=512)
+            rep = bracket_report(n)
             assert 0 < rep.pi1_lo <= rep.pi1_hi
             assert rep.pi1_lo <= n  # trivial trace-duality ceiling on the summing norm
             methods[n] = rep.pi1_lo_method
@@ -163,7 +161,7 @@ class TestBrackets:
 
     def test_lambda_bracket_contains_scaled_target(self):
         for n in (8, 64, 256):
-            rep = bracket_report(n, grid_nodes=512)
+            rep = bracket_report(n)
             lo, hi = rep.lambda_lo, rep.lambda_hi
             fac = math.sqrt(n / (1 + math.log(n)))
             assert lo == pytest.approx(fac / CONSTANTS.psc_c, rel=1e-12)
@@ -172,7 +170,7 @@ class TestBrackets:
 
     def test_trace_duality_arithmetic(self):
         for n in (4, 64):
-            rep = bracket_report(n, grid_nodes=512)
+            rep = bracket_report(n)
             fac = math.sqrt(n / (1 + math.log(n)))
             assert rep.lambda_hi == min(CONSTANTS.gamma_c * fac, n / rep.pi1_lo)
             assert rep.pi1_hi == 6 * rep.upper
@@ -182,10 +180,10 @@ class TestBrackets:
                 assert rep.pi1_lo == CONSTANTS.banach_c * math.sqrt(n)
             assert n / rep.pi1_lo >= rep.lambda_lo
 
-    # v passes: one per row block of R (five), plus one for all five witness integrals
-    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 6, 0, 0)), (4, (1, 0, 5, 0, 0))])
+    # no quadrature grid and no theta search: one upper and one witness evaluation
+    @pytest.mark.parametrize("n, counts", [(8, (1, 1, 0, 0)), (4, (1, 0, 0, 0))])
     def test_each_bracket_computed_once_per_n(self, n, counts, monkeypatch):
-        calls = {"upper": 0, "witness": 0, "v_passes": 0, "meshes": 0, "theta_search": 0}
+        calls = {"upper": 0, "witness": 0, "meshes": 0, "theta_search": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -195,26 +193,25 @@ class TestBrackets:
 
         monkeypatch.setattr(tensorlog, "diag_upper_bound", counting("upper", tensorlog.diag_upper_bound))
         monkeypatch.setattr(tensorlog, "witness_validate", counting("witness", tensorlog.witness_validate))
-        monkeypatch.setattr(tensorlog, "_row_sums", counting("v_passes", tensorlog._row_sums))
         monkeypatch.setattr(quad.Grid2D, "meshes", counting("meshes", quad.Grid2D.meshes))
         # l2sum1_norm runs its theta search through kfunc's own minimize_scalar
         monkeypatch.setattr(kfunc, "minimize_scalar", counting("theta_search", kfunc.minimize_scalar))
-        bracket_report(n, grid_nodes=128)
+        bracket_report(n)
         assert tuple(calls.values()) == counts
 
     def test_inverted_lambda_bracket_raises(self):
         with pytest.raises(BoundViolation, match="projection bracket inverted"):
             BracketReport(
                 n=8, lower=1.0, upper=2.0, pi1_lo=0.1, pi1_hi=1.0,
-                pi1_lo_method="x", lambda_lo=2.0, lambda_hi=1.0, grid=64,
+                pi1_lo_method="x", lambda_lo=2.0, lambda_hi=1.0,
                 delta_lower=0.01, delta_upper=0.001,
-                upper_parts=diag_upper_bound(8, grid=GRID),
+                upper_parts=diag_upper_bound(8),
             )
 
     def test_report_row_schema(self):
-        rep = bracket_report(8, grid_nodes=256)
+        rep = bracket_report(8)
         row = rep.row()
-        assert set(row) == {"n", "lower", "upper", "pi1", "lambda_cb", "grid", "delta"}
+        assert set(row) == {"n", "lower", "upper", "pi1", "lambda_cb", "delta"}
         assert set(row["pi1"]) == {"lo", "hi", "lo_method"}
         assert set(row["lambda_cb"]) == {"lo", "hi"}
 
@@ -222,26 +219,17 @@ class TestBrackets:
         with pytest.raises(BoundViolation):
             BracketReport(
                 n=8, lower=2.0, upper=1.0, pi1_lo=0.1, pi1_hi=1.0,
-                pi1_lo_method="x", lambda_lo=0.1, lambda_hi=1.0, grid=64,
+                pi1_lo_method="x", lambda_lo=0.1, lambda_hi=1.0,
                 delta_lower=0.01, delta_upper=0.001,
-                upper_parts=diag_upper_bound(8, grid=GRID),
+                upper_parts=diag_upper_bound(8),
             )
 
-    def test_width_stable_under_refinement(self):
-        # relative bracket width must shrink or stay as the grid doubles
-        widths = []
-        for nodes in (256, 512):
-            rep = bracket_report(16, grid_nodes=nodes)
-            widths.append((rep.upper - rep.lower) / rep.upper)
-        assert widths[1] <= widths[0] * 1.05
-
     @pytest.mark.parametrize("n", [8, 4096])
-    def test_traced_memory_bounded_at_largest_grid(self, n):
-        # v is held in 64-row tiles, never as a grid x grid block (48 MB at 2048)
+    def test_traced_memory_bounded(self, n):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            bracket_report(n, grid_nodes=MAX_BRACKET_GRID)
+            bracket_report(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,67 +239,99 @@ class TestBrackets:
         ns = [8, 32, 128, 512]
         mids, targets = [], []
         for n in ns:
-            rep = bracket_report(n, grid_nodes=512)
+            rep = bracket_report(n)
             mids.append(0.5 * (rep.lower + rep.upper))
             targets.append(math.sqrt(n * (1 + math.log(n))))
         slope = np.polyfit(np.log(targets), np.log(mids), 1)[0]
         assert abs(slope - 1.0) <= 0.1
 
 
-def masked_reference(grid, witness_delta, upper_delta):
-    """The five witness integrals and the rectangle scalar the brute-force way:
-    indicator masks on the full product grid, and for the rectangle the
-    l2sum1_norm theta search over the masked points."""
-    T, S, W = grid.meshes()
-    d = witness_delta
-    inside = (T >= d) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - d)
-    v = np.where(inside, 1.0 / (T * S + (1.0 - T) * (1.0 - S)), 0.0)
-    witness = {
-        "pairing": np.sum(v * W),
-        "f_sq": np.sum(T * S * v * v * W),
-        "g_sq": np.sum((1.0 - T) * (1.0 - S) * v * v * W),
-        "h_sq": np.sum(T * (1.0 - S) * v * v * W),
-        "k_sq": np.sum((1.0 - T) * S * v * v * W),
-    }
-    d = upper_delta
-    region = (
-        ((T <= 0.5) & (S <= 0.5))
-        | ((T >= d) & (T <= 0.5) & (S >= 0.5) & (S <= 1.0 - d))
-        | ((T >= 0.5) & (T <= 1.0 - d) & (S >= d) & (S <= 0.5))
-        | ((T >= 0.5) & (S >= 0.5))
-    )
-    wgrid = WeightedGrid(W[region], 1.0 / (T * S)[region], 1.0 / ((1.0 - T) * (1.0 - S))[region])
-    return witness, l2sum1_norm(np.ones(wgrid.points), wgrid, outer_tol=1e-10)
+# Oracles for the closed forms.  They never use the Ti2 series or the
+# antiderivatives: Ti2(u) is Im Li2(iu) from mpmath's polylog, and the
+# trace-class slot norms are 2-D quadratures of the pointwise witness.
+
+SIZES = [7, 8, 64, 4096, 2**14, 2**20]
+WITNESS_DELTAS = [1.0 / (n * math.e) for n in SIZES] + [1e-2, 1e-4]  # the last two: criterion 7
+UPPER_DELTAS = [1.0 / (math.e**2 * n**2) for n in SIZES]
 
 
-class TestBlockSumsAgainstMasks:
-    # 127 nodes put one node at exactly 1/2, 128 nodes none; at 301 nodes the
-    # blocks span several 64-row tiles and end in a ragged one
-    @pytest.mark.parametrize("nodes", [127, 128, 301])
-    @pytest.mark.parametrize("n, deltas", [
-        (1, None), (8, None), (4096, None),
-        (8, (0.05, 1e-3)),
-        (8, "nodes"),  # both deltas on a node, where the closed edges matter
-    ])
-    def test_witness_and_rectangle_match_masked_grid(self, nodes, n, deltas):
-        self.check(nodes, n, deltas)
+def oracle_log_part(delta, catalans):
+    """(pi/2) ln(1/u) + 2 Ti2(u) - catalans G at u = sqrt(delta/(1-delta)), 40 digits."""
+    with mp.workdps(40):
+        d = mp.mpf(delta)
+        u = mp.sqrt(d / (1 - d))
+        return mp.pi / 2 * mp.log(1 / u) + 2 * mp.polylog(2, 1j * u).imag - catalans * mp.catalan
 
-    def test_default_grid_at_n4096(self):
-        self.check(1024, 4096, None)
 
-    @staticmethod
-    def check(nodes, n, deltas):
-        grid = default_grid(nodes)
-        if deltas is None:
-            q = witness_build(n)
-            upper = diag_upper_bound(n, grid=grid)
-        else:
-            if deltas == "nodes":
-                deltas = (grid.rule_t.nodes[-6], grid.rule_t.nodes[-3])
-            q = witness_build(n, delta=deltas[0])
-            upper = diag_upper_bound(n, grid=grid, delta=deltas[1])
-        norms = witness_validate(q, grid)
-        witness, rect_scalar = masked_reference(grid, q.delta, upper.delta)
-        for name, ref in witness.items():
-            assert getattr(norms, name) == pytest.approx(ref, rel=1e-12, abs=0.0), name
-        assert upper.rectangle_part == pytest.approx(math.sqrt(n) * rect_scalar, rel=1e-12, abs=0.0)
+def oracle_pairing(delta):
+    return 4 / mp.pi**2 * oracle_log_part(delta, 2)
+
+
+def oracle_r_integral(delta):
+    return 8 / mp.pi**2 * oracle_log_part(delta, 1)
+
+
+def oracle_slot(q, slot):
+    """||h||^2 = int_I h^2/(t(1-s)) or ||k||^2 = int_I k^2/((1-t)s) against mu x mu.
+
+    In the angle variables t = (1 - cos a)/2, s = (1 - cos b)/2 the measure is
+    da db / pi^2; a = e^x and pi - b = e^y then spread the peak of v at the
+    corner (delta, 1 - delta) over a square on which the integrand is smooth.
+    The witness is evaluated at 30 digits, so that 1 - s keeps its digits
+    next to s = 1 - delta; the quadrature itself stops at about 1e-13.
+    """
+    part, density = {"h": (q.h, lambda t, s: t * (1 - s)), "k": (q.k, lambda t, s: (1 - t) * s)}[slot]
+
+    @functools.lru_cache(maxsize=None)
+    def angle(x, sign):
+        with mp.workdps(30):
+            a = mp.exp(x)
+            return (1 - sign * mp.cos(a)) / 2, a
+
+    def integrand(x, y):
+        (t, a), (s, b) = angle(x, 1), angle(y, -1)
+        with mp.workdps(30):
+            return part(t, s) ** 2 / density(t, s) * a * b
+
+    with mp.workdps(30):
+        edges = [mp.log(mp.acos(1 - 2 * mp.mpf(q.delta))), mp.log(mp.pi / 2)]
+    with mp.workdps(13):
+        return mp.quad(integrand, edges, edges, method="gauss-legendre") / mp.pi**2
+
+
+class TestClosedFormsAgainstOracle:
+    def test_ti2_at_half_within_its_bound(self):
+        exact = mp.polylog(2, 0.5j).imag
+        got = ti2(0.5)
+        assert abs(got.value - exact) <= got.err
+        # the series itself, in 40 digits, is within its first omitted term
+        m = 2 * TI2_TERMS + 1
+        with mp.workdps(40):
+            half = mp.mpf(0.5)
+            series = sum((-1) ** k * half ** (2 * k + 1) / (2 * k + 1) ** 2 for k in range(TI2_TERMS))
+            assert abs(series - mp.polylog(2, 1j * half).imag) <= half**m / m**2 < 1.8e-19
+
+    @pytest.mark.parametrize("delta", WITNESS_DELTAS + UPPER_DELTAS)
+    def test_pairing_and_region(self, delta):
+        for closed, oracle in ((pairing(delta), oracle_pairing(delta)),
+                               (r_integral(delta), oracle_r_integral(delta))):
+            assert abs(closed.value / oracle - 1) <= 1e-13
+            assert closed.lo <= oracle <= closed.hi
+
+    @pytest.mark.parametrize("delta", WITNESS_DELTAS)
+    def test_trace_class_slots(self, delta):
+        q = witness_build(8, delta=delta)
+        for closed, slot in zip(hk_sq(delta), "hk"):
+            oracle = oracle_slot(q, slot)
+            assert abs(closed.value / oracle - 1) <= 1e-13, slot
+            assert closed.hi >= oracle, slot
+
+
+@pytest.mark.parametrize("n", [8 * 2**k for k in range(10)])
+def test_reported_brackets_are_bounds(n):
+    # lower <= what the witness proves, upper >= what the decomposition proves
+    rep = bracket_report(n)
+    q = witness_build(n)
+    assert rep.lower <= mp.sqrt(n) * oracle_pairing(q.delta) / q.scale
+    proved_upper = mp.sqrt(n) * mp.sqrt(2 * oracle_r_integral(rep.delta_upper)) + rep.upper_parts.corner_part
+    assert rep.upper >= proved_upper
