@@ -151,9 +151,9 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return scale == 0.0 or np.max(np.abs(a - a.conj().T)) <= 1e-12 * scale
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
+def _singular_values(a: np.ndarray, hermitian: bool) -> np.ndarray:
     # Hermitian members dominate the workload; eigvalsh is much cheaper
-    if _is_hermitian(a):
+    if hermitian:
         return np.abs(np.linalg.eigvalsh(a))
     return np.linalg.svd(a, compute_uv=False)
 
@@ -180,11 +180,14 @@ class FreeFamily:
     without it they come from one eigensolve per member.
     ``unitarity_residual`` is the largest :func:`unitarity_residual` of the
     Haar factors, or None when the family was not built by rotation.
+    ``hermitian`` is True when every member is known to be Hermitian from
+    the construction; the sum's eigensolve then skips the Hermitian scan.
     """
 
     members: tuple
     spectra: tuple | None = None
     unitarity_residual: float | None = None
+    hermitian: bool = False
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -214,11 +217,11 @@ class FreeFamily:
     def member_singular_values(self) -> tuple:
         if self.spectra is not None:
             return self.spectra
-        return tuple(_singular_values(a) for a in self.members)
+        return tuple(_singular_values(a, _is_hermitian(a)) for a in self.members)
 
     @cached_property
     def sum_singular_values(self) -> np.ndarray:
-        return _singular_values(self.sum)
+        return _singular_values(self.sum, self.hermitian or _is_hermitian(self.sum))
 
     @cached_property
     def second_moments(self) -> tuple:
@@ -230,16 +233,19 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
     """Centre each base matrix and conjugate by an independent Haar unitary.
 
     Each distinct base (by identity) is centred, and its singular values
-    found, once: |diag| for a diagonal base, one eigensolve otherwise.  Every
-    Haar factor is checked against the unitarity bound ``UNITARITY_SLACK *
-    dim * eps``; RuntimeError if one exceeds it.
+    found, once: |diag| for a diagonal base, one eigensolve otherwise.  A
+    base is known Hermitian when it is a real diagonal or passes the
+    Hermitian scan; U A U^H is then Hermitian too, and when every base is,
+    the family is marked ``hermitian``.  Every Haar factor is checked against
+    the unitarity bound ``UNITARITY_SLACK * dim * eps``; RuntimeError if one
+    exceeds it.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
     eye = np.eye(dim)
     bases = list(bases)    # keeps every base alive, so no id is reused
-    known = {}             # id(base) -> (centred base or its diagonal, is_diagonal, singular values)
-    members, spectra, worst = [], [], 0.0
+    known = {}             # id(base) -> (centred base or its diagonal, is_diagonal, singular values, is_hermitian)
+    members, spectra, worst, hermitian = [], [], 0.0, True
     for i, base in enumerate(bases):
         if id(base) not in known:
             a = np.asarray(base, dtype=complex)
@@ -248,10 +254,12 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
             a = a - normalized_trace(a) * eye
             diag = np.diagonal(a)
             if np.count_nonzero(a - np.diag(diag)) == 0:
-                known[id(base)] = (diag, True, np.abs(diag))
+                known[id(base)] = (diag, True, np.abs(diag), not np.any(diag.imag))
             else:
-                known[id(base)] = (a, False, _singular_values(a))
-        a, is_diag, sv = known[id(base)]
+                herm = _is_hermitian(a)
+                known[id(base)] = (a, False, _singular_values(a, herm), herm)
+        a, is_diag, sv, herm = known[id(base)]
+        hermitian = hermitian and herm
         u = haar_unitary(dim, rng)
         residual = unitarity_residual(u)
         if not residual <= bound:
@@ -261,7 +269,9 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
         worst = max(worst, residual)
         members.append((u * a) @ u.conj().T if is_diag else u @ a @ u.conj().T)
         spectra.append(sv)
-    return FreeFamily(members=tuple(members), spectra=tuple(spectra), unitarity_residual=worst)
+    return FreeFamily(
+        members=tuple(members), spectra=tuple(spectra), unitarity_residual=worst, hermitian=hermitian
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ __all__ = [
     "Grid2D",
     "arcsine_rule",
     "integrate_mu",
-    "integrate_2d",
     "mu_cdf",
     "nu1_mass",
     "nu2_mass",
@@ -106,18 +105,6 @@ def integrate_mu(f, rule: ArcsineRule) -> float:
         bad = rule.nodes[~np.isfinite(vals)][0]
         raise ValueError(f"integrand is not finite at node t={bad!r}")
     return float(np.sum(vals * rule.weights))
-
-
-def integrate_2d(f, grid: Grid2D) -> float:
-    """Integrate f(t,s) against mu x mu.  f is callable on meshgrids or an array."""
-    T, S, W = grid.meshes()
-    vals = f(T, S) if callable(f) else np.asarray(f, dtype=float)
-    if vals.shape != T.shape:
-        raise ValueError(f"2-D integrand has shape {vals.shape}, expected {T.shape}")
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(f"integrand is not finite at node (t,s)=({T[i, j]!r}, {S[i, j]!r})")
-    return float(np.sum(vals * W))
 
 
 def mu_cdf(t: float) -> float:

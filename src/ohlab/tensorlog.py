@@ -84,7 +84,6 @@ __all__ = [
     "hk_sq",
     "witness_build",
     "witness_validate",
-    "diag_lower_bound",
     "diag_upper_bound",
     "bracket_report",
 ]
@@ -346,12 +345,6 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     if value < floor - 1e-8:
         raise BoundViolation(f"lower bracket {value:.6e} below analytic floor {floor:.6e}")
     return value, q
-
-
-def diag_lower_bound(n: int) -> float:
-    """Certified lower bracket for n >= 7 from the rectangle witness; it
-    dominates lower_c * sqrt(n (1 + ln n)), and every check raises BoundViolation."""
-    return _lower_route(n)[0]
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,66 @@ class TestBracket:
         assert "--grid" in capsys.readouterr().err
 
 
+@pytest.fixture
+def fresh_parser():
+    # each test starts and ends with the per-process parser unbuilt
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def outputs(argv, capsys):
+    """(exit code, stdout) of one in-process call; argparse errors exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_parser_built_once_per_process(self, fresh_parser, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert main(["fock", "--cutoff", "4", "--kmax", "2"]) == 0
+        assert main(["bracket", "--n-list", "8"]) == 0
+        assert main(["basis", "--n", "2", "--nodes", "16", "--vectors", "1"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        # the public builder still returns a new parser on every call
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_calls_share_no_state(self, fresh_parser, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bracket", "--n-list", "8", "--out", "a.json"]) == 0
+        assert main(["bracket", "--n-list", "16", "--out", "b.json"]) == 0
+        sequence = [
+            ["bracket", "--n-list", "8,16"],
+            ["bracket"],
+            ["bracket", "--grid", "x"],
+            ["report", "a.json", "b.json"],
+            ["report", "a.json"],
+            ["free", "--dim", "16", "--summands", "3", "--trials", "1"],
+        ]
+        shared = [outputs(argv, capsys) for argv in sequence]
+        for argv, (code, out) in zip(sequence, shared):
+            cli._parser.cache_clear()
+            assert outputs(argv, capsys) == (code, out), argv
+        assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0]
+        assert [len(json.loads(out)["rows"]) for _, out in shared[3:5]] == [2, 1]
+
+    def test_cold_process_prints_the_same_bytes(self, capsys):
+        argv = ["bracket", "--n-list", "8,16"]
+        code, out, _ = run_cli(argv)
+        assert (code, out) == (0, outputs(argv, capsys)[1].encode("utf-8"))
+
+
 class TestFree:
     @pytest.mark.parametrize("trials", [2, 6])
     def test_clt_moments_come_from_the_trial_families(self, trials, capsys):

@@ -138,6 +138,68 @@ class TestKnownSpectra:
         assert np.array_equal(fam.sum, np.sum(fam.members, axis=0))
 
 
+def parent_singular_values(a):
+    # the sum's route before families knew their bases Hermitian: scan, then solve
+    if freeprob._is_hermitian(a):
+        return np.abs(np.linalg.eigvalsh(a))
+    return np.linalg.svd(a, compute_uv=False)
+
+
+class TestHermitianSum:
+    """Bases known Hermitian (real diagonals, or a scan passed once per base)
+    let the sum go straight to eigvalsh; everything else keeps the scan."""
+
+    def scans(self, monkeypatch):
+        seen = []
+        real = freeprob._is_hermitian
+
+        def spy(a):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(freeprob, "_is_hermitian", spy)
+        return seen
+
+    @pytest.mark.parametrize("kind, base_scans", [("semicircle", 0), ("gue", 1)])
+    def test_sum_is_not_scanned(self, kind, base_scans, monkeypatch):
+        dim = 48
+        base = semicircle_diag(dim) if kind == "semicircle" else gue(dim, np.random.default_rng(25))
+        seen = self.scans(monkeypatch)
+        fam = free_family([base] * 3, dim, seed=26)
+        sv = fam.sum_singular_values
+        assert fam.hermitian
+        assert len(seen) == base_scans and not any(a is fam.sum for a in seen)
+        assert np.array_equal(sv, parent_singular_values(fam.sum))
+
+    @pytest.mark.parametrize("kind", ["real", "complex-diagonal", "mixed"])
+    def test_non_hermitian_base_keeps_the_svd_route(self, kind, monkeypatch):
+        dim = 32
+        rng = np.random.default_rng(27)
+        if kind == "real":
+            bases = [rng.standard_normal((dim, dim))] * 2
+        elif kind == "complex-diagonal":
+            bases = [np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))] * 2
+        else:
+            bases = [semicircle_diag(dim), rng.standard_normal((dim, dim))]
+        seen = self.scans(monkeypatch)
+        fam = free_family(bases, dim, seed=28)
+        sv = fam.sum_singular_values
+        assert not fam.hermitian
+        assert any(a is fam.sum for a in seen)
+        assert not freeprob._is_hermitian(fam.sum)
+        assert np.array_equal(sv, np.linalg.svd(fam.sum, compute_uv=False))
+
+    def test_direct_family_scans_the_sum(self, monkeypatch):
+        dim = 24
+        members = free_family([gue(dim, np.random.default_rng(29))] * 2, dim, seed=30).members
+        seen = self.scans(monkeypatch)
+        fam = FreeFamily(members=members)
+        sv = fam.sum_singular_values
+        assert not fam.hermitian
+        assert [a is fam.sum for a in seen] == [True]
+        assert np.array_equal(sv, parent_singular_values(fam.sum))
+
+
 class TestUnitarity:
     def test_residual_within_bound(self):
         dim = 64

