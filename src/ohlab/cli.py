@@ -52,6 +52,11 @@ EXIT_NUMERICAL = 3
 # default and ceiling and is echoed in each row, so old invocations still work
 DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
+# a free trial streams its members into one sum, so its memory is a fixed
+# handful of dim x dim complex arrays whatever --summands is; cold
+# `free --dim 2048 --summands 16 --trials 1` peaked at 494 MB RSS (100 s on
+# 2 CPUs with OpenBLAS)
+MAX_FREE_DIM = 2048
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"no effect (the brackets are closed forms); at most {MAX_BRACKET_GRID}")
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
-    p.add_argument("--dim", type=int, default=512)
+    p.add_argument("--dim", type=int, default=512,
+                   help=f"at most {MAX_FREE_DIM} (about 0.5 GB peak RSS there, for any --summands)")
     p.add_argument("--summands", type=int, default=16)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--slack", type=float, default=0.02)
@@ -266,6 +272,8 @@ def run_bracket(args) -> tuple[Report, bool]:
 def run_free(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.dim > MAX_FREE_DIM:
+        raise ValueError(f"--dim {args.dim} exceeds {MAX_FREE_DIM}")
     # trial t uses child t of the spawn, as trial t of free_clt_check does, so
     # the first min(T, 5) trial families also give the CLT moments
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
@@ -298,7 +306,7 @@ def run_free(args) -> tuple[Report, bool]:
             failed = True
         if conv.column < -args.slack * conv.column_rhs or conv.row < -args.slack * conv.row_rhs:
             failed = True
-        del fam  # free the members before the next trial builds its family
+        del fam  # drop this trial's sum before the next trial streams its own
     clt = freeprob.CLTResult.from_moments(clt_acc / clt_trials)
     params = vars_params(args, ["dim", "summands", "trials", "slack", "seed"])
     params["clt_moments"] = list(clt.moments)

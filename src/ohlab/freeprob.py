@@ -17,6 +17,10 @@ Two models of free independence are used side by side:
   the norm of a semicircular element of variance n.  ``ohlab free`` reports
   its sum norm relative to this target.
 
+:func:`free_family` streams each rotated member into one sum buffer and keeps
+only what the checks read (a :class:`FreeFamily`), so its memory is a fixed
+handful of dim x dim arrays, independent of the number of summands.
+
 The scalar expectation is the normalised trace throughout.  Voiculescu's
 inequality for a family (a_i) reads
 
@@ -34,8 +38,7 @@ CDF, found by :func:`brentq`, a port of scipy's Brent root finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -64,10 +67,15 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     R-diagonal phase correction."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    # in place: the values and complex division of (x + 1j*y) / sqrt(2)
+    z = np.empty((dim, dim), dtype=complex)
+    z.real[...] = rng.standard_normal((dim, dim))
+    z.imag[...] = rng.standard_normal((dim, dim))
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    return q * (d / np.abs(d))
+    q *= d / np.abs(d)
+    return q
 
 
 def _semicircle_cdf(x: float) -> float:
@@ -168,97 +176,87 @@ UNITARITY_SLACK = 16.0
 
 def unitarity_residual(u: np.ndarray) -> float:
     """max |U^H U - I| over the entries."""
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    g = u.conj().T @ u
+    g.flat[:: g.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(g)))
 
 
 @dataclass(frozen=True)
 class FreeFamily:
-    """Trace-centred, independently Haar-rotated family (approximately free).
+    """What the checks read of a trace-centred family a_1..a_n (not the members).
 
-    ``spectra`` holds each member's singular values when they are known from
-    the construction (a rotation U A U^H has the singular values of A);
-    without it they come from one eigensolve per member.
-    ``unitarity_residual`` is the largest :func:`unitarity_residual` of the
-    Haar factors, or None when the family was not built by rotation.
-    ``hermitian`` is True when every member is known to be Hermitian from
-    the construction; the sum's eigensolve then skips the Hermitian scan.
+    It holds the member ``sum`` (do not write to it), each member's ``spectra``
+    (singular values) and ``second_moments`` tau(a_i^* a_i) = tau(a_i a_i^*),
+    and ``sum_singular_values``, from one eigensolve when the record is made,
+    which skips the Hermitian scan when ``hermitian`` (every member Hermitian by
+    construction).  ``unitarity_residual`` is the largest of the Haar factors',
+    None when the family was not built by rotation.
     """
 
-    members: tuple
-    spectra: tuple | None = None
+    sum: np.ndarray
+    spectra: tuple
+    second_moments: tuple
     unitarity_residual: float | None = None
     hermitian: bool = False
+    sum_singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.members) == 0:
+        if not self.spectra:
             raise ValueError("family must be nonempty")
-        dim = self.members[0].shape[0]
-        for a in self.members:
-            if a.shape != (dim, dim):
-                raise ValueError("all members must share one dimension")
-            if abs(normalized_trace(a)) > 1e-12 * max(np.max(np.abs(a)), 1.0):
-                raise ValueError("members must be trace-centred")
-        if self.spectra is not None and len(self.spectra) != len(self.members):
-            raise ValueError("need one spectrum per member")
+        sv = _singular_values(self.sum, self.hermitian or _is_hermitian(self.sum))
+        object.__setattr__(self, "sum_singular_values", sv)
 
-    @property
-    def dim(self) -> int:
-        return self.members[0].shape[0]
+    @classmethod
+    def from_members(cls, members) -> "FreeFamily":
+        """The direct route: each member's spectrum from its own eigensolve
+        (after the Hermitian scan), the sum added in member order."""
+        members = tuple(members)
+        dim = len(members[0]) if members else 0
+        if not members or any(a.shape != (dim, dim) for a in members):
+            raise ValueError("need a nonempty family of square members of one dimension")
+        for a in members:
+            _check_centred(a)
+        spectra = tuple(_singular_values(a, _is_hermitian(a)) for a in members)
+        moments = tuple(float(np.vdot(a, a).real) / dim for a in members)
+        return cls(sum(members[1:], members[0].copy()), spectra, moments)
 
-    @cached_property
-    def sum(self) -> np.ndarray:
-        """The member sum, added in place into one buffer; do not write to it."""
-        total = self.members[0].copy()
-        for a in self.members[1:]:
-            total += a
-        return total
 
-    @cached_property
-    def member_singular_values(self) -> tuple:
-        if self.spectra is not None:
-            return self.spectra
-        return tuple(_singular_values(a, _is_hermitian(a)) for a in self.members)
-
-    @cached_property
-    def sum_singular_values(self) -> np.ndarray:
-        return _singular_values(self.sum, self.hermitian or _is_hermitian(self.sum))
-
-    @cached_property
-    def second_moments(self) -> tuple:
-        """tau(a_i^* a_i) per member; by traciality it equals tau(a_i a_i^*)."""
-        return tuple(float(np.vdot(a, a).real) / self.dim for a in self.members)
+def _check_centred(a: np.ndarray) -> None:
+    if abs(np.mean(a if a.ndim == 1 else np.diagonal(a))) > 1e-12 * max(np.max(np.abs(a)), 1.0):
+        raise ValueError("members must be trace-centred")
 
 
 def free_family(bases, dim: int, seed=0) -> FreeFamily:
-    """Centre each base matrix and conjugate by an independent Haar unitary.
+    """Centre each base matrix and conjugate it by an independent Haar unitary.
 
-    Each distinct base (by identity) is centred, and its singular values
-    found, once: |diag| for a diagonal base, one eigensolve otherwise.  A
-    base is known Hermitian when it is a real diagonal or passes the
-    Hermitian scan; U A U^H is then Hermitian too, and when every base is,
-    the family is marked ``hermitian``.  Every Haar factor is checked against
-    the unitarity bound ``UNITARITY_SLACK * dim * eps``; RuntimeError if one
-    exceeds it.
+    Each member is added into one sum buffer (the first product is the buffer)
+    and its tau(a_i^* a_i) taken as soon as it is made, then dropped: memory is
+    O(dim^2) whatever the number of bases.  Each distinct base (by identity) is
+    centred, and its singular values found, once: |diag| for a diagonal base
+    (centred as a vector), one eigensolve otherwise.  A real diagonal, or a base
+    that passes the Hermitian scan, is Hermitian, and so is U A U^H; when every
+    base is, the family is marked ``hermitian``.  A Haar factor whose unitarity
+    residual exceeds ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
-    eye = np.eye(dim)
     bases = list(bases)    # keeps every base alive, so no id is reused
-    known = {}             # id(base) -> (centred base or its diagonal, is_diagonal, singular values, is_hermitian)
-    members, spectra, worst, hermitian = [], [], 0.0, True
+    known = {}             # id(base) -> (centred base or its diagonal, singular values, is_hermitian)
+    total, spectra, moments, worst, hermitian = None, [], [], 0.0, True
     for i, base in enumerate(bases):
         if id(base) not in known:
             a = np.asarray(base, dtype=complex)
             if a.shape != (dim, dim):
                 raise ValueError(f"base has shape {a.shape}, expected ({dim}, {dim})")
-            a = a - normalized_trace(a) * eye
-            diag = np.diagonal(a)
-            if np.count_nonzero(a - np.diag(diag)) == 0:
-                known[id(base)] = (diag, True, np.abs(diag), not np.any(diag.imag))
+            if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+                a = np.diagonal(a) - normalized_trace(a)
+                known[id(base)] = (a, np.abs(a), not np.any(a.imag))
             else:
+                a = a - normalized_trace(a) * np.eye(dim)
                 herm = _is_hermitian(a)
-                known[id(base)] = (a, False, _singular_values(a, herm), herm)
-        a, is_diag, sv, herm = known[id(base)]
+                known[id(base)] = (a, _singular_values(a, herm), herm)
+            _check_centred(a)
+        a, sv, herm = known[id(base)]
         hermitian = hermitian and herm
         u = haar_unitary(dim, rng)
         residual = unitarity_residual(u)
@@ -267,11 +265,12 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
                 f"free_family: Haar factor {i} (dim {dim}) has unitarity residual {residual:.3e} > {bound:.3e}"
             )
         worst = max(worst, residual)
-        members.append((u * a) @ u.conj().T if is_diag else u @ a @ u.conj().T)
+        member = (u * a) @ u.conj().T if a.ndim == 1 else u @ a @ u.conj().T
+        moments.append(float(np.vdot(member, member).real) / dim)
         spectra.append(sv)
-    return FreeFamily(
-        members=tuple(members), spectra=tuple(spectra), unitarity_residual=worst, hermitian=hermitian
-    )
+        total = member if total is None else np.add(total, member, out=total)
+        del u, member  # so that neither is alive during the next QR
+    return FreeFamily(total, tuple(spectra), tuple(moments), worst, hermitian)
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def voiculescu_check(fam: FreeFamily) -> VoiculescuResult:
     ``row_term`` equals ``col_term``: tau(a a^*) = tau(a^* a) by traciality.
     """
     lhs = float(np.max(fam.sum_singular_values))
-    max_norm = max(float(np.max(sv)) for sv in fam.member_singular_values)
+    max_norm = max(float(np.max(sv)) for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
     rhs = max_norm + 2.0 * col
     return VoiculescuResult(
@@ -313,9 +312,9 @@ class ConverseMargins:
 def voiculescu_converse_check(fam: FreeFamily) -> ConverseMargins:
     """Trace-norm converse; the row fields equal the column fields by
     traciality and are kept for the report schema."""
-    dim = fam.dim
+    dim = len(fam.sum)
     l1 = float(np.sum(fam.sum_singular_values)) / dim
-    tri = sum(float(np.sum(sv)) / dim for sv in fam.member_singular_values)
+    tri = sum(float(np.sum(sv)) / dim for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
     return ConverseMargins(
         triangle=tri - l1,
@@ -428,7 +427,7 @@ def clt_moments(fam: FreeFamily) -> np.ndarray:
     var = sum(fam.second_moments)
     if var == 0.0:
         raise ValueError("every member is zero after centring: the CLT sum has no variance to normalise by")
-    dim = fam.dim
+    dim = len(fam.sum)
     s = fam.sum / math.sqrt(var)
     s2 = s @ s
     return np.array(

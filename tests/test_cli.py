@@ -300,6 +300,12 @@ class TestFree:
     def test_zero_trials_rejected(self, capsys):
         assert main(["free", "--dim", "8", "--summands", "2", "--trials", "0"]) == 2
 
+    def test_dim_above_the_bound_rejected(self, capsys):
+        # checked before the base or any Haar factor is built
+        assert main(["free", "--dim", str(cli.MAX_FREE_DIM + 1), "--summands", "2", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--dim" in err and str(cli.MAX_FREE_DIM) in err
+
     def test_zero_centred_base_rejected(self, capsys):
         # at dim 1 the centred base is 0, so the CLT sum cannot be normalised
         assert main(["free", "--dim", "1", "--summands", "2", "--trials", "1"]) == 2

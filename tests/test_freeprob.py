@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,44 @@ def top_level_projection(fock: TruncatedFock) -> np.ndarray:
     return np.diag([1.0 if len(w) == fock.cutoff else 0.0 for w in fock.words])
 
 
+def centred(base, dim: int) -> np.ndarray:
+    """The dense centred base, as free_family centred it before it streamed."""
+    a = np.asarray(base, dtype=complex)
+    return a - normalized_trace(a) * np.eye(dim)
+
+
+def rotated_members(bases, dim: int, seed) -> list:
+    """The members free_family(bases, dim, seed) adds into its sum, rebuilt from
+    the same seeded haar_unitary stream in member order: (U * d) U^H for a
+    diagonal base with centred diagonal d, U A U^H for any other centred A."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for base in bases:
+        a = centred(base, dim)
+        u = haar_unitary(dim, rng)
+        diag = np.diagonal(a)
+        if np.count_nonzero(a - np.diag(diag)) == 0:
+            members.append((u * diag) @ u.conj().T)
+        else:
+            members.append(u @ a @ u.conj().T)
+    return members
+
+
+def summed_in_order(members) -> np.ndarray:
+    total = members[0].copy()
+    for a in members[1:]:
+        total += a
+    return total
+
+
+def parent_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """haar_unitary as the out-of-place formula (x + 1j*y)/sqrt(2) -> qr -> phase."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 class TestHaar:
     def test_unitarity(self):
         rng = np.random.default_rng(0)
@@ -58,18 +97,31 @@ class TestHaar:
         b = haar_unitary(16, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_kernels_bit_equal(self, dim, seed):
+        u = haar_unitary(dim, np.random.default_rng(seed))
+        assert np.array_equal(u, parent_haar_unitary(dim, np.random.default_rng(seed)))
+        # the residual subtracts 1 from the Gram diagonal in place
+        for v in (u, 1.001 * u, np.random.default_rng(seed).standard_normal((dim, dim)).astype(complex)):
+            assert unitarity_residual(v) == float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
+
 
 class TestFreeFamily:
     def test_members_centred(self):
-        fam = free_family([gue(32, np.random.default_rng(2))], 32, seed=3)
-        assert abs(normalized_trace(fam.members[0])) < 1e-12
+        bases = [gue(32, np.random.default_rng(2))]
+        fam = free_family(bases, 32, seed=3)
+        (member,) = rotated_members(bases, 32, seed=3)
+        assert np.array_equal(fam.sum, member)
+        assert abs(normalized_trace(member)) < 1e-12
 
     def test_seed_reproducibility(self):
         base = [gue(24, np.random.default_rng(4)) for _ in range(3)]
         f1 = free_family(base, 24, seed=11)
         f2 = free_family(base, 24, seed=11)
-        for a, b in zip(f1.members, f2.members):
-            assert np.array_equal(a, b)
+        assert np.array_equal(f1.sum, f2.sum)
+        assert f1.second_moments == f2.second_moments
+        assert all(np.array_equal(a, b) for a, b in zip(f1.spectra, f2.spectra))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -77,13 +129,12 @@ class TestFreeFamily:
 
     def test_uncentred_rejected(self):
         with pytest.raises(ValueError, match="centred"):
-            FreeFamily(members=(np.eye(8, dtype=complex),))
+            FreeFamily.from_members((np.eye(8, dtype=complex),))
 
     def test_mixed_moment_vanishes(self):
         # alternating centred moment of two independently rotated elements
         rng = np.random.default_rng(5)
-        fam = free_family([gue(512, rng), gue(512, rng)], 512, seed=6)
-        a1, a2 = fam.members
+        a1, a2 = rotated_members([gue(512, rng), gue(512, rng)], 512, seed=6)
         mixed = abs(np.trace(a1 @ a2 @ a1 @ a2) / 512)
         assert mixed <= 0.05
 
@@ -101,22 +152,24 @@ class TestKnownSpectra:
         base = semicircle_diag(dim) if kind == "diagonal" else gue(dim, np.random.default_rng(20))
         fam = free_family([base] * 3, dim, seed=21)
         scale = float(np.max(np.abs(np.linalg.eigvalsh(base))))
-        for a, sv in zip(fam.members, fam.member_singular_values):
+        for a, sv in zip(rotated_members([base] * 3, dim, seed=21), fam.spectra):
             assert np.max(np.abs(np.sort(sv) - _sorted_sv(a))) <= 1e-12 * scale
             assert np.max(np.abs(np.sort(sv) - np.sort(np.abs(np.linalg.eigvalsh(a))))) <= 1e-12 * scale
 
     def test_direct_family_keeps_eigensolve_route(self):
         dim, n = 48, 4
         rng = np.random.default_rng(22)
-        rotated = free_family([gue(dim, rng) for _ in range(n)], dim, seed=23)
-        direct = FreeFamily(members=rotated.members)
-        assert direct.spectra is None and direct.unitarity_residual is None
+        bases = [gue(dim, rng) for _ in range(n)]
+        rotated = free_family(bases, dim, seed=23)
+        members = rotated_members(bases, dim, seed=23)
+        direct = FreeFamily.from_members(members)
+        assert direct.unitarity_residual is None and not direct.hermitian
         # values as the eigensolve-per-member code computed them
-        total = np.sum(direct.members, axis=0)
+        total = np.sum(members, axis=0)
         sum_sv = _sorted_sv(total)
-        member_sv = [_sorted_sv(a) for a in direct.members]
-        col = math.sqrt(sum(np.vdot(a, a).real / dim for a in direct.members))
-        row = math.sqrt(sum(np.vdot(a.conj().T, a.conj().T).real / dim for a in direct.members))
+        member_sv = [_sorted_sv(a) for a in members]
+        col = math.sqrt(sum(np.vdot(a, a).real / dim for a in members))
+        row = math.sqrt(sum(np.vdot(a.conj().T, a.conj().T).real / dim for a in members))
         voi = voiculescu_check(direct)
         assert voi.lhs == pytest.approx(sum_sv[-1], rel=1e-12)
         assert voi.max_member_norm == pytest.approx(max(sv[-1] for sv in member_sv), rel=1e-12)
@@ -135,7 +188,75 @@ class TestKnownSpectra:
     def test_sum_is_built_once(self):
         fam = free_family([semicircle_diag(16)] * 3, 16, seed=24)
         assert fam.sum is fam.sum
-        assert np.array_equal(fam.sum, np.sum(fam.members, axis=0))
+        assert np.array_equal(fam.sum, np.sum(rotated_members([semicircle_diag(16)] * 3, 16, seed=24), axis=0))
+
+
+class TestStreaming:
+    """free_family keeps no member: the sum is streamed into one buffer, and
+    the record holds exactly what the members summed in order would give."""
+
+    @staticmethod
+    def bases(kind, dim):
+        rng = np.random.default_rng(40)
+        if kind == "diagonal":
+            return [semicircle_diag(dim)] * 5
+        if kind == "gue":
+            return [gue(dim, rng)] * 5
+        # distinct bases, both routes, a real non-Hermitian one among them
+        return [semicircle_diag(dim), gue(dim, rng), rng.standard_normal((dim, dim)), semicircle_diag(dim)]
+
+    @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
+    def test_sum_equals_members_summed_in_order(self, kind):
+        dim = 40
+        bases = self.bases(kind, dim)
+        fam = free_family(bases, dim, seed=41)
+        assert np.array_equal(fam.sum, summed_in_order(rotated_members(bases, dim, seed=41)))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
+    def test_second_moments_are_the_member_vdots(self, kind):
+        dim = 40
+        bases = self.bases(kind, dim)
+        fam = free_family(bases, dim, seed=42)
+        members = rotated_members(bases, dim, seed=42)
+        assert fam.second_moments == tuple(float(np.vdot(a, a).real) / dim for a in members)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "gue"])
+    def test_known_spectra_and_centring_as_before(self, kind):
+        # a diagonal base's spectrum is |centred diagonal|; any other base's
+        # comes from one eigensolve of the dense centred base
+        dim = 40
+        base = self.bases(kind, dim)[0]
+        fam = free_family([base] * 2, dim, seed=43)
+        a = centred(base, dim)
+        want = np.abs(np.diagonal(a)) if kind == "diagonal" else np.abs(np.linalg.eigvalsh(a))
+        assert all(np.array_equal(sv, want) for sv in fam.spectra)
+        assert np.array_equal(fam.sum, summed_in_order(rotated_members([base] * 2, dim, seed=43)))
+
+    def test_from_members_matches_the_stream(self):
+        dim = 32
+        bases = self.bases("gue", dim)
+        fam = free_family(bases, dim, seed=44)
+        direct = FreeFamily.from_members(rotated_members(bases, dim, seed=44))
+        assert np.array_equal(direct.sum, fam.sum)
+        assert direct.second_moments == fam.second_moments
+
+    def test_peak_memory_does_not_grow_with_summands(self):
+        dim = 128
+        unit = dim * dim * np.dtype(complex).itemsize
+        base = semicircle_diag(dim)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                voiculescu_check(free_family([base] * n, dim, seed=45))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first call also allocates one-time state
+        small, large = peak(2), peak(24)
+        assert abs(large - small) <= unit
+        assert large < 12 * unit
 
 
 def parent_singular_values(a):
@@ -191,12 +312,13 @@ class TestHermitianSum:
 
     def test_direct_family_scans_the_sum(self, monkeypatch):
         dim = 24
-        members = free_family([gue(dim, np.random.default_rng(29))] * 2, dim, seed=30).members
+        members = rotated_members([gue(dim, np.random.default_rng(29))] * 2, dim, seed=30)
         seen = self.scans(monkeypatch)
-        fam = FreeFamily(members=members)
+        fam = FreeFamily.from_members(members)
         sv = fam.sum_singular_values
         assert not fam.hermitian
-        assert [a is fam.sum for a in seen] == [True]
+        # each member once, for its own spectrum, then the sum
+        assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1] and seen[2] is fam.sum
         assert np.array_equal(sv, parent_singular_values(fam.sum))
 
 
@@ -219,14 +341,14 @@ class TestUnitarity:
 class TestVoiculescu:
     def test_single_member_margin(self):
         rng = np.random.default_rng(7)
-        fam = free_family([gue(64, rng)], 64, seed=8)
-        res = voiculescu_check(fam)
-        a = fam.members[0]
+        bases = [gue(64, rng)]
+        res = voiculescu_check(free_family(bases, 64, seed=8))
+        (a,) = rotated_members(bases, 64, seed=8)
         assert res.margin == pytest.approx(2 * math.sqrt(np.vdot(a, a).real / 64), rel=1e-12)
         assert res.margin >= 0
 
     def test_zero_family(self):
-        fam = FreeFamily(members=(np.zeros((8, 8), dtype=complex),) * 3)
+        fam = FreeFamily.from_members((np.zeros((8, 8), dtype=complex),) * 3)
         res = voiculescu_check(fam)
         assert (res.lhs, res.rhs, res.margin) == (0.0, 0.0, 0.0)
 
@@ -251,12 +373,11 @@ class TestVoiculescu:
 class TestConverse:
     def test_single_member_cauchy_schwarz(self):
         rng = np.random.default_rng(10)
-        fam = free_family([gue(48, rng)], 48, seed=11)
-        a = fam.members[0]
+        (a,) = rotated_members([gue(48, rng)], 48, seed=11)
         assert trace_norm(a) <= math.sqrt(np.vdot(a, a).real / 48) + 1e-12
 
     def test_zero_family(self):
-        fam = FreeFamily(members=(np.zeros((6, 6), dtype=complex),) * 2)
+        fam = FreeFamily.from_members((np.zeros((6, 6), dtype=complex),) * 2)
         c = voiculescu_converse_check(fam)
         assert c.triangle == c.column == c.row == 0.0
 
@@ -341,8 +462,10 @@ class TestCLT:
         # reference: tau(S^k) from successive products, S = n^{-1/2} sum a_i
         dim, n = 64, 5
         rng = np.random.default_rng(26)
-        fam = free_family([gue(dim, rng)] * n, dim, seed=27)
-        s = np.sum(fam.members, axis=0) / math.sqrt(sum(np.vdot(a, a).real / dim for a in fam.members))
+        bases = [gue(dim, rng)] * n
+        fam = free_family(bases, dim, seed=27)
+        members = rotated_members(bases, dim, seed=27)
+        s = np.sum(members, axis=0) / math.sqrt(sum(np.vdot(a, a).real / dim for a in members))
         power = np.eye(dim, dtype=complex)
         expected = []
         for _ in range(4):
