@@ -124,9 +124,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
+    if not math.isfinite(value) or (nonnegative and value < 0.0):
+        raise ValueError(f"{flag} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
+
+
 def run_pw(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    check_finite(args.tol, "--tol", nonnegative=True)
+    check_finite(args.cond, "--cond")
     rule = arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -163,6 +170,7 @@ def run_pw(args) -> tuple[Report, bool]:
 def run_ohnorm(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    check_finite(args.tol, "--tol", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
     failed = False
@@ -262,6 +270,8 @@ def run_bracket(args) -> tuple[Report, bool]:
     if args.grid > MAX_BRACKET_GRID:
         raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}")
     n_list = [int(v) for v in args.n_list.split(",") if v]
+    if not n_list:
+        raise ValueError("--n-list needs at least one value")
     # BracketReport raises BoundViolation on an inverted bracket
     rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
     params = vars_params(args, ["grid", "seed"])
@@ -274,6 +284,7 @@ def run_free(args) -> tuple[Report, bool]:
         raise ValueError("--trials must be >= 1")
     if args.dim > MAX_FREE_DIM:
         raise ValueError(f"--dim {args.dim} exceeds {MAX_FREE_DIM}")
+    check_finite(args.slack, "--slack", nonnegative=True)
     # trial t uses child t of the spawn, as trial t of free_clt_check does, so
     # the first min(T, 5) trial families also give the CLT moments
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)

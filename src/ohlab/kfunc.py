@@ -24,13 +24,15 @@ extra L1 slot), all over a common base measure nu given by point weights:
 ``k_d1d2_norm`` re-expresses the two-density quotient norm as l2sum1_norm
 with densities 1/d1 and 1/d2.
 
-Both outer searches run :func:`minimize_scalar`, a numpy-free port of
-scipy's bounded Brent method, so this module needs numpy only.
+Both outer objectives are convex with closed-form derivatives, and
+:func:`minimize_scalar` solves F' = 0 by safeguarded Newton-bisection, so
+this module needs numpy only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,116 +49,61 @@ __all__ = [
     "k_d1d2_norm",
 ]
 
-DEFAULT_OUTER_TOL = 1e-8
+# c eps per unit of term magnitude: the rounding bound on a computed derivative
+ROUNDING = 64 * np.finfo(float).eps
 
 
 class BoundViolation(RuntimeError):
     """A numerically computed quantity violated an analytically proved bound."""
 
 
-@dataclass(frozen=True)
-class ScalarMinimum:
-    """Result of :func:`minimize_scalar`, named as scipy's OptimizeResult."""
-
-    x: float
-    fun: float
-    nfev: int
-    success: bool
-    message: str
+# result of minimize_scalar: the minimiser and the number of derivative evaluations
+ScalarMinimum = namedtuple("ScalarMinimum", "x nfev")
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+def minimize_scalar(dfun, bounds) -> ScalarMinimum:
+    """Minimiser on [a, b] of a convex F, given dfun(x) = (F'(x), F''(x), err).
 
-
-def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
-
-
-def minimize_scalar(fun, bounds, method="bounded", options=None) -> ScalarMinimum:
-    """Minimum of fun on the interval ``bounds`` by Brent's bounded method.
-
-    A step-for-step port of ``_minimize_scalar_bounded`` from scipy.optimize
-    (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
-    Developers), so it returns scipy's x, fun and nfev bit for bit: golden
-    section steps safeguard parabolic ones, and the search stops when x is
-    within 2 (sqrt(eps) |x| + xatol/3) of the bracket midpoint.  Only
-    ``method="bounded"`` and the options ``xatol`` (default 1e-5) and
-    ``maxiter`` (default 500) are supported; ``success`` is false when the
-    search stops at ``maxiter`` evaluations or meets a NaN.
+    err bounds the rounding error of F'(x).  An endpoint whose slope points
+    outward is the minimiser.  Otherwise, from the midpoint, a Newton step on
+    F' is taken if it lands inside the sign bracket and is at most half the
+    previous step, else a bisection: Newton runs are finite (steps halve and
+    are at least one ulp) and bisections halve the bracket, so the loop ends
+    without a cap, when |F'| <= err or the bracket is two adjacent floats.
+    A NaN derivative raises RuntimeError.
     """
-    if method != "bounded":
-        raise ValueError(f"unsupported method {method!r}; only 'bounded' is implemented")
-    options = options or {}
-    xatol = options.get("xatol", 1e-5)
-    maxfun = options.get("maxiter", 500)
-    a, b = (float(v) for v in bounds)
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = x = fulc
-    rat = e = 0.0
-    fx = fun(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    status = 0
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (_sign(xm - xf) + (xm - xf == 0.0))
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        x = xf + (_sign(rat) + (rat == 0.0)) * max(abs(rat), tol1)
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    nfev = 0
+
+    def slope(x):
+        nonlocal nfev
+        nfev += 1
+        d1, d2, err = dfun(x)
+        if math.isnan(d1):
+            raise RuntimeError(f"derivative is NaN at x={x!r}")
+        return d1, d2, err
+
+    lo, hi = (float(v) for v in bounds)
+    d_lo, _, err = slope(lo)
+    if d_lo >= -err:
+        return ScalarMinimum(lo, nfev)
+    d_hi, _, err = slope(hi)
+    if d_hi <= err:
+        return ScalarMinimum(hi, nfev)
+    step, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    while lo < x < hi:
+        d1, d2, err = slope(x)
+        if abs(d1) <= err:
+            return ScalarMinimum(x, nfev)
+        if d1 < 0.0:
+            lo, d_lo = x, d1
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            status = 1
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        status = 2
-    message = ("Solution found.", "Maximum number of function calls reached.", "NaN result encountered.")[status]
-    return ScalarMinimum(x=xf, fun=fx, nfev=num, success=status == 0, message=message)
+            hi, d_hi = x, d1
+        newton = x - d1 / d2 if d2 > 0.0 else x
+        if lo < newton < hi and abs(newton - x) <= 0.5 * step:
+            step, x = abs(newton - x), newton
+        else:
+            step, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    return ScalarMinimum(lo if -d_lo <= d_hi else hi, nfev)
 
 
 @dataclass(frozen=True)
@@ -219,40 +166,29 @@ def l2sum2_norm(k, w: WeightedGrid) -> float:
     return float(np.sqrt(val))
 
 
-def _ratio_objective(k2, w: WeightedGrid):
-    """F(theta) = integral |k|^2 / (theta/g + (1-theta)/h) dnu, convex on [0,1]."""
-
-    def F(theta: float) -> float:
-        denom = theta / w.g + (1.0 - theta) / w.h
-        return float(np.sum(w.base_weights * k2 / denom))
-
-    return F
-
-
-def l2sum1_norm(k, w: WeightedGrid, outer_tol: float = DEFAULT_OUTER_TOL) -> float:
-    """Norm in L2(g nu) +_1 L2(h nu) via the convex ratio search."""
+def l2sum1_norm(k, w: WeightedGrid) -> float:
+    """Norm in L2(g nu) +_1 L2(h nu): sqrt of the minimum over [0, 1] of the
+    convex F(theta) = sum w |k|^2 / D, D = theta/g + (1-theta)/h, with
+    F' = -sum w |k|^2 (1/g - 1/h) / D^2 and F'' = 2 sum w |k|^2 (1/g - 1/h)^2 / D^3."""
     v = _values(k, w.points)
     k2 = np.abs(v) ** 2
     if not k2.any():
         return 0.0
-    F = _ratio_objective(k2, w)
-    res = minimize_scalar(F, bounds=(0.0, 1.0), method="bounded", options={"xatol": outer_tol})
-    if not res.success:
-        raise RuntimeError(f"outer ratio search did not converge: {res.message}")
-    # theta = 0 / 1 put everything into a single slot; the bounded search
-    # keeps xatol away from the endpoints, so compare explicitly.
-    best = min(float(res.fun), F(0.0), F(1.0))
-    return float(np.sqrt(best))
+    wk2 = w.base_weights * k2
+    diff = 1.0 / w.g - 1.0 / w.h
+
+    def slope(theta: float):
+        inv = 1.0 / (theta / w.g + (1.0 - theta) / w.h)
+        terms = wk2 * diff * inv**2
+        curvature = 2.0 * float(np.sum(terms * diff * inv))
+        return -float(np.sum(terms)), curvature, ROUNDING * float(np.sum(np.abs(terms)))
+
+    theta = minimize_scalar(slope, (0.0, 1.0)).x
+    denom = theta / w.g + (1.0 - theta) / w.h
+    return float(np.sqrt(np.sum(w.base_weights * k2 / denom)))
 
 
-def _huber_value(absx: np.ndarray, radius: np.ndarray, sqrt_t: float) -> np.ndarray:
-    """min over y of sqrt(t) |y| + |x - y|^2 / (2 r): soft-threshold closed form."""
-    quad = absx**2 / (2.0 * radius)
-    lin = sqrt_t * absx - 0.5 * sqrt_t**2 * radius
-    return np.where(absx <= sqrt_t * radius, quad, lin)
-
-
-def ik_t_parts(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL):
+def ik_t_parts(x, spec: ThreeTermSpec):
     """Three-term functional with a realising decomposition.
 
     For fixed quadratic scales (s, u) the decomposition infimum is pointwise:
@@ -262,11 +198,16 @@ def ik_t_parts(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL):
 
         Phi(s, u) = (s + u)/2 + sum_j w_j * huber_t(x_j; (s+u) d_j)
 
-    depends only on sigma = s + u, so coordinate descent over (s, u)
-    collapses to a 1-D convex minimisation over sigma, with the sigma -> 0
-    limit sqrt(t) ||x||_1 as an endpoint.  The returned value is the exact
-    objective of the decomposition recovered at the optimal sigma (never
-    above the surrogate), so it is attained by the returned (x1, x2, x3).
+    depends only on sigma = s + u: a convex phi(sigma) whose sigma -> 0 limit
+    is the L1 route sqrt(t) ||x||_1, with
+    phi'(sigma) = 1/2 - sum_j w_j d_j min(|x_j|^2 / (2 sigma^2 d_j^2), t/2).
+    The first term holds on the quadratic branch |x_j| <= sqrt(t) sigma d_j,
+    where phi'' gains w_j |x_j|^2 / (sigma^3 d_j).  At sigma = 0+ every x_j != 0
+    is linear, and phi'(0+) >= 0 picks the L1 route.  The linear branch has
+    t/2 < |x_j|^2 / (2 sigma^2 d_j^2), so phi'(sigma) >= 1/2 - K^2 / (2 sigma^2),
+    K the two-term K-norm, and [0, K] brackets the minimiser.  The returned
+    value is the exact objective of the decomposition recovered at the optimal
+    sigma (never above the surrogate), so the returned (x1, x2, x3) attain it.
     """
     v = _values(x, spec.d.size)
     absx = np.abs(v)
@@ -275,32 +216,26 @@ def ik_t_parts(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL):
         z = np.zeros_like(v)
         return 0.0, (z, z.copy(), z.copy())
     sqrt_t = float(np.sqrt(spec.t_param))
-    l1_route = sqrt_t * float(np.sum(w * absx))
+    half_t = 0.5 * spec.t_param
+    wd = w * spec.d
     k_route = float(np.sqrt(np.sum(w * absx**2 / spec.d)))
 
-    def phi(sigma: float) -> float:
-        if sigma <= 0.0:
-            return l1_route
-        return 0.5 * sigma + float(np.sum(w * _huber_value(absx, sigma * spec.d, sqrt_t)))
+    def slope(sigma: float):
+        if sigma == 0.0:
+            terms, curvature = np.where(absx > 0.0, half_t * wd, 0.0), 0.0
+        else:
+            c = 0.5 * (absx / (sigma * spec.d)) ** 2
+            terms = wd * np.minimum(c, half_t)
+            curvature = 2.0 / sigma * float(np.sum(terms[c <= half_t]))
+        total = float(np.sum(terms))
+        return 0.5 - total, curvature, ROUNDING * (0.5 + total)
 
-    def recover(sigma: float):
-        # soft-threshold for x1; the residual is carried by the L2 slots
-        shrink = np.maximum(absx - sqrt_t * sigma * spec.d, 0.0)
-        x1 = v * (shrink / np.where(absx > 0.0, absx, 1.0))
-        y = (v - x1) / np.sqrt(spec.d)
-        obj = sqrt_t * float(np.sum(w * np.abs(x1))) + float(np.sqrt(np.sum(w * np.abs(y) ** 2)))
-        return obj, x1, y
-
-    hi = 2.0 * k_route + 1e-12
-    res = minimize_scalar(phi, bounds=(0.0, hi), method="bounded", options={"xatol": outer_tol})
-    if not res.success:
-        raise RuntimeError(f"outer scale search did not converge: {res.message}")
-    value, x1, y = recover(float(res.x))
-    if l1_route < value:
-        value = l1_route
-        x1, y = v.copy(), np.zeros_like(v)
-    x2 = 0.5 * y
-    x3 = 0.5 * y
+    sigma = minimize_scalar(slope, (0.0, k_route)).x
+    # soft-threshold for x1; the residual is carried by the L2 slots
+    shrink = np.maximum(absx - sqrt_t * sigma * spec.d, 0.0)
+    x1 = v * (shrink / np.where(absx > 0.0, absx, 1.0))
+    y = (v - x1) / np.sqrt(spec.d)
+    value = sqrt_t * float(np.sum(w * np.abs(x1))) + float(np.sqrt(np.sum(w * np.abs(y) ** 2)))
     # the identity route (x1 = 0) is always feasible, so the three-term value
     # can never exceed the two-term K-norm
     if not value <= k_route + 1e-9 * max(k_route, 1.0):
@@ -308,12 +243,12 @@ def ik_t_parts(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL):
             f"three-term value {value:.6e} exceeds the two-term K-norm {k_route:.6e} "
             f"(t={spec.t_param:g}, {v.size} points)"
         )
-    return value, (x1, x2, x3)
+    return value, (x1, 0.5 * y, 0.5 * y)
 
 
-def ik_t_norm(x, spec: ThreeTermSpec, outer_tol: float = DEFAULT_OUTER_TOL) -> float:
+def ik_t_norm(x, spec: ThreeTermSpec) -> float:
     """Three-term functional value; see :func:`ik_t_parts` for the witness."""
-    value, _ = ik_t_parts(x, spec, outer_tol=outer_tol)
+    value, _ = ik_t_parts(x, spec)
     return value
 
 
@@ -323,7 +258,7 @@ def two_term_k_norm(x, spec: ThreeTermSpec) -> float:
     return float(np.sqrt(np.sum(spec.base_weights * np.abs(v) ** 2 / spec.d)))
 
 
-def k_d1d2_norm(k, d1, d2, base_weights, outer_tol: float = DEFAULT_OUTER_TOL) -> float:
+def k_d1d2_norm(k, d1, d2, base_weights) -> float:
     """Two-density quotient norm: l2sum1_norm with densities 1/d1 and 1/d2.
 
     ``d1``, ``d2`` and ``base_weights`` are arrays over a common point set
@@ -333,4 +268,4 @@ def k_d1d2_norm(k, d1, d2, base_weights, outer_tol: float = DEFAULT_OUTER_TOL) -
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
     w = WeightedGrid(base_weights=np.asarray(base_weights, dtype=float), g=1.0 / d1, h=1.0 / d2)
-    return l2sum1_norm(k, w, outer_tol=outer_tol)
+    return l2sum1_norm(k, w)

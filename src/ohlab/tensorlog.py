@@ -373,7 +373,10 @@ def diag_upper_bound(
     if n < 1:
         raise ValueError("n must be >= 1")
     if delta is None:
-        delta = 1.0 / (math.e**2 * n**2)
+        # delta is subnormal above n ~ 2.47e153, and e^2 n^2 overflows above n ~ 1.3e154
+        delta = 1.0 / (math.e**2 * n**2) if n <= 1e154 else 0.0
+        if delta < sys.float_info.min:
+            raise ValueError(f"n={n} too large: delta = 1/(e^2 n^2) is not a positive normal float")
     region = r_integral(delta)
     if a is None:
         fro = math.sqrt(n)

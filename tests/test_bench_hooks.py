@@ -45,3 +45,21 @@ def test_traced_bracket_sees_the_closed_forms(capsys):
     m = tracing.layer_metrics(rec.records(), 1)
     assert (m["tensorlog.upper_calls_per_n"], m["tensorlog.witness_calls_per_n"]) == (1, 1)
     assert (m["quad.meshes_calls"], m["kfunc.theta_evals"]) == (0, 0)
+
+
+def test_traced_sumspace_counts_the_kfunc_solves(capsys):
+    # the benchmark patches kfunc.minimize_scalar by name and reads its nfev;
+    # theta_evals adds two per theta search for the endpoint evaluations of
+    # the Brent search the counter was written for
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    with tracing.tracing(rec):
+        with rec.op_span(0):
+            assert cli.main(["sumspace", "--points", "16", "--t-sweep", "0.01,1,100"]) == 0
+    capsys.readouterr()
+    m = tracing.layer_metrics(rec.records(), 1)
+    assert (m["kfunc.l2sum1_calls"], m["kfunc.ik_t_calls"]) == (2, 3)
+    # derivative evaluations: 7 + 3 for theta (random grid, 4096-node
+    # quotient), 1 + 9 + 2 for sigma (t = 0.01 at sigma = 0, t = 1 inside,
+    # t = 100 at sigma = K)
+    assert (m["kfunc.theta_evals"], m["kfunc.sigma_evals"]) == (14, 12)

@@ -215,6 +215,11 @@ class TestBracket:
         assert main(["bracket", "--n-list", "8", "--grid", str(cli.MAX_BRACKET_GRID + 1)]) == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_n_near_the_delta_limit_accepted(self, capsys):
+        # delta = 1/(e^2 n^2) is subnormal above about n = 2.47e153
+        code, doc = run_in_process(["bracket", "--n-list", str(24 * 10**152)], capsys)
+        assert code == 0 and doc["rows"][0]["delta"]["upper"] >= sys.float_info.min
+
 
 @pytest.fixture
 def fresh_parser():
@@ -340,6 +345,19 @@ class TestPw:
         pytest.param(["ohnorm", "--trials", "0"], "--trials", id="ohnorm"),
         pytest.param(["basis", "--vectors", "0", "--nodes", "16"], "--vectors", id="basis"),
         pytest.param(["sumspace", "--t-sweep", ","], "--t-sweep", id="sumspace"),
+        pytest.param(["bracket", "--n-list", ","], "--n-list", id="bracket"),
+        # delta = 1/(e^2 n^2) must be a positive normal float; 1e160 used to
+        # overflow in e^2 n^2 (exit 1)
+        pytest.param(["bracket", "--n-list", f"8,{10**160}"], "delta", id="bracket-n-1e160"),
+        pytest.param(["bracket", "--n-list", f"8,{25 * 10**152}"], "delta", id="bracket-n-2.5e153"),
+        # these ran to the end and then failed in Report.to_json (NaN is not
+        # JSON) or in the eigenvalue draw (inf), outside main's error handling
+        pytest.param(["pw", "--trials", "1", "--nodes", "16", "--tol", "nan"], "--tol", id="pw-tol-nan"),
+        pytest.param(["pw", "--trials", "1", "--nodes", "16", "--tol=-1e-6"], "--tol", id="pw-tol-negative"),
+        pytest.param(["pw", "--trials", "1", "--nodes", "16", "--cond", "inf"], "--cond", id="pw-cond-inf"),
+        pytest.param(["ohnorm", "--trials", "1", "--tol", "nan"], "--tol", id="ohnorm-tol-nan"),
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
     ])
     def test_empty_run_rejected(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -373,9 +391,9 @@ print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules}))
 
 class TestColdStart:
     def test_no_command_loads_scipy(self, tmp_path):
-        # numpy is the only runtime dependency: the 1-D solves of free
-        # (semicircle quantiles) and sumspace (ratio and scale searches) are
-        # in-house ports of scipy's Brent routines
+        # numpy is the only runtime dependency: free's semicircle quantiles run
+        # an in-house port of scipy's brentq, and sumspace's ratio and scale
+        # searches solve their closed-form derivatives in kfunc
         proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)

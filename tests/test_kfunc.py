@@ -1,6 +1,6 @@
 import math
-from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,10 +194,7 @@ class TestIKT:
     def test_bound_above_k_norm_raises(self, monkeypatch):
         # a broken scale search stuck at sigma = 0 returns the pure L1 route,
         # which at large t exceeds the K-norm; the guard survives python -O
-        monkeypatch.setattr(
-            kfunc, "minimize_scalar",
-            lambda fun, bounds, method, options: SimpleNamespace(x=0.0, fun=fun(0.0), success=True),
-        )
+        monkeypatch.setattr(kfunc, "minimize_scalar", lambda dfun, bounds: kfunc.ScalarMinimum(x=0.0, nfev=1))
         spec = ThreeTermSpec(t_param=1e6, d=np.ones(4), base_weights=np.full(4, 0.25))
         with pytest.raises(BoundViolation, match="K-norm"):
             ik_t_parts(np.ones(4), spec)
@@ -252,54 +249,185 @@ class TestKd1d2:
         assert k_d1d2_norm(np.zeros(4), np.ones(4), np.ones(4), base) == 0.0
 
 
-class TestMinimizeScalarPort:
-    """kfunc.minimize_scalar against scipy's bounded method, the routine it ports."""
+def exact_l2sum1(k, w):
+    """(theta*, norm) of the +_1 ratio search in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        wk2 = [mpmath.mpf(float(c)) for c in w.base_weights * np.abs(k) ** 2]
+        ig = [1 / mpmath.mpf(float(v)) for v in w.g]
+        ih = [1 / mpmath.mpf(float(v)) for v in w.h]
 
-    @staticmethod
-    def assert_matches_scipy(fun, bounds, xatol):
-        ours = kfunc.minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
-        ref = minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
-        assert (ours.x, ours.fun, ours.nfev) == (float(ref.x), float(ref.fun), ref.nfev)
-        assert ours.success and ref.success and ours.message == ref.message
+        def F(th):
+            return mpmath.fsum(c / (th * a + (1 - th) * b) for c, a, b in zip(wk2, ig, ih))
 
-    @pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-12])
-    def test_random_convex_quadratics(self, xatol):
+        def dF(th):
+            return -mpmath.fsum(c * (a - b) / (th * a + (1 - th) * b) ** 2 for c, a, b in zip(wk2, ig, ih))
+
+        theta = mp_minimiser(dF, 0, 1)
+        return float(theta), float(mpmath.sqrt(F(theta)))
+
+
+def exact_ik_t(x, spec):
+    """(sigma*, value) of the three-term scale search in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(float(v)) for v in np.abs(x)]
+        d = [mpmath.mpf(float(v)) for v in spec.d]
+        w = [mpmath.mpf(float(v)) for v in spec.base_weights]
+        t = mpmath.mpf(float(spec.t_param))
+        st_ = mpmath.sqrt(t)
+
+        def phi(s):
+            if s == 0:
+                return st_ * mpmath.fsum(wj * aj for wj, aj in zip(w, a))
+            huber = [aj**2 / (2 * s * dj) if aj <= st_ * s * dj else st_ * aj - t * s * dj / 2
+                     for aj, dj in zip(a, d)]
+            return s / 2 + mpmath.fsum(wj * hj for wj, hj in zip(w, huber))
+
+        def dphi(s):
+            if s == 0:
+                return mpmath.mpf(1) / 2 - t / 2 * mpmath.fsum(wj * dj for wj, dj, aj in zip(w, d, a) if aj)
+            return mpmath.mpf(1) / 2 - mpmath.fsum(
+                wj * dj * min(aj**2 / (2 * s**2 * dj**2), t / 2) for wj, dj, aj in zip(w, d, a))
+
+        k_norm = mpmath.sqrt(mpmath.fsum(wj * aj**2 / dj for wj, aj, dj in zip(w, a, d)))
+        sigma = mp_minimiser(dphi, 0, k_norm)
+        return float(sigma), float(phi(sigma))
+
+
+def mp_minimiser(dF, lo, hi):
+    # an endpoint whose slope points outward, else bisection on the sign of dF
+    if dF(lo) >= 0:
+        return mpmath.mpf(lo)
+    if dF(hi) <= 0:
+        return mpmath.mpf(hi)
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if dF(mid) < 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def phi_scipy(x, spec):
+    """Bounded-Brent minimum of the three-term surrogate over [0, K], or its L1 endpoint."""
+    a, d, w, t = np.abs(x), spec.d, spec.base_weights, spec.t_param
+
+    def phi(s):
+        r = s * d
+        huber = np.where(a <= math.sqrt(t) * r, a**2 / (2.0 * r), math.sqrt(t) * a - 0.5 * t * r)
+        return 0.5 * s + float(np.sum(w * huber))
+
+    res = minimize_scalar(phi, bounds=(0.0, two_term_k_norm(x, spec)), method="bounded",
+                          options={"xatol": 1e-12})
+    return min(float(res.fun), math.sqrt(t) * float(np.sum(w * a)))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every kfunc.minimize_scalar result, in call order."""
+    seen = []
+    real = kfunc.minimize_scalar
+
+    def spy(dfun, bounds):
+        res = real(dfun, bounds)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(kfunc, "minimize_scalar", spy)
+    return seen
+
+
+class TestMinimizeScalar:
+    """The derivative solve against scipy's bounded Brent method and 60-digit mpmath."""
+
+    def test_ratio_search_on_random_grids(self, solves):
         rng = np.random.default_rng(60)
-        for _ in range(40):
-            centre, scale, floor = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0), rng.standard_normal()
+        for _ in range(12):
+            w = random_grid(rng, int(rng.integers(2, 24)))
+            k = rng.standard_normal(w.points)
+            val = l2sum1_norm(k, w)
+            theta, exact = exact_l2sum1(k, w)
+            assert solves[-1].x == pytest.approx(theta, abs=1e-12)
+            assert val == pytest.approx(exact, rel=1e-15)
+            ref = minimize_scalar(
+                lambda th: float(np.sum(w.base_weights * k**2 / (th / w.g + (1 - th) / w.h))),
+                bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+            assert solves[-1].x == pytest.approx(float(ref.x), abs=1e-6)
+            assert val <= math.sqrt(float(ref.fun)) * (1.0 + 1e-15)
 
-            def quadratic(x, centre=centre, scale=scale, floor=floor):
-                return scale * (x - centre) ** 2 + floor
+    @pytest.mark.parametrize("ratio, theta", [(1e3, 0.0), (1e-3, 1.0)])
+    def test_ratio_minimum_at_an_endpoint(self, ratio, theta, solves):
+        # g >> h: the g slot costs more everywhere, F'(0) > 0, all of k goes to h
+        rng = np.random.default_rng(62)
+        h = rng.uniform(0.2, 5.0, 10)
+        w = WeightedGrid(base_weights=np.full(10, 0.1), g=ratio * h, h=h)
+        k = rng.standard_normal(10)
+        val = l2sum1_norm(k, w)
+        assert (solves[-1].x, solves[-1].nfev) == (theta, 1 if theta == 0.0 else 2)
+        slot = w.h if theta == 0.0 else w.g
+        assert val == pytest.approx(math.sqrt(np.sum(w.base_weights * k**2 * slot)), rel=1e-15)
+        assert val == pytest.approx(exact_l2sum1(k, w)[1], rel=1e-15)
 
-            self.assert_matches_scipy(quadratic, (0.0, 1.0), xatol)
+    def test_scale_search_on_random_grids(self, solves):
+        rng = np.random.default_rng(63)
+        for _ in range(6):
+            n = int(rng.integers(2, 16))
+            base = rng.uniform(0.1, 1.0, n)
+            for t in (0.05, 0.5, 5.0, 50.0):
+                spec = ThreeTermSpec(t_param=t, d=rng.uniform(0.2, 5.0, n), base_weights=base / base.sum())
+                x = rng.standard_normal(n)
+                val = ik_t_norm(x, spec)
+                sigma, exact = exact_ik_t(x, spec)
+                assert solves[-1].x == pytest.approx(sigma, rel=1e-12, abs=1e-300)
+                assert val == pytest.approx(exact, rel=1e-15)
+                assert val <= phi_scipy(x, spec) * (1.0 + 1e-15)
 
-    @pytest.mark.parametrize("xatol", [1e-8, 1e-12])
-    def test_minimum_at_an_endpoint(self, xatol):
-        self.assert_matches_scipy(lambda x: (x + 1.0) ** 2, (0.0, 1.0), xatol)
-        self.assert_matches_scipy(lambda x: -x, (0.0, 2.5), xatol)
+    def test_sigma_zero_is_the_l1_route(self, solves):
+        # phi'(0+) = 1/2 - (t/2) sum_{x_j != 0} w_j d_j >= 0: one evaluation, at sigma = 0
+        # (counting the zero entry too would make phi'(0+) negative)
+        x = np.array([0.7, 0.0, -1.3, 2.0])
+        spec = ThreeTermSpec(t_param=0.3, d=np.array([0.5, 20.0, 1.0, 2.0]), base_weights=np.full(4, 0.25))
+        assert 0.5 - 0.15 * np.sum(spec.base_weights[x != 0] * spec.d[x != 0]) >= 0.0
+        assert 0.5 - 0.15 * np.sum(spec.base_weights * spec.d) < 0.0
+        val, (x1, x2, x3) = ik_t_parts(x, spec)
+        assert (solves[-1].x, solves[-1].nfev) == (0.0, 1)
+        assert val == math.sqrt(0.3) * float(np.sum(spec.base_weights * np.abs(x)))
+        assert np.array_equal(x1, x) and not x2.any() and not x3.any()
+        assert exact_ik_t(x, spec) == (0.0, pytest.approx(val, rel=1e-15))
+        assert val <= phi_scipy(x, spec) * (1.0 + 1e-15)
 
-    @pytest.mark.parametrize("xatol", [1e-8, 1e-12])
-    def test_nonconvex(self, xatol):
-        self.assert_matches_scipy(lambda x: math.sin(5.0 * x) + 0.1 * x * x, (-3.0, 4.0), xatol)
-        self.assert_matches_scipy(lambda x: abs(x - 0.3) ** 0.5, (-1.0, 2.0), xatol)
+    def test_zero_input_runs_no_search(self, monkeypatch):
+        def fail(dfun, bounds):
+            raise AssertionError("no search for k = 0")
 
-    def test_the_searches_kfunc_runs(self):
-        # the l2sum1 ratio objective and the ik_t scale objective, as called
-        rng = np.random.default_rng(61)
-        w = random_grid(rng, 12)
-        k2 = np.abs(rng.standard_normal(12)) ** 2
-        self.assert_matches_scipy(kfunc._ratio_objective(k2, w), (0.0, 1.0), kfunc.DEFAULT_OUTER_TOL)
-        spec = ThreeTermSpec(t_param=0.5, d=rng.uniform(0.2, 5.0, 12), base_weights=w.base_weights)
-        absx = np.abs(rng.standard_normal(12))
-        phi = lambda s: 0.5 * s + float(np.sum(spec.base_weights * kfunc._huber_value(absx, s * spec.d, 0.5**0.5)))
-        self.assert_matches_scipy(phi, (0.0, 3.0), kfunc.DEFAULT_OUTER_TOL)
+        monkeypatch.setattr(kfunc, "minimize_scalar", fail)
+        w = WeightedGrid(base_weights=np.full(3, 1 / 3), g=np.ones(3), h=np.ones(3))
+        spec = ThreeTermSpec(t_param=1.0, d=np.ones(3), base_weights=w.base_weights)
+        assert l2sum1_norm(np.zeros(3), w) == ik_t_norm(np.zeros(3), spec) == 0.0
 
-    def test_evaluation_cap(self):
-        res = kfunc.minimize_scalar(lambda x: (x - 0.3) ** 2, bounds=(0.0, 1.0), method="bounded",
-                                    options={"xatol": 1e-12, "maxiter": 3})
-        assert (res.nfev, res.success) == (3, False)
-        assert res.message == "Maximum number of function calls reached."
+    def test_nan_derivative_raises(self):
+        with pytest.raises(RuntimeError, match="NaN"):
+            kfunc.minimize_scalar(lambda x: (math.nan, 1.0, 0.0), (0.0, 1.0))
+        # a NaN inside the bracket, after finite endpoint slopes
+        with pytest.raises(RuntimeError, match="NaN"):
+            kfunc.minimize_scalar(lambda x: (x - 0.3 if x in (0.0, 1.0) else math.nan, 1.0, 0.0), (0.0, 1.0))
 
-    def test_other_methods_rejected(self):
-        with pytest.raises(ValueError, match="bounded"):
-            kfunc.minimize_scalar(lambda x: x * x, bounds=(0.0, 1.0), method="brent", options={})
+    @pytest.mark.parametrize("curvature", [1e-300, 1e3, 1e300])
+    def test_useless_curvature_falls_back_to_bisection(self, curvature):
+        # F'' far too small (Newton leaves the bracket), too large (Newton
+        # creeps: its steps stop halving) or huge (the step rounds to
+        # nothing): bisection still closes the bracket on the root of F'
+        res = kfunc.minimize_scalar(lambda x: (x - 0.3, curvature, 0.0), (0.0, 1.0))
+        assert abs(res.x - 0.3) <= math.ulp(0.3)
+        assert res.nfev <= 2 + 2 * 60
+
+    def test_kink_closes_on_adjacent_floats(self):
+        # F' jumps from -1 to 2 between 0.3 and the next float: the loop ends
+        # on the two adjacent floats and keeps the one with the smaller slope
+        res = kfunc.minimize_scalar(lambda x: (-1.0 if x <= 0.3 else 2.0, 0.0, 0.0), (0.0, 1.0))
+        assert res.x == 0.3 and res.nfev <= 2 + 60
+
+    def test_stops_within_the_rounding_bound(self):
+        # a slope within err of zero is a stationary point, at an endpoint or inside
+        res = kfunc.minimize_scalar(lambda x: (x - 1e-20, 1.0, 1e-15), (0.0, 1.0))
+        assert (res.x, res.nfev) == (0.0, 1)
+        res = kfunc.minimize_scalar(lambda x: (x - 0.5 - 1e-20, 1.0, 1e-15), (0.0, 1.0))
+        assert (res.x, res.nfev) == (0.5, 3)

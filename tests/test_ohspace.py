@@ -150,7 +150,7 @@ class TestScalarBasisNorm:
         rule = arcsine_rule(n_nodes)
         t = rule.nodes
         grid = WeightedGrid(base_weights=rule.weights, g=1.0 / t, h=1.0 / (1.0 - t))
-        search = l2sum1_norm(np.ones(n_nodes), grid, outer_tol=1e-12)
+        search = l2sum1_norm(np.ones(n_nodes), grid)
         assert fn_scalar_norm([1.0], rule) == pytest.approx(search, rel=1e-12)
         a = np.array([3.0 - 1.0j, 0.5, 2.0j])
         assert fn_scalar_norm(a, rule) == pytest.approx(np.linalg.norm(a) * search, rel=1e-12)
