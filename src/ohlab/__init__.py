@@ -3,7 +3,7 @@
 Submodules:
 
 * ``quad``      -- arcsine-measure quadrature and exact interval masses
-* ``numlin``    -- dense complex linear algebra (eigen, Kronecker, commuting square roots)
+* ``numlin``    -- certified positive matrices, factorised once, and commuting square roots
 * ``geomean``   -- Pusz-Woronowicz primal/dual square-root formulas
 * ``ohspace``   -- matrix-tuple norms (spectral oracle and alternating maximisation)
 * ``kfunc``     -- two- and three-term sum-space norms on weighted grids

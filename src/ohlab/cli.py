@@ -57,6 +57,11 @@ MAX_BRACKET_GRID = 2048
 # `free --dim 2048 --summands 16 --trials 1` peaked at 494 MB RSS (100 s on
 # 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
+# dense (cutoff+1)^2 matrices: cold `fock --cutoff 4500 --kmax 5` peaked at 452 MB RSS
+MAX_FOCK_CUTOFF = 4500
+# the SVD of an m^2 x m^2 Kronecker sum, whatever --n: cold `ohnorm --n 1 --m 60
+# --trials 1 --restarts 1` peaked at 441 MB RSS (39 s on 2 CPUs with OpenBLAS)
+MAX_OHNORM_M = 60
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ohnorm", help="variational vs direct matrix-tuple norm"))
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int, default=4,
+                   help=f"at most {MAX_OHNORM_M} (about 0.45 GB peak RSS there)")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -109,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=0.02)
 
     p = common(sub.add_parser("fock", help="truncated Fock space exact checks"))
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--cutoff", type=int, default=8,
+                   help=f"at most {MAX_FOCK_CUTOFF} (about 0.45 GB peak RSS there)")
     p.add_argument("--kmax", type=int, default=5)
 
     p = common(sub.add_parser("report", help="merge compatible reports"))
@@ -170,6 +177,8 @@ def run_pw(args) -> tuple[Report, bool]:
 def run_ohnorm(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.m > MAX_OHNORM_M:
+        raise ValueError(f"--m {args.m} exceeds {MAX_OHNORM_M}")
     check_finite(args.tol, "--tol", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -192,8 +201,8 @@ def run_ohnorm(args) -> tuple[Report, bool]:
                 "rel_diff": rel,
                 "converged": res.converged,
                 "iterations": res.iterations,
-                "argmax_min_eig_a": res.min_eig_a,
-                "argmax_min_eig_b": res.min_eig_b,
+                "argmax_min_eig_a": res.argmax.min_eig_a,
+                "argmax_min_eig_b": res.argmax.min_eig_b,
             }
         )
         if rel > args.tol:
@@ -326,6 +335,8 @@ def run_free(args) -> tuple[Report, bool]:
 
 
 def run_fock(args) -> tuple[Report, bool]:
+    if args.cutoff > MAX_FOCK_CUTOFF:
+        raise ValueError(f"--cutoff {args.cutoff} exceeds {MAX_FOCK_CUTOFF}")
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
     catalans = freeprob.catalan_numbers(args.kmax)
     fock = freeprob.TruncatedFock(letter_dim=2, cutoff=min(args.cutoff, 6))

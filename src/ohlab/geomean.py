@@ -75,7 +75,7 @@ class PWProblem:
             if not p.strictly_positive:
                 raise ValueError(f"{name} must be strictly positive")
         comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
-        bound = COMMUTE_TOL * opnorm(pa.mat) * opnorm(pb.mat)
+        bound = COMMUTE_TOL * pa.norm * pb.norm
         if comm > bound:
             raise ValueError(f"pair does not commute: ||AB-BA|| = {comm:.3e} > {bound:.3e}")
         return cls(pa, pb, float(comm))
@@ -138,14 +138,6 @@ def pw_primal(p: PWProblem, x, rule: ArcsineRule) -> float:
     return float(rule.weights @ (_resolvent_weights(lam, rule) @ coeff))
 
 
-def _sqrt_and_invsqrt(p: PositiveMatrix):
-    w, u = np.linalg.eigh(p.mat)
-    w = np.maximum(w, 0.0)
-    root = (u * np.sqrt(w)) @ u.conj().T
-    invroot = (u * (1.0 / np.sqrt(w))) @ u.conj().T
-    return hermitian_part(root), hermitian_part(invroot)
-
-
 def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     """Closed-form dual value and its witness.
 
@@ -156,8 +148,10 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     lam, xs = p.pencil
     res = _resolvent_weights(lam, rule)
     s = (xs * (rule.weights @ res)) @ xs.conj().T          # int W(t)^{-1} dmu
-    b_root, _ = _sqrt_and_invsqrt(p.B)
-    _, a_invroot = _sqrt_and_invsqrt(p.A)
+    # B^{1/2} and A^{-1/2} from the spectra the problem's matrices hold
+    (wb, ub), (wa, ua) = p.B.eig, p.A.eig
+    b_root = hermitian_part((ub * np.sqrt(wb)) @ ub.conj().T)
+    a_invroot = hermitian_part((ua * (1.0 / np.sqrt(wa))) @ ua.conj().T)
     gram = hermitian_part(a_invroot @ s @ a_invroot)
     rhs = b_root @ v
     cond = np.linalg.cond(gram)

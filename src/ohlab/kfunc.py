@@ -159,22 +159,30 @@ def _values(k, n: int) -> np.ndarray:
     return v
 
 
+def _weighted_l2(absk: np.ndarray, weights, denom=1.0) -> float:
+    """sqrt(sum weights |k|^2 / denom), summed on |k| 2^-e with max |k| 2^-e
+    in [1/2, 1) and then scaled by 2^e.  Power-of-two scaling is exact, so no
+    square under- or overflows, and where the unscaled squares are normal
+    numbers the result has the bits of the unscaled sum."""
+    e = int(np.frexp(np.max(absk))[1])
+    return math.ldexp(float(np.sqrt(np.sum(weights * np.ldexp(absk, -e) ** 2 / denom))), e)
+
+
 def l2sum2_norm(k, w: WeightedGrid) -> float:
     """Exact norm in L2(g nu) +_2 L2(h nu)."""
     v = _values(k, w.points)
-    val = np.sum(w.base_weights * np.abs(v) ** 2 / (1.0 / w.g + 1.0 / w.h))
-    return float(np.sqrt(val))
+    return _weighted_l2(np.abs(v), w.base_weights, 1.0 / w.g + 1.0 / w.h)
 
 
 def l2sum1_norm(k, w: WeightedGrid) -> float:
     """Norm in L2(g nu) +_1 L2(h nu): sqrt of the minimum over [0, 1] of the
     convex F(theta) = sum w |k|^2 / D, D = theta/g + (1-theta)/h, with
     F' = -sum w |k|^2 (1/g - 1/h) / D^2 and F'' = 2 sum w |k|^2 (1/g - 1/h)^2 / D^3."""
-    v = _values(k, w.points)
-    k2 = np.abs(v) ** 2
-    if not k2.any():
+    absk = np.abs(_values(k, w.points))
+    if not absk.any():
         return 0.0
-    wk2 = w.base_weights * k2
+    # F in the units of _weighted_l2, 2^{2e}: the minimiser theta is the same
+    wk2 = w.base_weights * np.ldexp(absk, -np.frexp(np.max(absk))[1]) ** 2
     diff = 1.0 / w.g - 1.0 / w.h
 
     def slope(theta: float):
@@ -184,8 +192,7 @@ def l2sum1_norm(k, w: WeightedGrid) -> float:
         return -float(np.sum(terms)), curvature, ROUNDING * float(np.sum(np.abs(terms)))
 
     theta = minimize_scalar(slope, (0.0, 1.0)).x
-    denom = theta / w.g + (1.0 - theta) / w.h
-    return float(np.sqrt(np.sum(w.base_weights * k2 / denom)))
+    return _weighted_l2(absk, w.base_weights, theta / w.g + (1.0 - theta) / w.h)
 
 
 def ik_t_parts(x, spec: ThreeTermSpec):
@@ -218,7 +225,7 @@ def ik_t_parts(x, spec: ThreeTermSpec):
     sqrt_t = float(np.sqrt(spec.t_param))
     half_t = 0.5 * spec.t_param
     wd = w * spec.d
-    k_route = float(np.sqrt(np.sum(w * absx**2 / spec.d)))
+    k_route = _weighted_l2(absx, w, spec.d)
 
     def slope(sigma: float):
         if sigma == 0.0:
@@ -235,7 +242,7 @@ def ik_t_parts(x, spec: ThreeTermSpec):
     shrink = np.maximum(absx - sqrt_t * sigma * spec.d, 0.0)
     x1 = v * (shrink / np.where(absx > 0.0, absx, 1.0))
     y = (v - x1) / np.sqrt(spec.d)
-    value = sqrt_t * float(np.sum(w * np.abs(x1))) + float(np.sqrt(np.sum(w * np.abs(y) ** 2)))
+    value = sqrt_t * float(np.sum(w * np.abs(x1))) + _weighted_l2(np.abs(y), w)
     # the identity route (x1 = 0) is always feasible, so the three-term value
     # can never exceed the two-term K-norm
     if not value <= k_route + 1e-9 * max(k_route, 1.0):
@@ -254,8 +261,7 @@ def ik_t_norm(x, spec: ThreeTermSpec) -> float:
 
 def two_term_k_norm(x, spec: ThreeTermSpec) -> float:
     """K-norm with the L1 slot disabled: ||x / sqrt(d)||_{L2(nu)}."""
-    v = _values(x, spec.d.size)
-    return float(np.sqrt(np.sum(spec.base_weights * np.abs(v) ** 2 / spec.d)))
+    return _weighted_l2(np.abs(_values(x, spec.d.size)), spec.base_weights, spec.d)
 
 
 def k_d1d2_norm(k, d1, d2, base_weights) -> float:

@@ -1,10 +1,11 @@
 """Dense complex linear-algebra substrate.
 
-Hermitian eigendecomposition, Kronecker products and square roots of
-commuting positive pairs.  Everything operates on plain complex ndarrays;
-the thin ``HermitianMatrix`` / ``PositiveMatrix`` wrappers certify structure
-at construction (symmetrised ingest, eigenvalue clamping, strict-positivity
-flag) and are accepted anywhere an ndarray is.
+One certified matrix type, ``PositiveMatrix``, and square roots of commuting
+positive pairs.  A ``PositiveMatrix`` is symmetrised on ingest and
+factorised once: its eigendecomposition ``eig`` is checked by its
+reconstruction residual, eigenvalues just below zero are clamped, and
+callers read its norm, its eigenbasis and functions of it (the square roots
+of ``geomean.pw_dual``) from the stored spectrum without another eigensolve.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -14,13 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "HermitianMatrix",
     "PositiveMatrix",
     "hermitian_part",
     "opnorm",
-    "herm_eig",
-    "kron",
-    "conj",
     "sqrt_commuting",
 ]
 
@@ -34,7 +31,7 @@ EIG_GROUP_TOL = 1e-8    # relative gap merging eigenvalues into one eigenspace
 
 def as_matrix(x) -> np.ndarray:
     """Coerce to a square complex 2-D array with finite entries."""
-    if isinstance(x, HermitianMatrix):
+    if isinstance(x, PositiveMatrix):
         return x.mat
     a = np.asarray(x, dtype=complex)
     if a.ndim == 0:
@@ -57,87 +54,59 @@ def opnorm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-class HermitianMatrix:
-    """Square complex matrix certified Hermitian; symmetrised on ingest."""
+class PositiveMatrix:
+    """Hermitian PSD matrix, symmetrised and factorised once on ingest.
 
-    __slots__ = ("mat", "dim")
+    ``eig = (w, u)``, read-only, holds the eigenvalues in ascending order and
+    the eigenvectors, with mat = u diag(w) u*; the reconstruction residual of
+    the solve is checked against 1e-10 * dim * max(|H|, 1).  Eigenvalues in
+    [-PSD_CLAMP_TOL*|H|, 0) are clamped to 0 (the matrix is rebuilt from the
+    clamped spectrum); anything more negative is rejected.
+    ``strictly_positive`` requires min_eig > EPS_PD * |H|, and ``norm`` is the
+    top eigenvalue.
+    """
+
+    __slots__ = ("mat", "dim", "eig", "min_eig", "strictly_positive")
 
     def __init__(self, entries):
         a = as_matrix(entries)
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        if scale > 0 and np.max(np.abs(a - a.conj().T)) > HERM_TOL * scale:
+        if np.max(np.abs(a - a.conj().T)) > HERM_TOL * np.max(np.abs(a)):
             raise ValueError("matrix is not Hermitian within tolerance")
         m = 0.5 * (a + a.conj().T)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dim", m.shape[0])
-
-    def __setattr__(self, *args):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class PositiveMatrix(HermitianMatrix):
-    """Hermitian PSD matrix.
-
-    Eigenvalues in [-PSD_CLAMP_TOL*|H|, 0) are clamped to 0 on ingest (the
-    matrix is rebuilt from the clamped spectrum); anything more negative is
-    rejected.  ``strictly_positive`` requires min_eig > EPS_PD * |H|.
-    """
-
-    __slots__ = ("min_eig", "strictly_positive")
-
-    def __init__(self, entries):
-        super().__init__(entries)
-        w, u = np.linalg.eigh(self.mat)
-        scale = max(np.max(np.abs(w)), 0.0)
-        if scale > 0 and w[0] < -PSD_CLAMP_TOL * scale:
+        try:
+            w, u = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+        scale = float(np.max(np.abs(w)))
+        resid = np.max(np.abs((u * w) @ u.conj().T - m))
+        if resid > 1e-10 * m.shape[0] * max(scale, 1.0):
+            raise RuntimeError(f"eigendecomposition residual {resid:.3e} exceeds tolerance")
+        if w[0] < -PSD_CLAMP_TOL * scale:
             raise ValueError(
                 f"matrix is not PSD: min eigenvalue {w[0]:.3e} below clamp "
                 f"threshold {-PSD_CLAMP_TOL * scale:.3e}"
             )
-        if np.any(w < 0.0):
+        if w[0] < 0.0:
             w = np.maximum(w, 0.0)
-            m = (u * w) @ u.conj().T
-            m = 0.5 * (m + m.conj().T)
-            m.setflags(write=False)
-            object.__setattr__(self, "mat", m)
+            m = hermitian_part((u * w) @ u.conj().T)
+        for arr in (m, w, u):
+            arr.setflags(write=False)
+        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "dim", m.shape[0])
+        object.__setattr__(self, "eig", (w, u))
         object.__setattr__(self, "min_eig", float(w[0]))
-        object.__setattr__(self, "strictly_positive", bool(w[0] > EPS_PD * scale) if scale > 0 else False)
+        object.__setattr__(self, "strictly_positive", bool(w[0] > EPS_PD * scale))
 
+    @property
+    def norm(self) -> float:
+        """Operator norm: the top stored eigenvalue."""
+        return float(self.eig[0][-1])
 
-def _as_positive(x) -> PositiveMatrix:
-    return x if isinstance(x, PositiveMatrix) else PositiveMatrix(x)
+    def __setattr__(self, *args):
+        raise AttributeError("PositiveMatrix is immutable")
 
-
-def herm_eig(h):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns (w, u) with h = u diag(w) u*.  The reconstruction residual is
-    checked against 1e-10 * dim * ||h||; failure raises with the residual.
-    """
-    m = HermitianMatrix(h).mat if not isinstance(h, HermitianMatrix) else h.mat
-    try:
-        w, u = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    scale = max(float(np.max(np.abs(w))), 1.0) if m.size else 1.0
-    resid = np.max(np.abs((u * w) @ u.conj().T - m))
-    if resid > 1e-10 * m.shape[0] * scale:
-        raise RuntimeError(f"eigendecomposition residual {resid:.3e} exceeds tolerance")
-    return w, u
-
-
-def kron(x, y) -> np.ndarray:
-    """Kronecker product with row-major block convention."""
-    return np.kron(as_matrix(x), as_matrix(y))
-
-
-def conj(x) -> np.ndarray:
-    """Entrywise complex conjugation."""
-    return np.conj(as_matrix(x))
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def _group_close(values: np.ndarray, rel_tol: float):
@@ -156,22 +125,23 @@ def _group_close(values: np.ndarray, rel_tol: float):
 def sqrt_commuting(a, b) -> PositiveMatrix:
     """Positive square root of AB for a commuting positive pair.
 
-    A is diagonalised first; within each (numerically grouped) eigenspace of
-    A the restriction of B is diagonalised, giving a simultaneous eigenbasis.
-    Non-commuting input is rejected with the commutator norm.
+    A's stored eigenbasis is refined within each (numerically grouped)
+    eigenspace of A by diagonalising the restriction of B there, giving a
+    simultaneous eigenbasis.  Non-commuting input is rejected with the
+    commutator norm.
     """
-    pa = _as_positive(a)
-    pb = _as_positive(b)
+    pa = a if isinstance(a, PositiveMatrix) else PositiveMatrix(a)
+    pb = b if isinstance(b, PositiveMatrix) else PositiveMatrix(b)
     if pa.dim != pb.dim:
         raise ValueError("dimension mismatch")
-    na, nb = opnorm(pa.mat), opnorm(pb.mat)
+    na, nb = pa.norm, pb.norm
     comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
     if comm > COMMUTE_TOL * max(na * nb, 1e-300):
         raise ValueError(
             f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
             f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {COMMUTE_TOL * na * nb:.3e}"
         )
-    wa, ua = herm_eig(pa)
+    wa, ua = pa.eig
     v = ua.copy()
     kappa = np.empty_like(wa)
     lam = np.empty_like(wa)

@@ -78,17 +78,25 @@ class OHTuple:
 
 @dataclass(frozen=True)
 class BallPoint:
-    """PSD pair (A, B) in the Schatten-2 unit ball."""
+    """PSD pair (A, B) in the Schatten-2 unit ball.
+
+    ``min_eig_a`` and ``min_eig_b`` are the least eigenvalues of the
+    Hermitian parts, kept from the PSD check.
+    """
 
     a_pos: np.ndarray
     b_pos: np.ndarray
+    min_eig_a: float = field(init=False)
+    min_eig_b: float = field(init=False)
 
     def __post_init__(self):
-        for name, mat in (("a_pos", self.a_pos), ("b_pos", self.b_pos)):
+        for name, mat in (("a", self.a_pos), ("b", self.b_pos)):
             if np.linalg.norm(mat, "fro") > 1.0 + 1e-12:
-                raise ValueError(f"{name} lies outside the Schatten-2 unit ball")
-            if np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))) < -1e-10:
-                raise ValueError(f"{name} is not PSD")
+                raise ValueError(f"{name}_pos lies outside the Schatten-2 unit ball")
+            least = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
+            if least < -1e-10:
+                raise ValueError(f"{name}_pos is not PSD")
+            object.__setattr__(self, f"min_eig_{name}", least)
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,6 @@ class VariationalResult:
     iterations: int
     restart_values: tuple
     objective_trace: np.ndarray = field(repr=False)
-    min_eig_a: float = 0.0
-    min_eig_b: float = 0.0
 
 
 def _tuple_array(x) -> np.ndarray:
@@ -200,8 +206,6 @@ def oh_norm_variational(
         iterations=iterations,
         restart_values=tuple(restart_values),
         objective_trace=trace,
-        min_eig_a=float(np.min(np.linalg.eigvalsh(a))) if a.size else 0.0,
-        min_eig_b=float(np.min(np.linalg.eigvalsh(b))) if b.size else 0.0,
     )
 
 

@@ -63,3 +63,20 @@ def test_traced_sumspace_counts_the_kfunc_solves(capsys):
     # quotient), 1 + 9 + 2 for sigma (t = 0.01 at sigma = 0, t = 1 inside,
     # t = 100 at sigma = K)
     assert (m["kfunc.theta_evals"], m["kfunc.sigma_evals"]) == (14, 12)
+
+
+def test_traced_pw_reads_each_factorisation(capsys):
+    # per trial: two ingests and the root's ingest build a PositiveMatrix
+    # (one eigh each), and sqrt_commuting refines A's stored eigenbasis with
+    # one eigh per eigenspace of A (4 at dim 4); the oracle, the dual and the
+    # norm checks read the stored spectra and solve nothing again
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    with tracing.tracing(rec):
+        with rec.op_span(0):
+            assert cli.main(["pw", "--dim", "4", "--trials", "2", "--nodes", "64"]) == 0
+    capsys.readouterr()
+    records = rec.records()
+    m = tracing.layer_metrics(records, 1)
+    assert m["numlin.positive_builds"] == 2 * 3
+    assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 7

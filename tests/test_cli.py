@@ -358,6 +358,11 @@ class TestPw:
         pytest.param(["ohnorm", "--trials", "1", "--tol", "nan"], "--tol", id="ohnorm-tol-nan"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
+        # memory ceilings, checked before any work
+        pytest.param(["fock", "--cutoff", str(cli.MAX_FOCK_CUTOFF + 1)], f"--cutoff {cli.MAX_FOCK_CUTOFF + 1} "
+                     f"exceeds {cli.MAX_FOCK_CUTOFF}", id="fock-cutoff-above-bound"),
+        pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
+                     f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),
     ])
     def test_empty_run_rejected(self, argv, flag, capsys):
         assert main(argv) == 2

@@ -233,3 +233,27 @@ class TestPencilCongruence:
             lam[0] = 0.0
         with pytest.raises(ValueError):
             x[0, 0] = 0.0
+
+
+class TestStoredFactorisation:
+    def test_routes_make_no_eigensolve_of_a_or_b(self, monkeypatch):
+        # the problem's matrices hold their eigendecompositions from ingest;
+        # the oracle, the dual and the primal read them, so once the problem
+        # is built the only eigensolves left are sqrt_commuting's one per
+        # eigenspace of A (4 at dim 4) and the ingest of the root
+        rng = np.random.default_rng(13)
+        p = random_commuting_pair(4, rng, cond=1e3)
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        solved = []
+        real = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            solved.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        pw_primal(p, x, RULE)
+        pw_dual(p, x, RULE)
+        pw_oracle(p, x)
+        assert not any(m.shape == (4, 4) and np.array_equal(m, q.mat) for m in solved for q in (p.A, p.B))
+        assert [m.shape for m in solved] == [(1, 1)] * 4 + [(4, 4)]

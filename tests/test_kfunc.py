@@ -227,6 +227,28 @@ class TestTriangle:
             assert ik_t_norm(x + y, spec) <= ik_t_norm(x, spec) + ik_t_norm(y, spec) + 1e-8
 
 
+# k = s (1, -2, 0.5) on a 3-point grid where ik_t takes a mixed route (its L1
+# route alone would give 1.1667 s); the squares of s |k| are subnormal or 0
+# at s = 1e-160 and 1e-170 and overflow at 1e160 and 1e300
+SCALE_GRID = WeightedGrid(base_weights=np.full(3, 1 / 3), g=np.array([0.5, 2.0, 3.0]), h=np.array([4.0, 0.3, 1.0]))
+SCALE_SPEC = ThreeTermSpec(t_param=1.0, d=np.array([0.5, 1.0, 2.0]), base_weights=np.full(3, 1 / 3))
+SCALED_NORMS = {
+    "l2sum2": lambda k: l2sum2_norm(k, SCALE_GRID),
+    "l2sum1": lambda k: l2sum1_norm(k, SCALE_GRID),
+    "ik_t": lambda k: ik_t_norm(k, SCALE_SPEC),
+    "two_term": lambda k: two_term_k_norm(k, SCALE_SPEC),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_NORMS)
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1e160, 1e300])
+def test_norms_are_homogeneous_at_extreme_scales(name, s):
+    norm = SCALED_NORMS[name]
+    k = np.array([1.0, -2.0, 0.5])
+    expected = s * norm(k)
+    assert abs(norm(s * k) - expected) <= 4 * np.spacing(expected)
+
+
 class TestKd1d2:
     def test_alias_consistency(self):
         rng = np.random.default_rng(7)

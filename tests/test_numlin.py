@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohlab.numlin import (
-    HermitianMatrix,
     PositiveMatrix,
-    conj,
-    herm_eig,
     hermitian_part,
-    kron,
     opnorm,
     sqrt_commuting,
 )
@@ -44,40 +40,61 @@ def parallel_sum(c1, c2) -> PositiveMatrix:
     return PositiveMatrix(hermitian_part(p1.mat @ np.linalg.solve(p1.mat + p2.mat, p2.mat)))
 
 
-def random_hermitian(rng, dim):
+def random_positive(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (g + g.conj().T)
+    return g @ g.conj().T
 
 
 class TestHermEig:
+    # the eigendecomposition a PositiveMatrix stores on ingest
     def test_identity(self):
-        w, u = herm_eig(np.eye(3))
+        w, u = PositiveMatrix(np.eye(3)).eig
         assert np.allclose(w, 1.0)
         assert np.allclose((u * w) @ u.conj().T, np.eye(3), atol=1e-12)
 
     def test_diagonal_sorted(self):
-        w, _ = herm_eig(np.diag([2.0, -1.0]))
-        assert np.allclose(w, [-1.0, 2.0])
+        w, _ = PositiveMatrix(np.diag([2.0, 0.5, 1.0])).eig
+        assert np.allclose(w, [0.5, 1.0, 2.0])
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            PositiveMatrix(np.diag([2.0, -1.0]))
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 6)
-        w, u = herm_eig(h)
-        assert np.max(np.abs((u * w) @ u.conj().T - h)) < 1e-10
+        h = random_positive(rng, 6)
+        w, u = PositiveMatrix(h).eig
+        assert np.max(np.abs((u * w) @ u.conj().T - h)) < 1e-10 * opnorm(h)
         assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < 1e-10
 
     def test_reconstruction_sweep(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             dim = int(rng.integers(1, 33))
-            h = random_hermitian(rng, dim)
-            w, u = herm_eig(h)
+            h = random_positive(rng, dim)
+            p = PositiveMatrix(h)
+            w, u = p.eig
             resid = np.max(np.abs((u * w) @ u.conj().T - h))
             assert resid <= 1e-10 * dim * max(opnorm(h), 1.0)
+            assert p.norm == pytest.approx(opnorm(h), rel=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            PositiveMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stored_arrays_are_read_only(self):
+        p = PositiveMatrix(np.diag([1.0, -1e-12]))   # the clamped path too
+        for arr in (p.mat, *p.eig):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            p.eig = None
+
+    def test_clamped_spectrum_is_the_stored_one(self):
+        p = PositiveMatrix(np.diag([1.0, -1e-12]))
+        w, u = p.eig
+        assert w[0] == 0.0 == p.min_eig
+        assert np.max(np.abs((u * w) @ u.conj().T - p.mat)) < 1e-15
 
 
 class TestSchatten:
@@ -103,22 +120,6 @@ class TestSchatten:
                 schatten_norm(np.eye(2), p)
 
 
-class TestKronConj:
-    def test_kron_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_conj(self):
-        assert np.array_equal(conj(1j * np.eye(2)), -1j * np.eye(2))
-
-    def test_matrix_unit_bookkeeping(self):
-        e12 = np.zeros((2, 2)); e12[0, 1] = 1.0
-        e21 = np.zeros((2, 2)); e21[1, 0] = 1.0
-        k = kron(e12, e21)
-        expected = np.zeros((4, 4))
-        expected[1, 2] = 1.0  # row (1-1)*2+2, col (2-1)*2+1, one-indexed
-        assert np.array_equal(k, expected)
-
-
 class TestPositiveMatrix:
     def test_clamps_tiny_negative(self):
         m = np.diag([1.0, -1e-12])
@@ -134,7 +135,7 @@ class TestPositiveMatrix:
         assert PositiveMatrix(np.diag([2.0, 1.0])).strictly_positive
 
     def test_hermitian_symmetrised(self):
-        h = HermitianMatrix(np.array([[1.0, 1e-14j], [0.0, 2.0]], dtype=complex))
+        h = PositiveMatrix(np.array([[1.0, 1e-14j], [0.0, 2.0]], dtype=complex))
         assert np.max(np.abs(h.mat - h.mat.conj().T)) == 0.0
 
 

@@ -95,7 +95,23 @@ class TestVariational:
             assert np.linalg.norm(mat, "fro") <= 1.0 + 1e-12
             assert np.min(np.linalg.eigvalsh(mat)) >= -1e-10
         # maximiser interior positivity is reported, never asserted
-        assert isinstance(res.min_eig_a, float)
+        assert isinstance(res.argmax.min_eig_a, float)
+
+    def test_reported_min_eigs_come_from_the_psd_check(self, monkeypatch):
+        # one eigvalsh per side of the argmax: BallPoint's PSD check
+        xs = random_tuple(np.random.default_rng(6), 3, 4)
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = oh_norm_variational(xs, restarts=3)
+        assert len(calls) == 2
+        point = res.argmax
+        assert (point.min_eig_a, point.min_eig_b) == tuple(float(np.min(real(m))) for m in (point.a_pos, point.b_pos))
 
     def test_zero_tuple(self):
         res = oh_norm_variational(np.zeros((2, 3, 3), dtype=complex))
