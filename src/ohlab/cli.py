@@ -59,9 +59,28 @@ MAX_BRACKET_GRID = 2048
 MAX_FREE_DIM = 2048
 # dense (cutoff+1)^2 matrices: cold `fock --cutoff 4500 --kmax 5` peaked at 452 MB RSS
 MAX_FOCK_CUTOFF = 4500
+# the float moments are checked against exact Catalan numbers, and every walk
+# count up to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
+MAX_FOCK_KMAX = 30
 # the SVD of an m^2 x m^2 Kronecker sum, whatever --n: cold `ohnorm --n 1 --m 60
 # --trials 1 --restarts 1` peaked at 441 MB RSS (39 s on 2 CPUs with OpenBLAS)
 MAX_OHNORM_M = 60
+# the tuple and its copies hold n m^2 complex entries; at m = 60 they sit next to
+# the Kronecker sum: cold `ohnorm --n 291 --m 60 --trials 1 --restarts 1`
+# peaked at 458 MB RSS (190 s on 2 CPUs with OpenBLAS), `--n 1048576 --m 1` at 70 MB
+MAX_OHNORM_ENTRIES = 2**20
+# pw holds about 15 dim x dim complex matrices, and (nodes, dim) arrays for the
+# dual witness: cold `pw --dim 1024 --trials 1 --nodes 2048` peaked at 334 MB
+# RSS (11 s on 2 CPUs with OpenBLAS), `pw --dim 1 --trials 1 --nodes 2097152`
+# at 295 MB
+MAX_PW_DIM = 1024
+MAX_PW_NODES_DIM = 2**21
+# arrays of one length per flag: cold `basis --n 4194304 --nodes 4194304
+# --vectors 2` peaked at 296 MB RSS, `sumspace --points 2097152 --nodes 4194304
+# --t-sweep 1,10` at 505 MB
+MAX_NODES = 2**22
+MAX_BASIS_N = 2**22
+MAX_SUMSPACE_POINTS = 2**21
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,14 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("pw", help="Pusz-Woronowicz primal/dual vs direct square root"))
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=int, default=4,
+                   help=f"at most {MAX_PW_DIM} (about 0.33 GB peak RSS there)")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--nodes", type=int, default=4096)
+    p.add_argument("--nodes", type=int, default=4096,
+                   help=f"--nodes x --dim at most {MAX_PW_NODES_DIM} (about 0.3 GB peak RSS there)")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--cond", type=float, default=1e3)
 
     p = common(sub.add_parser("ohnorm", help="variational vs direct matrix-tuple norm"))
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int, default=4,
+                   help=f"--n x --m^2 at most {MAX_OHNORM_ENTRIES} (about 0.46 GB peak RSS there at --m 60)")
     p.add_argument("--m", type=int, default=4,
                    help=f"at most {MAX_OHNORM_M} (about 0.45 GB peak RSS there)")
     p.add_argument("--trials", type=int, default=20)
@@ -93,13 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = common(sub.add_parser("basis", help="scalar-level basis norms in the quotient model"))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--nodes", type=int, default=4096)
+    p.add_argument("--n", type=int, default=4,
+                   help=f"at most {MAX_BASIS_N} (about 0.3 GB peak RSS there, with --nodes at most)")
+    p.add_argument("--nodes", type=int, default=4096,
+                   help=f"at most {MAX_NODES} (about 0.3 GB peak RSS there, with --n at most)")
     p.add_argument("--vectors", type=int, default=20)
 
     p = common(sub.add_parser("sumspace", help="two- and three-term sum-space norms"))
-    p.add_argument("--points", type=int, default=16)
-    p.add_argument("--nodes", type=int, default=4096)
+    p.add_argument("--points", type=int, default=16,
+                   help=f"at most {MAX_SUMSPACE_POINTS} (about 0.5 GB peak RSS there, with --nodes at most)")
+    p.add_argument("--nodes", type=int, default=4096,
+                   help=f"at most {MAX_NODES} (about 0.5 GB peak RSS there, with --points at most)")
     p.add_argument("--t-sweep", type=str, default="0.01,0.1,1,10,100")
 
     p = common(sub.add_parser("bracket", help="logarithmic tensor-norm brackets"))
@@ -117,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("fock", help="truncated Fock space exact checks"))
     p.add_argument("--cutoff", type=int, default=8,
                    help=f"at most {MAX_FOCK_CUTOFF} (about 0.45 GB peak RSS there)")
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--kmax", type=int, default=5,
+                   help=f"at most {MAX_FOCK_KMAX} (larger Catalan numbers are not exact floats)")
 
     p = common(sub.add_parser("report", help="merge compatible reports"))
     p.add_argument("paths", nargs="+", help="JSON report files to merge")
@@ -131,6 +158,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def flag_params(args) -> dict:
+    """The run's parsed flags, minus those that only route its output."""
+    return {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "out")}
+
+
 def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
     if not math.isfinite(value) or (nonnegative and value < 0.0):
         raise ValueError(f"{flag} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
@@ -139,6 +171,10 @@ def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
 def run_pw(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.dim > MAX_PW_DIM:
+        raise ValueError(f"--dim {args.dim} exceeds {MAX_PW_DIM}")
+    if args.nodes * args.dim > MAX_PW_NODES_DIM:
+        raise ValueError(f"--nodes {args.nodes} x --dim {args.dim} exceeds {MAX_PW_NODES_DIM}")
     check_finite(args.tol, "--tol", nonnegative=True)
     check_finite(args.cond, "--cond")
     rule = arcsine_rule(args.nodes)
@@ -169,7 +205,7 @@ def run_pw(args) -> tuple[Report, bool]:
         )
         if rel_primal > args.tol or rel_dual > 2.0 * args.tol:
             failed = True
-    params = vars_params(args, ["dim", "trials", "nodes", "tol", "cond", "seed"])
+    params = flag_params(args)
     params["max_rel_error"] = max(r["rel_err_primal"] for r in rows)
     return Report("pw", params, rows), failed
 
@@ -179,6 +215,8 @@ def run_ohnorm(args) -> tuple[Report, bool]:
         raise ValueError("--trials must be >= 1")
     if args.m > MAX_OHNORM_M:
         raise ValueError(f"--m {args.m} exceeds {MAX_OHNORM_M}")
+    if args.n * args.m**2 > MAX_OHNORM_ENTRIES:
+        raise ValueError(f"--n {args.n} x --m {args.m}^2 exceeds {MAX_OHNORM_ENTRIES}")
     check_finite(args.tol, "--tol", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -207,7 +245,7 @@ def run_ohnorm(args) -> tuple[Report, bool]:
         )
         if rel > args.tol:
             failed = True
-    return Report("ohnorm", vars_params(args, ["n", "m", "trials", "restarts", "tol", "seed"]), rows), failed
+    return Report("ohnorm", flag_params(args), rows), failed
 
 
 def run_basis(args) -> tuple[Report, bool]:
@@ -215,6 +253,10 @@ def run_basis(args) -> tuple[Report, bool]:
         raise ValueError("--n must be >= 1")
     if args.vectors < 1:
         raise ValueError("--vectors must be >= 1")
+    if args.n > MAX_BASIS_N:
+        raise ValueError(f"--n {args.n} exceeds {MAX_BASIS_N}")
+    if args.nodes > MAX_NODES:
+        raise ValueError(f"--nodes {args.nodes} exceeds {MAX_NODES}")
     rule = arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -223,7 +265,7 @@ def run_basis(args) -> tuple[Report, bool]:
         val = ohspace.fn_scalar_norm(a, rule)
         rows.append({"vector": i, "norm": val, "ratio": val / float(np.linalg.norm(a))})
     ratios = [r["ratio"] for r in rows]
-    params = vars_params(args, ["n", "nodes", "vectors", "seed"])
+    params = flag_params(args)
     params["ratio_spread"] = max(ratios) - min(ratios)
     failed = not all(1 / math.sqrt(2) - 1e-3 <= r <= math.sqrt(2) + 1e-3 for r in ratios)
     return Report("basis", params, rows), failed
@@ -233,6 +275,10 @@ def run_sumspace(args) -> tuple[Report, bool]:
     t_values = [float(v) for v in args.t_sweep.split(",") if v]
     if not t_values:
         raise ValueError("--t-sweep needs at least one value")
+    if args.points > MAX_SUMSPACE_POINTS:
+        raise ValueError(f"--points {args.points} exceeds {MAX_SUMSPACE_POINTS}")
+    if args.nodes > MAX_NODES:
+        raise ValueError(f"--nodes {args.nodes} exceeds {MAX_NODES}")
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
     base /= base.sum()
@@ -267,7 +313,7 @@ def run_sumspace(args) -> tuple[Report, bool]:
         if val < prev - 1e-10:
             failed = True
         prev = val
-    params = vars_params(args, ["points", "nodes", "seed"])
+    params = flag_params(args)
     params["t_sweep"] = t_values
     params["l2sum2"] = two
     params["l2sum1"] = one
@@ -283,9 +329,9 @@ def run_bracket(args) -> tuple[Report, bool]:
         raise ValueError("--n-list needs at least one value")
     # BracketReport raises BoundViolation on an inverted bracket
     rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
-    params = vars_params(args, ["grid", "seed"])
+    params = flag_params(args)
     params["n_list"] = n_list
-    return Report("bracket", params, rows, constants=tensorlog.CONSTANTS.provenance()), False
+    return Report("bracket", params, rows, constants=tensorlog.provenance()), False
 
 
 def run_free(args) -> tuple[Report, bool]:
@@ -328,7 +374,7 @@ def run_free(args) -> tuple[Report, bool]:
             failed = True
         del fam  # drop this trial's sum before the next trial streams its own
     clt = freeprob.CLTResult.from_moments(clt_acc / clt_trials)
-    params = vars_params(args, ["dim", "summands", "trials", "slack", "seed"])
+    params = flag_params(args)
     params["clt_moments"] = list(clt.moments)
     params["clt_deviations"] = list(clt.deviations)
     return Report("free", params, rows), failed
@@ -337,6 +383,8 @@ def run_free(args) -> tuple[Report, bool]:
 def run_fock(args) -> tuple[Report, bool]:
     if args.cutoff > MAX_FOCK_CUTOFF:
         raise ValueError(f"--cutoff {args.cutoff} exceeds {MAX_FOCK_CUTOFF}")
+    if args.kmax > MAX_FOCK_KMAX:
+        raise ValueError(f"--kmax {args.kmax} exceeds {MAX_FOCK_KMAX}")
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
     catalans = freeprob.catalan_numbers(args.kmax)
     fock = freeprob.TruncatedFock(letter_dim=2, cutoff=min(args.cutoff, 6))
@@ -349,7 +397,7 @@ def run_fock(args) -> tuple[Report, bool]:
         for k, (m, c) in enumerate(zip(moments, catalans))
     ]
     failed = any(r["abs_err"] > 1e-10 for r in rows) or defect > 1e-12
-    params = vars_params(args, ["cutoff", "kmax", "seed"])
+    params = flag_params(args)
     params["compression_defect"] = defect
     return Report("fock", params, rows), failed
 
@@ -366,10 +414,6 @@ def run_report(args) -> tuple[Report, bool]:
         reports.append(report_from_dict(data, source=path))
         sources.append(os.path.basename(path))
     return report_merge(reports, sources=sources), False
-
-
-def vars_params(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 RUNNERS = {

@@ -159,9 +159,9 @@ def _is_hermitian(a: np.ndarray) -> bool:
     return scale == 0.0 or np.max(np.abs(a - a.conj().T)) <= 1e-12 * scale
 
 
-def _singular_values(a: np.ndarray, hermitian: bool) -> np.ndarray:
+def _singular_values(a: np.ndarray) -> np.ndarray:
     # Hermitian members dominate the workload; eigvalsh is much cheaper
-    if hermitian:
+    if _is_hermitian(a):
         return np.abs(np.linalg.eigvalsh(a))
     return np.linalg.svd(a, compute_uv=False)
 
@@ -187,24 +187,22 @@ class FreeFamily:
 
     It holds the member ``sum`` (do not write to it), each member's ``spectra``
     (singular values) and ``second_moments`` tau(a_i^* a_i) = tau(a_i a_i^*),
-    and ``sum_singular_values``, from one eigensolve when the record is made,
-    which skips the Hermitian scan when ``hermitian`` (every member Hermitian by
-    construction).  ``unitarity_residual`` is the largest of the Haar factors',
-    None when the family was not built by rotation.
+    and ``sum_singular_values``, from one Hermitian scan and one eigensolve
+    (``eigvalsh`` when the scan passes, an SVD otherwise) when the record is
+    made.  ``unitarity_residual`` is the largest of the Haar factors', None
+    when the family was not built by rotation.
     """
 
     sum: np.ndarray
     spectra: tuple
     second_moments: tuple
     unitarity_residual: float | None = None
-    hermitian: bool = False
     sum_singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.spectra:
             raise ValueError("family must be nonempty")
-        sv = _singular_values(self.sum, self.hermitian or _is_hermitian(self.sum))
-        object.__setattr__(self, "sum_singular_values", sv)
+        object.__setattr__(self, "sum_singular_values", _singular_values(self.sum))
 
     @classmethod
     def from_members(cls, members) -> "FreeFamily":
@@ -216,7 +214,7 @@ class FreeFamily:
             raise ValueError("need a nonempty family of square members of one dimension")
         for a in members:
             _check_centred(a)
-        spectra = tuple(_singular_values(a, _is_hermitian(a)) for a in members)
+        spectra = tuple(_singular_values(a) for a in members)
         moments = tuple(float(np.vdot(a, a).real) / dim for a in members)
         return cls(sum(members[1:], members[0].copy()), spectra, moments)
 
@@ -233,16 +231,15 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
     and its tau(a_i^* a_i) taken as soon as it is made, then dropped: memory is
     O(dim^2) whatever the number of bases.  Each distinct base (by identity) is
     centred, and its singular values found, once: |diag| for a diagonal base
-    (centred as a vector), one eigensolve otherwise.  A real diagonal, or a base
-    that passes the Hermitian scan, is Hermitian, and so is U A U^H; when every
-    base is, the family is marked ``hermitian``.  A Haar factor whose unitarity
-    residual exceeds ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
+    (centred as a vector), one eigensolve otherwise.  A Haar factor whose
+    unitarity residual exceeds ``UNITARITY_SLACK * dim * eps`` raises
+    RuntimeError.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
     bases = list(bases)    # keeps every base alive, so no id is reused
-    known = {}             # id(base) -> (centred base or its diagonal, singular values, is_hermitian)
-    total, spectra, moments, worst, hermitian = None, [], [], 0.0, True
+    known = {}             # id(base) -> (centred base or its diagonal, singular values)
+    total, spectra, moments, worst = None, [], [], 0.0
     for i, base in enumerate(bases):
         if id(base) not in known:
             a = np.asarray(base, dtype=complex)
@@ -250,14 +247,12 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
                 raise ValueError(f"base has shape {a.shape}, expected ({dim}, {dim})")
             if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
                 a = np.diagonal(a) - normalized_trace(a)
-                known[id(base)] = (a, np.abs(a), not np.any(a.imag))
+                known[id(base)] = (a, np.abs(a))
             else:
                 a = a - normalized_trace(a) * np.eye(dim)
-                herm = _is_hermitian(a)
-                known[id(base)] = (a, _singular_values(a, herm), herm)
+                known[id(base)] = (a, _singular_values(a))
             _check_centred(a)
-        a, sv, herm = known[id(base)]
-        hermitian = hermitian and herm
+        a, sv = known[id(base)]
         u = haar_unitary(dim, rng)
         residual = unitarity_residual(u)
         if not residual <= bound:
@@ -270,7 +265,7 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
         spectra.append(sv)
         total = member if total is None else np.add(total, member, out=total)
         del u, member  # so that neither is alive during the next QR
-    return FreeFamily(total, tuple(spectra), tuple(moments), worst, hermitian)
+    return FreeFamily(total, tuple(spectra), tuple(moments), worst)
 
 
 @dataclass(frozen=True)

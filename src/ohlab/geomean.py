@@ -63,7 +63,6 @@ class PWProblem:
 
     A: PositiveMatrix
     B: PositiveMatrix
-    commutator_norm: float
 
     @classmethod
     def build(cls, a, b) -> "PWProblem":
@@ -78,7 +77,7 @@ class PWProblem:
         bound = COMMUTE_TOL * pa.norm * pb.norm
         if comm > bound:
             raise ValueError(f"pair does not commute: ||AB-BA|| = {comm:.3e} > {bound:.3e}")
-        return cls(pa, pb, float(comm))
+        return cls(pa, pb)
 
     @property
     def dim(self) -> int:
@@ -114,7 +113,6 @@ class DualWitness:
     """
 
     h_values: np.ndarray     # (n_nodes, dim)
-    multiplier: np.ndarray   # (dim,)
 
 
 def _check_vector(x, dim: int) -> np.ndarray:
@@ -161,7 +159,7 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     value = float(np.vdot(rhs, multiplier).real)
     # h(t_n) = W(t_n)^{-1} A^{-1/2} multiplier, all nodes in one (N, dim) product
     h_values = (res * (xs.conj().T @ (a_invroot @ multiplier))) @ xs.T
-    return value, DualWitness(h_values=h_values, multiplier=multiplier)
+    return value, DualWitness(h_values=h_values)
 
 
 def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):

@@ -44,36 +44,12 @@ import numpy as np
 from .quad import ArcsineRule
 
 __all__ = [
-    "OHTuple",
     "BallPoint",
     "VariationalResult",
     "oh_norm_direct",
     "oh_norm_variational",
     "fn_scalar_norm",
 ]
-
-
-@dataclass(frozen=True)
-class OHTuple:
-    """Ordered tuple of n complex m x m matrices, stored as an (n, m, m) array."""
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=complex)
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"expected shape (n, m, m), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("tuple entries must be finite")
-        object.__setattr__(self, "matrices", a)
-
-    @property
-    def n(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[1]
 
 
 @dataclass(frozen=True)
@@ -110,9 +86,13 @@ class VariationalResult:
 
 
 def _tuple_array(x) -> np.ndarray:
-    if isinstance(x, OHTuple):
-        return x.matrices
-    return OHTuple(np.asarray(x, dtype=complex)).matrices
+    """x as a tuple of n >= 1 finite complex m x m matrices, an (n, m, m) array."""
+    a = np.asarray(x, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"expected shape (n, m, m), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("tuple entries must be finite")
+    return a
 
 
 def oh_norm_direct(x) -> float:
@@ -135,13 +115,13 @@ def _phi_adj(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("kij,jl,kml->im", xs, a, xs.conj())
 
 
-def oh_norm_variational(
-    x,
-    restarts: int = 8,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> VariationalResult:
+# a restart stops once an iteration raises its value by less than
+# VARIATIONAL_TOL relative (and converged is False after VARIATIONAL_MAX_ITER)
+VARIATIONAL_TOL = 1e-10
+VARIATIONAL_MAX_ITER = 500
+
+
+def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResult:
     """Alternating maximisation over the PSD Schatten-2 ball.
 
     Restart 0 starts from B = I/sqrt(m); the remaining restarts use random
@@ -150,8 +130,6 @@ def oh_norm_variational(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     xs = _tuple_array(x)
     n, m, _ = xs.shape
     # per-restart derived seeds keep results independent of execution order
@@ -173,7 +151,7 @@ def oh_norm_variational(
         value = 0.0
         converged = False
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, VARIATIONAL_MAX_ITER + 1):
             mten = _phi(xs, b)
             nm = np.linalg.norm(mten, "fro")
             if nm == 0.0:
@@ -186,7 +164,7 @@ def oh_norm_variational(
             nn = np.linalg.norm(nten, "fro")
             b = nten / nn
             trace.append(nn)
-            if nn - value < tol * max(nn, 1e-300) and it >= 2:
+            if nn - value < VARIATIONAL_TOL * max(nn, 1e-300) and it >= 2:
                 value = nn
                 converged = True
                 break

@@ -81,8 +81,9 @@ def flatten_row(row: dict, prefix: str = "") -> dict:
     return out
 
 
-def report_merge(reports, sources=None) -> Report:
-    """Concatenate compatible reports into one, tagging rows with sources.
+def report_merge(reports, sources) -> Report:
+    """Concatenate compatible reports into one, tagging each report's rows
+    with its name in ``sources``.
 
     All inputs must agree on experiment id and schema version; constants with
     the same name must carry the same value.  Rows are sorted by their "n"
@@ -91,8 +92,6 @@ def report_merge(reports, sources=None) -> Report:
     reports = list(reports)
     if not reports:
         raise MergeError("nothing to merge")
-    if sources is None:
-        sources = [f"input{i}" for i in range(len(reports))]
     head = reports[0]
     merged_rows = []
     constants = {}
@@ -127,7 +126,7 @@ def report_merge(reports, sources=None) -> Report:
     )
 
 
-def report_from_dict(d: dict, source: str = "<memory>") -> Report:
+def report_from_dict(d: dict, source: str) -> Report:
     for key in ("experiment", "version", "params", "rows"):
         if key not in d:
             raise MergeError(f"{source}: missing required field {key!r}")

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,8 +75,9 @@ __all__ = [
     "Bounded",
     "WitnessQuadruple",
     "WitnessNorms",
-    "BracketConstants",
+    "CONSTANT_TABLE",
     "CONSTANTS",
+    "provenance",
     "UpperBoundParts",
     "BracketReport",
     "ti2",
@@ -89,66 +91,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BracketConstants:
-    """Fixed constants entering the brackets, with the inequalities they certify."""
+# (name, value, the inequality it certifies), in report order
+CONSTANT_TABLE = (
+    ("lower_c", 1.0 / (16.0 * math.sqrt(2.0) * math.pi),
+     "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7"),
+    ("upper_c", 18.0,
+     "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2"),
+    ("pi1_lo_factor", 1.0 / 18.0,
+     "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm"),
+    ("pi1_hi_factor", 6.0,
+     "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm"),
+    ("psc_c", 108.0,
+     "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))"),
+    ("gamma_c", 288.0 * math.sqrt(2.0) * math.pi,
+     "projection constant <= gamma_c * sqrt(n/(1+ln n))"),
+    ("banach_c", 2.0 / math.sqrt(math.pi),
+     "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)"),
+    ("witness_scale_c", 4.0 * math.sqrt(2.0) / math.pi,
+     "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible"),
+)
 
-    lower_c: float = 1.0 / (16.0 * math.sqrt(2.0) * math.pi)
-    upper_c: float = 18.0
-    pi1_lo_factor: float = 1.0 / 18.0
-    pi1_hi_factor: float = 6.0
-    psc_c: float = 108.0
-    gamma_c: float = 288.0 * math.sqrt(2.0) * math.pi
-    banach_c: float = 2.0 / math.sqrt(math.pi)
-    witness_scale_c: float = 4.0 * math.sqrt(2.0) / math.pi
-
-    def provenance(self):
-        """name/value/citation rows for machine-readable reports."""
-        return [
-            {
-                "name": "lower_c",
-                "value": self.lower_c,
-                "citation": "diagonal tensor norm >= lower_c * sqrt(n(1+ln n)) for n >= 7",
-            },
-            {
-                "name": "upper_c",
-                "value": self.upper_c,
-                "citation": "tensor norm <= upper_c * sqrt(1+ln n) * ||a||_2",
-            },
-            {
-                "name": "pi1_lo_factor",
-                "value": self.pi1_lo_factor,
-                "citation": "completely-1-summing norm of the identity >= pi1_lo_factor * tensor norm",
-            },
-            {
-                "name": "pi1_hi_factor",
-                "value": self.pi1_hi_factor,
-                "citation": "completely-1-summing norm of the identity <= pi1_hi_factor * tensor norm",
-            },
-            {
-                "name": "psc_c",
-                "value": self.psc_c,
-                "citation": "projection constant >= (1/psc_c) * sqrt(n/(1+ln n))",
-            },
-            {
-                "name": "gamma_c",
-                "value": self.gamma_c,
-                "citation": "projection constant <= gamma_c * sqrt(n/(1+ln n))",
-            },
-            {
-                "name": "banach_c",
-                "value": self.banach_c,
-                "citation": "completely-1-summing norm of the identity >= banach_c * sqrt(n) (small-n fallback)",
-            },
-            {
-                "name": "witness_scale_c",
-                "value": self.witness_scale_c,
-                "citation": "witness scale divisor witness_scale_c * sqrt(-ln delta) makes the quadruple feasible",
-            },
-        ]
+# read-only attribute access to the table's values: CONSTANTS.lower_c, ...
+CONSTANTS = namedtuple("Constants", [name for name, _, _ in CONSTANT_TABLE])(
+    *(value for _, value, _ in CONSTANT_TABLE))
 
 
-CONSTANTS = BracketConstants()
+def provenance() -> list[dict]:
+    """name/value/citation rows of the constant table, for machine-readable reports."""
+    return [{"name": name, "value": value, "citation": citation} for name, value, citation in CONSTANT_TABLE]
 
 CATALAN = 0.915965594177219015054603514932384110774
 TI2_TERMS = 25

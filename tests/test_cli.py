@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ohlab import cli, freeprob
+from ohlab import cli, freeprob, tensorlog
 from ohlab.cli import main
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
 from ohlab.tensorlog import BoundViolation
@@ -215,6 +215,12 @@ class TestBracket:
         assert main(["bracket", "--n-list", "8", "--grid", str(cli.MAX_BRACKET_GRID + 1)]) == 2
         assert "--grid" in capsys.readouterr().err
 
+    def test_constants_are_the_table(self, capsys):
+        code, doc = run_in_process(["bracket", "--n-list", "8"], capsys)
+        assert code == 0
+        rows = [(c["name"], c["value"], c["citation"]) for c in doc["constants"]]
+        assert len(rows) == 8 and rows == list(tensorlog.CONSTANT_TABLE)
+
     def test_n_near_the_delta_limit_accepted(self, capsys):
         # delta = 1/(e^2 n^2) is subnormal above about n = 2.47e153
         code, doc = run_in_process(["bracket", "--n-list", str(24 * 10**152)], capsys)
@@ -363,6 +369,22 @@ class TestPw:
                      f"exceeds {cli.MAX_FOCK_CUTOFF}", id="fock-cutoff-above-bound"),
         pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
                      f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),
+        pytest.param(["ohnorm", "--n", "292", "--m", "60", "--trials", "1"], f"--n 292 x --m 60^2 "
+                     f"exceeds {cli.MAX_OHNORM_ENTRIES}", id="ohnorm-n-above-bound"),
+        pytest.param(["fock", "--cutoff", "40", "--kmax", str(cli.MAX_FOCK_KMAX + 1)], f"--kmax "
+                     f"{cli.MAX_FOCK_KMAX + 1} exceeds {cli.MAX_FOCK_KMAX}", id="fock-kmax-above-bound"),
+        pytest.param(["pw", "--dim", str(cli.MAX_PW_DIM + 1), "--trials", "1", "--nodes", "1"], f"--dim "
+                     f"{cli.MAX_PW_DIM + 1} exceeds {cli.MAX_PW_DIM}", id="pw-dim-above-bound"),
+        pytest.param(["pw", "--dim", "1024", "--trials", "1", "--nodes", "2049"], f"--nodes 2049 x --dim 1024 "
+                     f"exceeds {cli.MAX_PW_NODES_DIM}", id="pw-nodes-above-bound"),
+        pytest.param(["basis", "--n", str(cli.MAX_BASIS_N + 1), "--vectors", "1"], f"--n {cli.MAX_BASIS_N + 1} "
+                     f"exceeds {cli.MAX_BASIS_N}", id="basis-n-above-bound"),
+        pytest.param(["basis", "--nodes", str(cli.MAX_NODES + 1), "--vectors", "1"], f"--nodes "
+                     f"{cli.MAX_NODES + 1} exceeds {cli.MAX_NODES}", id="basis-nodes-above-bound"),
+        pytest.param(["sumspace", "--points", str(cli.MAX_SUMSPACE_POINTS + 1)], f"--points "
+                     f"{cli.MAX_SUMSPACE_POINTS + 1} exceeds {cli.MAX_SUMSPACE_POINTS}", id="sumspace-points-above-bound"),
+        pytest.param(["sumspace", "--nodes", str(cli.MAX_NODES + 1)], f"--nodes {cli.MAX_NODES + 1} "
+                     f"exceeds {cli.MAX_NODES}", id="sumspace-nodes-above-bound"),
     ])
     def test_empty_run_rejected(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -420,3 +442,45 @@ class TestOhnormSeeds:
             assert main(["ohnorm", "--n", "2", "--m", "2", "--trials", "2", "--restarts", "2", "--seed", str(seed)]) == 0
         capsys.readouterr()
         assert len(set(used)) == len(used) == 4
+
+
+class TestParams:
+    """A report's params are its parsed flags, minus the three that only route
+    the output, plus the figures the run derives (``report`` writes the merged
+    inputs' params instead)."""
+
+    @pytest.mark.parametrize("argv, derived", [
+        (["pw", "--dim", "2", "--trials", "1", "--nodes", "256"], {"max_rel_error"}),
+        (["ohnorm", "--n", "2", "--m", "2", "--trials", "1", "--restarts", "2"], set()),
+        (["basis", "--n", "2", "--nodes", "16", "--vectors", "2"], {"ratio_spread"}),
+        (["sumspace", "--points", "4", "--nodes", "16", "--t-sweep", "0.1,1"],
+         {"l2sum2", "l2sum1", "quotient_vs_basis_gap"}),
+        (["bracket", "--n-list", "8,16"], set()),
+        (["free", "--dim", "8", "--summands", "2", "--trials", "1"], {"clt_moments", "clt_deviations"}),
+        (["fock", "--cutoff", "4", "--kmax", "2"], {"compression_defect"}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "derived")
+    def test_params_are_the_parsed_flags(self, argv, derived, tmp_path, capsys):
+        flags = vars(cli.build_parser().parse_args(argv))
+        for key in ("subcommand", "format", "out"):
+            del flags[key]
+        # the list flags are reported as the lists they parse to
+        flags.update({k: v for k, v in {"t_sweep": [0.1, 1.0], "n_list": [8, 16]}.items() if k in flags})
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out), "--format", "json"]) == 0
+        params = json.loads(out.read_text())["params"]
+        assert set(params) == set(flags) | derived
+        assert {k: params[k] for k in flags} == flags
+
+    @pytest.mark.parametrize("sub, limits", [
+        ("pw", ["MAX_PW_DIM", "MAX_PW_NODES_DIM"]),
+        ("ohnorm", ["MAX_OHNORM_M", "MAX_OHNORM_ENTRIES"]),
+        ("basis", ["MAX_BASIS_N", "MAX_NODES"]),
+        ("sumspace", ["MAX_SUMSPACE_POINTS", "MAX_NODES"]),
+        ("free", ["MAX_FREE_DIM"]),
+        ("fock", ["MAX_FOCK_CUTOFF", "MAX_FOCK_KMAX"]),
+    ])
+    def test_limits_in_help(self, sub, limits, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(f"at most {getattr(cli, name)}" in text for name in limits)

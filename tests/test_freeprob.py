@@ -163,7 +163,7 @@ class TestKnownSpectra:
         rotated = free_family(bases, dim, seed=23)
         members = rotated_members(bases, dim, seed=23)
         direct = FreeFamily.from_members(members)
-        assert direct.unitarity_residual is None and not direct.hermitian
+        assert direct.unitarity_residual is None
         # values as the eigensolve-per-member code computed them
         total = np.sum(members, axis=0)
         sum_sv = _sorted_sv(total)
@@ -259,16 +259,16 @@ class TestStreaming:
         assert large < 12 * unit
 
 
-def parent_singular_values(a):
-    # the sum's route before families knew their bases Hermitian: scan, then solve
+def scan_then_solve(a):
+    # the sum's route, written out: the Hermitian scan, then eigvalsh or an SVD
     if freeprob._is_hermitian(a):
         return np.abs(np.linalg.eigvalsh(a))
     return np.linalg.svd(a, compute_uv=False)
 
 
 class TestHermitianSum:
-    """Bases known Hermitian (real diagonals, or a scan passed once per base)
-    let the sum go straight to eigvalsh; everything else keeps the scan."""
+    """Every sum is scanned once, after the scan of each dense base, and goes
+    to eigvalsh when the scan passes, to an SVD otherwise."""
 
     def scans(self, monkeypatch):
         seen = []
@@ -282,15 +282,14 @@ class TestHermitianSum:
         return seen
 
     @pytest.mark.parametrize("kind, base_scans", [("semicircle", 0), ("gue", 1)])
-    def test_sum_is_not_scanned(self, kind, base_scans, monkeypatch):
+    def test_sum_is_scanned_once(self, kind, base_scans, monkeypatch):
         dim = 48
         base = semicircle_diag(dim) if kind == "semicircle" else gue(dim, np.random.default_rng(25))
         seen = self.scans(monkeypatch)
         fam = free_family([base] * 3, dim, seed=26)
         sv = fam.sum_singular_values
-        assert fam.hermitian
-        assert len(seen) == base_scans and not any(a is fam.sum for a in seen)
-        assert np.array_equal(sv, parent_singular_values(fam.sum))
+        assert len(seen) == base_scans + 1 and seen[-1] is fam.sum
+        assert np.array_equal(sv, scan_then_solve(fam.sum))
 
     @pytest.mark.parametrize("kind", ["real", "complex-diagonal", "mixed"])
     def test_non_hermitian_base_keeps_the_svd_route(self, kind, monkeypatch):
@@ -305,7 +304,6 @@ class TestHermitianSum:
         seen = self.scans(monkeypatch)
         fam = free_family(bases, dim, seed=28)
         sv = fam.sum_singular_values
-        assert not fam.hermitian
         assert any(a is fam.sum for a in seen)
         assert not freeprob._is_hermitian(fam.sum)
         assert np.array_equal(sv, np.linalg.svd(fam.sum, compute_uv=False))
@@ -316,10 +314,9 @@ class TestHermitianSum:
         seen = self.scans(monkeypatch)
         fam = FreeFamily.from_members(members)
         sv = fam.sum_singular_values
-        assert not fam.hermitian
         # each member once, for its own spectrum, then the sum
         assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1] and seen[2] is fam.sum
-        assert np.array_equal(sv, parent_singular_values(fam.sum))
+        assert np.array_equal(sv, scan_then_solve(fam.sum))
 
 
 class TestUnitarity:

@@ -121,7 +121,7 @@ class TestWitness:
     def test_zero_witness(self):
         p = PWProblem.build(np.eye(2), np.eye(2))
         _, w = pw_dual(p, [1.0, 0.0], RULE)
-        zero = type(w)(h_values=np.zeros_like(w.h_values), multiplier=np.zeros_like(w.multiplier))
+        zero = type(w)(h_values=np.zeros_like(w.h_values))
         fn, resid = dual_witness_validate(zero, p, RULE)
         assert fn == 0.0 and resid == 0.0
 
@@ -144,7 +144,7 @@ class TestWitness:
         for _ in range(5):
             c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             profile = (RULE.nodes - 0.5)[:, None]
-            perturbed = type(w)(h_values=w.h_values + profile * c, multiplier=w.multiplier)
+            perturbed = type(w)(h_values=w.h_values + profile * c)
             fn, _ = dual_witness_validate(perturbed, p, RULE)
             assert fn**2 >= val - 1e-9 * max(val, 1.0)
 
@@ -181,7 +181,7 @@ def non_commuting_problem(dim, rng, cond):
     for _ in range(2):
         q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
         mats.append(PositiveMatrix((q * np.exp(rng.uniform(0.0, np.log(cond), dim))) @ q.conj().T))
-    return PWProblem(mats[0], mats[1], commutator_norm=float("nan"))
+    return PWProblem(mats[0], mats[1])
 
 
 def congruence_resolvent(p, t):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ohlab.kfunc import WeightedGrid, l2sum1_norm
-from ohlab.ohspace import OHTuple, fn_scalar_norm, oh_norm_direct, oh_norm_variational
+from ohlab.ohspace import fn_scalar_norm, oh_norm_direct, oh_norm_variational
 from ohlab.quad import ArcsineRule, arcsine_rule
 
 RULE = arcsine_rule(4096)
@@ -46,8 +46,8 @@ class TestDirect:
         assert scaled == pytest.approx(abs(lam) * base, rel=1e-9)
 
     def test_tuple_type_validation(self):
-        with pytest.raises(ValueError):
-            OHTuple(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match=r"expected shape \(n, m, m\)"):
+            oh_norm_direct(np.zeros((2, 3, 4)))
 
 
 class TestVariational:
@@ -121,8 +121,6 @@ class TestVariational:
         xs = np.eye(2, dtype=complex)[None]
         with pytest.raises(ValueError):
             oh_norm_variational(xs, restarts=0)
-        with pytest.raises(ValueError):
-            oh_norm_variational(xs, tol=0.0)
 
 
 class TestScalarBasisNorm:

@@ -34,9 +34,14 @@ class TestConstants:
         assert CONSTANTS.banach_c == pytest.approx(2 / math.sqrt(math.pi), rel=1e-15)
 
     def test_provenance_rows(self):
-        rows = CONSTANTS.provenance()
+        rows = tensorlog.provenance()
         assert {r["name"] for r in rows} >= {"lower_c", "upper_c", "psc_c", "gamma_c"}
         assert all(set(r) == {"name", "value", "citation"} for r in rows)
+
+    def test_read_only(self):
+        with pytest.raises(AttributeError):
+            CONSTANTS.lower_c = 1.0
+        assert CONSTANTS.lower_c == tensorlog.CONSTANT_TABLE[0][1]
 
 
 class TestWitness:
