@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -112,7 +111,7 @@ CONSTANT_TABLE = (
 )
 
 # read-only attribute access to the table's values: CONSTANTS.lower_c, ...
-CONSTANTS = namedtuple("Constants", [name for name, _, _ in CONSTANT_TABLE])(
+CONSTANTS = NamedTuple("Constants", [(name, float) for name, _, _ in CONSTANT_TABLE])(
     *(value for _, value, _ in CONSTANT_TABLE))
 
 
