@@ -3,7 +3,7 @@
 The primal route integrates the pointwise parallel-sum minimiser against the
 arcsine measure; the dual route solves the ratio-constrained least-energy
 problem in closed form.  Both are compared against the direct square root
-computed by simultaneous diagonalisation, and the dual witness is validated:
+(AB)^{1/2} = A^{1/2} B^{1/2}, and the dual witness is validated:
 its two-energy norm squared reproduces the value and its ratio residual
 vanishes.
 """

@@ -57,17 +57,15 @@ MAX_BRACKET_GRID = 2048
 # `free --dim 2048 --summands 16 --trials 1` peaked at 494 MB RSS (100 s on
 # 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
-# dense (cutoff+1)^2 matrices: cold `fock --cutoff 4500 --kmax 5` peaked at 452 MB RSS
-MAX_FOCK_CUTOFF = 4500
-# the float moments are checked against exact Catalan numbers, and every walk
-# count up to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
+# the moments are exact integer walk counts, written as floats; every count up
+# to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
 MAX_FOCK_KMAX = 30
 # the SVD of an m^2 x m^2 Kronecker sum, whatever --n: cold `ohnorm --n 1 --m 60
 # --trials 1 --restarts 1` peaked at 441 MB RSS (39 s on 2 CPUs with OpenBLAS)
 MAX_OHNORM_M = 60
 # the tuple and its copies hold n m^2 complex entries; at m = 60 they sit next to
 # the Kronecker sum: cold `ohnorm --n 291 --m 60 --trials 1 --restarts 1`
-# peaked at 458 MB RSS (190 s on 2 CPUs with OpenBLAS), `--n 1048576 --m 1` at 70 MB
+# peaked at 458 MB RSS (63 s on 2 CPUs with OpenBLAS), `--n 1048576 --m 1` at 70 MB
 MAX_OHNORM_ENTRIES = 2**20
 # pw holds about 15 dim x dim complex matrices, and (nodes, dim) arrays for the
 # dual witness: cold `pw --dim 1024 --trials 1 --nodes 2048` peaked at 334 MB
@@ -141,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=0.02)
 
     p = common(sub.add_parser("fock", help="truncated Fock space exact checks"))
-    p.add_argument("--cutoff", type=int, default=8,
-                   help=f"at most {MAX_FOCK_CUTOFF} (about 0.45 GB peak RSS there)")
+    p.add_argument("--cutoff", type=int, default=8)
     p.add_argument("--kmax", type=int, default=5,
                    help=f"at most {MAX_FOCK_KMAX} (larger Catalan numbers are not exact floats)")
 
@@ -381,8 +378,6 @@ def run_free(args) -> tuple[Report, bool]:
 
 
 def run_fock(args) -> tuple[Report, bool]:
-    if args.cutoff > MAX_FOCK_CUTOFF:
-        raise ValueError(f"--cutoff {args.cutoff} exceeds {MAX_FOCK_CUTOFF}")
     if args.kmax > MAX_FOCK_KMAX:
         raise ValueError(f"--kmax {args.kmax} exceeds {MAX_FOCK_KMAX}")
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
@@ -393,10 +388,10 @@ def run_fock(args) -> tuple[Report, bool]:
     comp = (np.eye(fock.dim) - p1) @ a @ (np.eye(fock.dim) - p1)
     defect = float(np.max(np.abs(comp)))
     rows = [
-        {"k": k + 1, "moment": m, "catalan": float(c), "abs_err": abs(m - c)}
+        {"k": k + 1, "moment": float(m), "catalan": float(c), "abs_err": float(abs(m - c))}
         for k, (m, c) in enumerate(zip(moments, catalans))
     ]
-    failed = any(r["abs_err"] > 1e-10 for r in rows) or defect > 1e-12
+    failed = moments != catalans or defect > 1e-12
     params = flag_params(args)
     params["compression_defect"] = defect
     return Report("fock", params, rows), failed

@@ -375,24 +375,25 @@ def catalan_numbers(k_max: int):
 
 
 def fock_semicircular_moments(cutoff: int, k_max: int):
-    """Vacuum moments <Omega, (l+l*)^{2k} Omega> for k = 1..k_max.
+    """Vacuum moments <Omega, (l+l*)^{2k} Omega> for k = 1..k_max, as exact ints.
 
-    Walks of length 2k starting and ending at the vacuum reach height at
-    most k, so any cutoff >= k_max reproduces the untruncated (Catalan)
-    values exactly.
+    On one letter the words are the heights 0, 1, 2, ... and l + l* is the
+    path graph, (s v)[h] = v[h-1] + v[h+1].  A walk of length 2k from the
+    vacuum back to it climbs no higher than k, so walking heights 0..k_max
+    in Python integers gives, for any cutoff >= k_max, the untruncated
+    (Catalan) values exactly, with no (cutoff+1)^2 matrix.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if cutoff < k_max:
         raise ValueError(f"cutoff {cutoff} too small for k_max {k_max}; need cutoff >= k_max")
-    fock = TruncatedFock(letter_dim=1, cutoff=cutoff)
-    s = fock.semicircular()
-    omega = fock.vacuum()
+    v = [1] + [0] * k_max
     moments = []
-    vec = omega.copy()
-    for k in range(1, k_max + 1):
-        vec = s @ (s @ vec)
-        moments.append(float(omega @ vec))
+    for step in range(2 * k_max):
+        padded = [0] + v + [0]
+        v = [padded[h] + padded[h + 2] for h in range(k_max + 1)]
+        if step % 2:
+            moments.append(v[0])
     return moments
 
 

@@ -147,9 +147,8 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     res = _resolvent_weights(lam, rule)
     s = (xs * (rule.weights @ res)) @ xs.conj().T          # int W(t)^{-1} dmu
     # B^{1/2} and A^{-1/2} from the spectra the problem's matrices hold
-    (wb, ub), (wa, ua) = p.B.eig, p.A.eig
-    b_root = hermitian_part((ub * np.sqrt(wb)) @ ub.conj().T)
-    a_invroot = hermitian_part((ua * (1.0 / np.sqrt(wa))) @ ua.conj().T)
+    b_root = p.B.func(np.sqrt)
+    a_invroot = p.A.func(lambda w: 1.0 / np.sqrt(w))
     gram = hermitian_part(a_invroot @ s @ a_invroot)
     rhs = b_root @ v
     cond = np.linalg.cond(gram)
@@ -186,7 +185,7 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
 
 
 def pw_oracle(p: PWProblem, x) -> float:
-    """Direct ((AB)^{1/2} x, x) through simultaneous diagonalisation."""
+    """Direct ((AB)^{1/2} x, x) with (AB)^{1/2} = A^{1/2} B^{1/2} (``sqrt_commuting``)."""
     v = _check_vector(x, p.dim)
     root = sqrt_commuting(p.A, p.B)
     return float(np.vdot(v, root.mat @ v).real)

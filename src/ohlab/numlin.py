@@ -4,8 +4,9 @@ One certified matrix type, ``PositiveMatrix``, and square roots of commuting
 positive pairs.  A ``PositiveMatrix`` is symmetrised on ingest and
 factorised once: its eigendecomposition ``eig`` is checked by its
 reconstruction residual, eigenvalues just below zero are clamped, and
-callers read its norm, its eigenbasis and functions of it (the square roots
-of ``geomean.pw_dual``) from the stored spectrum without another eigensolve.
+callers read its norm and functions of it (``PositiveMatrix.func``: the
+square roots of ``sqrt_commuting`` and ``geomean.pw_dual``) from the stored
+spectrum without another eigensolve.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -26,7 +27,6 @@ HERM_TOL = 1e-12        # Hermitian ingest check
 PSD_CLAMP_TOL = 1e-10   # eigenvalues in [-tol*|H|, 0) are clamped to 0
 EPS_PD = 1e-12          # strict positivity: min_eig > EPS_PD * |H|
 COMMUTE_TOL = 1e-8      # ||AB-BA|| <= tol * ||A|| ||B||
-EIG_GROUP_TOL = 1e-8    # relative gap merging eigenvalues into one eigenspace
 
 
 def as_matrix(x) -> np.ndarray:
@@ -102,6 +102,11 @@ class PositiveMatrix:
         """Operator norm: the top stored eigenvalue."""
         return float(self.eig[0][-1])
 
+    def func(self, f) -> np.ndarray:
+        """f(H) = u diag(f(w)) u* from the stored spectrum, Hermitian part taken."""
+        w, u = self.eig
+        return hermitian_part((u * f(w)) @ u.conj().T)
+
     def __setattr__(self, *args):
         raise AttributeError("PositiveMatrix is immutable")
 
@@ -109,26 +114,13 @@ class PositiveMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _group_close(values: np.ndarray, rel_tol: float):
-    """Split sorted eigenvalues into groups with relative gap < rel_tol."""
-    groups = []
-    start = 0
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > rel_tol * scale:
-            groups.append(slice(start, i))
-            start = i
-    groups.append(slice(start, len(values)))
-    return groups
-
-
 def sqrt_commuting(a, b) -> PositiveMatrix:
     """Positive square root of AB for a commuting positive pair.
 
-    A's stored eigenbasis is refined within each (numerically grouped)
-    eigenspace of A by diagonalising the restriction of B there, giving a
-    simultaneous eigenbasis.  Non-commuting input is rejected with the
-    commutator norm.
+    Commuting positive matrices have commuting positive roots, so
+    (AB)^{1/2} = A^{1/2} B^{1/2}, each root read from its matrix's stored
+    spectrum: no common eigenbasis is needed, so close eigenvalues of A are
+    never merged.  Non-commuting input is rejected with the commutator norm.
     """
     pa = a if isinstance(a, PositiveMatrix) else PositiveMatrix(a)
     pb = b if isinstance(b, PositiveMatrix) else PositiveMatrix(b)
@@ -141,17 +133,4 @@ def sqrt_commuting(a, b) -> PositiveMatrix:
             f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
             f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {COMMUTE_TOL * na * nb:.3e}"
         )
-    wa, ua = pa.eig
-    v = ua.copy()
-    kappa = np.empty_like(wa)
-    lam = np.empty_like(wa)
-    for grp in _group_close(wa, EIG_GROUP_TOL):
-        cols = ua[:, grp]
-        b_restr = hermitian_part(cols.conj().T @ pb.mat @ cols)
-        wk, uk = np.linalg.eigh(b_restr)
-        v[:, grp] = cols @ uk
-        kappa[grp] = wk
-        lam[grp] = float(np.mean(wa[grp]))
-    prod = np.maximum(lam * kappa, 0.0)
-    root = (v * np.sqrt(prod)) @ v.conj().T
-    return PositiveMatrix(hermitian_part(root))
+    return PositiveMatrix(hermitian_part(pa.func(np.sqrt) @ pb.func(np.sqrt)))

@@ -127,13 +127,20 @@ def report_merge(reports, sources) -> Report:
 
 
 def report_from_dict(d: dict, source: str) -> Report:
+    if not isinstance(d, dict):
+        raise MergeError(f"{source}: a report must be a JSON object")
     for key in ("experiment", "version", "params", "rows"):
         if key not in d:
             raise MergeError(f"{source}: missing required field {key!r}")
+    if not isinstance(d["rows"], list):
+        raise MergeError(f"{source}: rows must be a list")
+    constants = d.get("constants", [])
+    if not (isinstance(constants, list) and all(isinstance(c, dict) for c in constants)):
+        raise MergeError(f"{source}: constants must be a list of objects")
     return Report(
         experiment=d["experiment"],
         params=d["params"],
         rows=d["rows"],
-        constants=d.get("constants", []),
+        constants=constants,
         version=d["version"],
     )

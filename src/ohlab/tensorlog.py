@@ -409,6 +409,13 @@ class BracketReport:
                 f"projection bracket inverted at n={self.n}: "
                 f"lo={self.lambda_lo:.6e} hi={self.lambda_hi:.6e}"
             )
+        # every projection onto a nonzero space has norm >= 1, and the
+        # identity of an n-dimensional space has pi1 <= n
+        if self.lambda_hi < 1.0 or self.pi1_lo > self.n:
+            raise BoundViolation(
+                f"bracket outside its trivial limits at n={self.n}: lambda_cb.hi={self.lambda_hi:.6e} "
+                f"(must be >= 1), pi1.lo={self.pi1_lo:.6e} (must be <= n)"
+            )
 
     def row(self) -> dict:
         return {

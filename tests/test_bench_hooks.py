@@ -67,9 +67,8 @@ def test_traced_sumspace_counts_the_kfunc_solves(capsys):
 
 def test_traced_pw_reads_each_factorisation(capsys):
     # per trial: two ingests and the root's ingest build a PositiveMatrix
-    # (one eigh each), and sqrt_commuting refines A's stored eigenbasis with
-    # one eigh per eigenspace of A (4 at dim 4); the oracle, the dual and the
-    # norm checks read the stored spectra and solve nothing again
+    # (one eigh each); the oracle's roots, the dual and the norm checks read
+    # the stored spectra and solve nothing again
     tracing = load_tracing()
     rec = tracing.Recorder()
     with tracing.tracing(rec):
@@ -79,4 +78,4 @@ def test_traced_pw_reads_each_factorisation(capsys):
     records = rec.records()
     m = tracing.layer_metrics(records, 1)
     assert m["numlin.positive_builds"] == 2 * 3
-    assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 7
+    assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 3

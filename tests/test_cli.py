@@ -96,6 +96,13 @@ class TestCLI:
         data = json.loads(out)
         assert [r["moment"] for r in data["rows"]] == [1.0, 2.0, 5.0]
 
+    def test_fock_cutoff_has_no_ceiling(self):
+        # the moments walk heights 0..kmax, so the cutoff costs nothing
+        code, out, _ = run_cli(["fock", "--cutoff", "100000000", "--kmax", str(cli.MAX_FOCK_KMAX)])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[-1]["moment"] == 3814986502092304.0 and all(r["abs_err"] == 0.0 for r in rows)
+
     def test_basis_rejects_nonpositive_n(self, capsys):
         assert main(["basis", "--n", "0", "--nodes", "16", "--vectors", "1"]) == 2
         assert "--n" in capsys.readouterr().err
@@ -153,6 +160,21 @@ class TestCLI:
         b.write_text(json.dumps(bad))
         assert main(["report", str(a), str(b)]) == 2
 
+    @pytest.mark.parametrize("doc, what", [
+        pytest.param(3, "JSON object", id="top-level-number"),
+        pytest.param({"experiment": "pw", "version": "0.1.0", "params": {}, "rows": 3}, "rows", id="rows-number"),
+        pytest.param({"experiment": "pw", "version": "0.1.0", "params": {}, "rows": [], "constants": [1]},
+                     "constants", id="constants-not-objects"),
+    ])
+    def test_malformed_report_is_a_merge_error(self, doc, what, tmp_path, capsys):
+        # exit 1 means a bound violation, so an input that cannot be merged
+        # is a merge error (exit 2), whatever its shape
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "merge error" in err and what in err
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["fock", "--cutoff", "5", "--kmax", "2", "--format", "csv", "--out", str(out)]) == 0
@@ -199,6 +221,13 @@ class TestBracket:
         code, doc = run_in_process(["bracket", "--n-list", "4,8", "--grid", "128"], capsys)
         assert code == 0
         assert [r["delta"]["lower"] for r in doc["rows"]] == [None, pytest.approx(1 / (8 * np.e))]
+
+    def test_n_one_is_a_bound_violation(self, capsys):
+        # on a 1-dimensional space lambda_cb = pi1 = 1, but the small-n floor
+        # banach_c sqrt(n) reports pi1.lo = 1.128 and lambda_cb.hi = 0.886
+        assert main(["bracket", "--n-list", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "bound violation" in err and "n=1" in err
 
     def test_grid_default_is_the_library_default(self):
         assert cli.build_parser().parse_args(["bracket"]).grid == cli.DEFAULT_BRACKET_GRID == 1024
@@ -365,8 +394,6 @@ class TestPw:
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
         # memory ceilings, checked before any work
-        pytest.param(["fock", "--cutoff", str(cli.MAX_FOCK_CUTOFF + 1)], f"--cutoff {cli.MAX_FOCK_CUTOFF + 1} "
-                     f"exceeds {cli.MAX_FOCK_CUTOFF}", id="fock-cutoff-above-bound"),
         pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
                      f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),
         pytest.param(["ohnorm", "--n", "292", "--m", "60", "--trials", "1"], f"--n 292 x --m 60^2 "
@@ -477,7 +504,7 @@ class TestParams:
         ("basis", ["MAX_BASIS_N", "MAX_NODES"]),
         ("sumspace", ["MAX_SUMSPACE_POINTS", "MAX_NODES"]),
         ("free", ["MAX_FREE_DIM"]),
-        ("fock", ["MAX_FOCK_CUTOFF", "MAX_FOCK_KMAX"]),
+        ("fock", ["MAX_FOCK_KMAX"]),
     ])
     def test_limits_in_help(self, sub, limits, capsys):
         with pytest.raises(SystemExit):

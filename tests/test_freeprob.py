@@ -410,6 +410,25 @@ class TestFock:
     def test_truncation_stability(self):
         assert fock_semicircular_moments(5, 5) == fock_semicircular_moments(9, 5)
 
+    @pytest.mark.parametrize("cutoff, k_max", [(8, 5), (30, 30), (40, 30)])
+    def test_walk_matches_the_dense_route(self, cutoff, k_max):
+        # the dense (cutoff+1)^2 operator, in int64 so that every walk count
+        # (at most binom(60, 30) < 2^63 here) is exact
+        fock = TruncatedFock(letter_dim=1, cutoff=cutoff)
+        s = fock.semicircular().astype(np.int64)
+        vec = fock.vacuum().astype(np.int64)
+        dense = []
+        for _ in range(k_max):
+            vec = s @ (s @ vec)
+            dense.append(int(vec[0]))
+        walk = fock_semicircular_moments(cutoff, k_max)
+        assert all(type(m) is int for m in walk)
+        assert walk == dense == catalan_numbers(k_max)
+
+    def test_walk_is_exact_beyond_floats(self):
+        # C_31 and above are not exact floats; the integer walk still is
+        assert fock_semicircular_moments(120, 120) == catalan_numbers(120)
+
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError, match="cutoff"):
             fock_semicircular_moments(3, 4)

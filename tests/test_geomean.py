@@ -105,6 +105,39 @@ class TestDual:
             assert pw_primal(p, x, RULE) == pytest.approx(pw_oracle(p, x), rel=1e-6)
 
 
+def close_pair():
+    # A's two smallest eigenvalues differ by 0.0019, below 1e-8 ||A||
+    rng = np.random.default_rng(21)
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    wa = np.array([2.67290, 2.67479, 50.0, 3.8e5])
+    wb = np.array([7.0e3, 1.3, 2.0, 45.0])
+    p = PWProblem.build((q * wa) @ q.conj().T, (q * wb) @ q.conj().T)
+    return p, rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+
+def seeded_trial():
+    # trial 3 of `pw --dim 8 --cond 1e6 --seed 3`: A has eigenvalues 2.67290
+    # and 2.67479 with ||A|| = 3.8e5
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(20)[3])
+    p = random_commuting_pair(8, rng, cond=1e6)
+    return p, rng.standard_normal(8) + 1j * rng.standard_normal(8)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("problem", [close_pair, seeded_trial], ids=lambda f: f.__name__)
+    def test_close_small_eigenvalues_against_mpmath(self, problem):
+        # the oracle must not merge close eigenvalues of A: it agrees with
+        # 60-digit roots of the very matrices it was given
+        p, x = problem()
+        wa = p.A.eig[0]
+        assert np.min(np.diff(wa)) < 1e-8 * wa[-1]
+        with mpmath.workdps(60):
+            ra, rb = (mpmath.sqrtm(mpmath.matrix(m.mat.tolist())) for m in (p.A, p.B))
+            v = mpmath.matrix(x.tolist())
+            exact = mpmath.re((v.H * ra * rb * v)[0])
+            assert abs(pw_oracle(p, x) - exact) <= 1e-12 * abs(exact)
+
+
 class TestWitness:
     def test_identity_witness(self):
         p = PWProblem.build(np.eye(2), np.eye(2))
@@ -239,8 +272,8 @@ class TestStoredFactorisation:
     def test_routes_make_no_eigensolve_of_a_or_b(self, monkeypatch):
         # the problem's matrices hold their eigendecompositions from ingest;
         # the oracle, the dual and the primal read them, so once the problem
-        # is built the only eigensolves left are sqrt_commuting's one per
-        # eigenspace of A (4 at dim 4) and the ingest of the root
+        # is built the only eigensolve left is the ingest of the root
+        # A^{1/2} B^{1/2}
         rng = np.random.default_rng(13)
         p = random_commuting_pair(4, rng, cond=1e3)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -256,4 +289,4 @@ class TestStoredFactorisation:
         pw_dual(p, x, RULE)
         pw_oracle(p, x)
         assert not any(m.shape == (4, 4) and np.array_equal(m, q.mat) for m in solved for q in (p.A, p.B))
-        assert [m.shape for m in solved] == [(1, 1)] * 4 + [(4, 4)]
+        assert [m.shape for m in solved] == [(4, 4)]

@@ -212,7 +212,8 @@ class TestSqrtCommuting:
             assert opnorm(r @ r - a @ b) <= 1e-8 * opnorm(a) * opnorm(b)
 
     def test_degenerate_spectrum_grouping(self):
-        # repeated A-eigenvalues force the grouped path; B picks the basis
+        # A = 2I has one eigenspace, in which any basis diagonalises A; the
+        # root A^{1/2} B^{1/2} needs no common eigenbasis, so none is sought
         a = np.eye(3) * 2.0
         rng = np.random.default_rng(5)
         q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
