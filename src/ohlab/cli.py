@@ -61,11 +61,11 @@ MAX_FREE_DIM = 2048
 # to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
 MAX_FOCK_KMAX = 30
 # the SVD of an m^2 x m^2 Kronecker sum, whatever --n: cold `ohnorm --n 1 --m 60
-# --trials 1 --restarts 1` peaked at 441 MB RSS (39 s on 2 CPUs with OpenBLAS)
+# --trials 1 --restarts 1` peaked at 440 MB RSS (26-33 s on 2 CPUs with OpenBLAS)
 MAX_OHNORM_M = 60
 # the tuple and its copies hold n m^2 complex entries; at m = 60 they sit next to
 # the Kronecker sum: cold `ohnorm --n 291 --m 60 --trials 1 --restarts 1`
-# peaked at 458 MB RSS (63 s on 2 CPUs with OpenBLAS), `--n 1048576 --m 1` at 70 MB
+# peaked at 469 MB RSS (26-30 s on 2 CPUs with OpenBLAS), `--n 1048576 --m 1` at 70 MB
 MAX_OHNORM_ENTRIES = 2**20
 # pw holds about 15 dim x dim complex matrices, and (nodes, dim) arrays for the
 # dual witness: cold `pw --dim 1024 --trials 1 --nodes 2048` peaked at 334 MB
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ohnorm", help="variational vs direct matrix-tuple norm"))
     p.add_argument("--n", type=int, default=4,
-                   help=f"--n x --m^2 at most {MAX_OHNORM_ENTRIES} (about 0.46 GB peak RSS there at --m 60)")
+                   help=f"--n x --m^2 at most {MAX_OHNORM_ENTRIES} (about 0.47 GB peak RSS there at --m 60)")
     p.add_argument("--m", type=int, default=4,
                    help=f"at most {MAX_OHNORM_M} (about 0.45 GB peak RSS there)")
     p.add_argument("--trials", type=int, default=20)

@@ -37,13 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numlin import (
-    COMMUTE_TOL,
-    PositiveMatrix,
-    hermitian_part,
-    opnorm,
-    sqrt_commuting,
-)
+from .freeprob import haar_unitary
+from .numlin import PositiveMatrix, commuting_pair, hermitian_part, sqrt_commuting
 from .quad import ArcsineRule
 
 __all__ = [
@@ -66,17 +61,10 @@ class PWProblem:
 
     @classmethod
     def build(cls, a, b) -> "PWProblem":
-        pa = a if isinstance(a, PositiveMatrix) else PositiveMatrix(a)
-        pb = b if isinstance(b, PositiveMatrix) else PositiveMatrix(b)
-        if pa.dim != pb.dim:
-            raise ValueError("dimension mismatch between A and B")
+        pa, pb = commuting_pair(a, b)
         for name, p in (("A", pa), ("B", pb)):
             if not p.strictly_positive:
                 raise ValueError(f"{name} must be strictly positive")
-        comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
-        bound = COMMUTE_TOL * pa.norm * pb.norm
-        if comm > bound:
-            raise ValueError(f"pair does not commute: ||AB-BA|| = {comm:.3e} > {bound:.3e}")
         return cls(pa, pb)
 
     @property
@@ -192,18 +180,14 @@ def pw_oracle(p: PWProblem, x) -> float:
 
 
 def random_commuting_pair(dim: int, rng: np.random.Generator, cond: float = 100.0):
-    """Commuting-by-construction strictly positive pair with common eigenbasis.
+    """Commuting-by-construction strictly positive pair with a common Haar eigenbasis.
 
     Eigenvalues are log-uniform with condition number at most ``cond`` for
     each factor.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if not cond >= 1.0:
         raise ValueError(f"cond must be >= 1, got {cond}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    q = haar_unitary(dim, rng)
     span = np.log(cond)
     wa = np.exp(rng.uniform(0.0, span, size=dim))
     wb = np.exp(rng.uniform(0.0, span, size=dim))

@@ -50,7 +50,8 @@ __all__ = [
 ]
 
 # c eps per unit of term magnitude: the rounding bound on a computed derivative
-ROUNDING = 64 * np.finfo(float).eps
+# here and on tensorlog's closed forms
+ROUNDING = 64 * float(np.finfo(float).eps)
 
 
 class BoundViolation(RuntimeError):

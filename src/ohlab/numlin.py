@@ -1,12 +1,12 @@
 """Dense complex linear-algebra substrate.
 
-One certified matrix type, ``PositiveMatrix``, and square roots of commuting
-positive pairs.  A ``PositiveMatrix`` is symmetrised on ingest and
-factorised once: its eigendecomposition ``eig`` is checked by its
-reconstruction residual, eigenvalues just below zero are clamped, and
-callers read its norm and functions of it (``PositiveMatrix.func``: the
-square roots of ``sqrt_commuting`` and ``geomean.pw_dual``) from the stored
-spectrum without another eigensolve.
+One certified matrix type, ``PositiveMatrix``, the one commuting-pair check
+(``commuting_pair``), the one Hermitian part and square roots of commuting
+positive pairs.  A ``PositiveMatrix`` is symmetrised on ingest and factorised
+once: its eigendecomposition ``eig`` is checked by its reconstruction
+residual, eigenvalues just below zero are clamped, and callers read its norm
+and functions of it (``PositiveMatrix.func``: the square roots of
+``sqrt_commuting`` and ``geomean.pw_dual``) from the stored spectrum.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "PositiveMatrix",
+    "commuting_pair",
     "hermitian_part",
     "opnorm",
     "sqrt_commuting",
@@ -72,7 +73,7 @@ class PositiveMatrix:
         a = as_matrix(entries)
         if np.max(np.abs(a - a.conj().T)) > HERM_TOL * np.max(np.abs(a)):
             raise ValueError("matrix is not Hermitian within tolerance")
-        m = 0.5 * (a + a.conj().T)
+        m = hermitian_part(a)
         try:
             w, u = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
@@ -114,23 +115,26 @@ class PositiveMatrix:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def commuting_pair(a, b) -> tuple[PositiveMatrix, PositiveMatrix]:
+    """(A, B) as PositiveMatrix, of one dimension, with ||AB-BA|| <= COMMUTE_TOL ||A|| ||B||."""
+    pa, pb = (m if isinstance(m, PositiveMatrix) else PositiveMatrix(m) for m in (a, b))
+    if pa.dim != pb.dim:
+        raise ValueError("dimension mismatch between A and B")
+    comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
+    bound = COMMUTE_TOL * pa.norm * pb.norm
+    if comm > bound:
+        raise ValueError(f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
+                         f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {bound:.3e}")
+    return pa, pb
+
+
 def sqrt_commuting(a, b) -> PositiveMatrix:
     """Positive square root of AB for a commuting positive pair.
 
     Commuting positive matrices have commuting positive roots, so
     (AB)^{1/2} = A^{1/2} B^{1/2}, each root read from its matrix's stored
     spectrum: no common eigenbasis is needed, so close eigenvalues of A are
-    never merged.  Non-commuting input is rejected with the commutator norm.
+    never merged.  The pair is certified by ``commuting_pair``.
     """
-    pa = a if isinstance(a, PositiveMatrix) else PositiveMatrix(a)
-    pb = b if isinstance(b, PositiveMatrix) else PositiveMatrix(b)
-    if pa.dim != pb.dim:
-        raise ValueError("dimension mismatch")
-    na, nb = pa.norm, pb.norm
-    comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
-    if comm > COMMUTE_TOL * max(na * nb, 1e-300):
-        raise ValueError(
-            f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
-            f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {COMMUTE_TOL * na * nb:.3e}"
-        )
+    pa, pb = commuting_pair(a, b)
     return PositiveMatrix(hermitian_part(pa.func(np.sqrt) @ pb.func(np.sqrt)))

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numlin import hermitian_part, opnorm
 from .quad import ArcsineRule
 
 __all__ = [
@@ -69,7 +70,7 @@ class BallPoint:
         for name, mat in (("a", self.a_pos), ("b", self.b_pos)):
             if np.linalg.norm(mat, "fro") > 1.0 + 1e-12:
                 raise ValueError(f"{name}_pos lies outside the Schatten-2 unit ball")
-            least = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
+            least = float(np.min(np.linalg.eigvalsh(hermitian_part(mat))))
             if least < -1e-10:
                 raise ValueError(f"{name}_pos is not PSD")
             object.__setattr__(self, f"min_eig_{name}", least)
@@ -96,13 +97,14 @@ def _tuple_array(x) -> np.ndarray:
 
 
 def oh_norm_direct(x) -> float:
-    """Largest singular value of sum_k conj(x_k) (x) x_k, square-rooted."""
+    """Largest singular value of sum_k conj(x_k) (x) x_k, square-rooted.
+
+    Entry ((i,j),(p,q)) is sum_k conj(x_k[i,p]) x_k[j,q]: one GEMM, axes reordered."""
     xs = _tuple_array(x)
     n, m, _ = xs.shape
-    big = np.zeros((m * m, m * m), dtype=complex)
-    for k in range(n):
-        big += np.kron(np.conj(xs[k]), xs[k])
-    return float(np.sqrt(np.linalg.norm(big, 2)))
+    flat = xs.reshape(n, m * m)
+    big = (flat.conj().T @ flat).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    return float(np.sqrt(opnorm(big)))
 
 
 def _phi(xs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,8 +182,7 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
             best = (a, b, converged, it, np.asarray(trace))
 
     a, b, converged, iterations, trace = best
-    a = 0.5 * (a + a.conj().T)
-    b = 0.5 * (b + b.conj().T)
+    a, b = hermitian_part(a), hermitian_part(b)
     return VariationalResult(
         value=float(np.sqrt(max(best_val, 0.0))),
         argmax=BallPoint(a_pos=a, b_pos=b),

@@ -47,8 +47,9 @@ alternating series sum_{k<25} (-1)^k u^(2k+1)/(2k+1)^2, off by less than its
 first omitted term, u^51/51^2 <= 1.7e-19.  Each value carries that bound plus
 an outward slack of c eps times the magnitudes of the terms it sums; a term
 takes a handful of roundings, u's included (libm's log and atan are within
-one ulp), so c = 64 also covers the final scaling.  Lower, upper and every
-check take the safe end of each enclosure; the corner strips get 1 + c eps.
+one ulp), so c = 64 (``kfunc.ROUNDING``) also covers the final scaling.
+Lower, upper and every check take the safe end of each enclosure, each check
+clears its analytic bound by c eps |bound|, and the corner strips get 1 + c eps.
 
 ``bracket_report`` computes the two brackets once per n and derives the rest
 by arithmetic: the completely-1-summing norm of the identity lies in
@@ -66,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kfunc import BoundViolation
+from .kfunc import ROUNDING, BoundViolation
 from .quad import nu1_mass, nu2_mass
 
 __all__ = [
@@ -121,7 +122,6 @@ def provenance() -> list[dict]:
 
 CATALAN = 0.915965594177219015054603514932384110774
 TI2_TERMS = 25
-ROUNDING = 64 * sys.float_info.epsilon   # c eps per unit of term magnitude
 
 
 class Bounded(NamedTuple):
@@ -232,8 +232,6 @@ def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
         raise ValueError("n must be >= 1")
     if delta is None:
         delta = 1.0 / (n * math.e)
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta={delta} outside (0, 1/2)")
     scale = CONSTANTS.witness_scale_c * math.sqrt(-math.log(delta))
     return WitnessQuadruple(delta=delta, scale=scale)
 
@@ -256,11 +254,10 @@ class WitnessNorms:
     scaled_hk_feasible: bool
 
 
-def witness_validate(q: WitnessQuadruple, n: int | None = None,
-                     slack: float = 1e-8) -> WitnessNorms:
-    """Witness integrals in closed form, checked against the analytic bounds
-    (beyond ``slack`` a violation raises); given ``n``, also flags whether the
-    scaled quadruple is feasible for the size-n pairing."""
+def witness_validate(q: WitnessQuadruple, n: int | None = None) -> WitnessNorms:
+    """Witness integrals in closed form; each must clear its analytic bound by
+    ROUNDING |bound| or raise.  Given ``n``, also flags whether the scaled
+    quadruple is feasible for the size-n pairing, with the same margin."""
     p = pairing(q.delta)
     h, k = hk_sq(q.delta)
     fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
@@ -269,20 +266,18 @@ def witness_validate(q: WitnessQuadruple, n: int | None = None,
     pairing_bound = (-math.log(8.0 * q.delta)) / math.pi**2
 
     def _check_upper(value, bound, label):
-        if value > bound * (1.0 + 1e-12) + slack:
+        if value > bound - ROUNDING * abs(bound):
             raise BoundViolation(f"{label} = {value:.6e} exceeds analytic bound {bound:.6e}")
 
     _check_upper(p.hi, fg_bound, "||f||^2 + ||g||^2")
     _check_upper(h.hi, h_bound, "||h||^2")
     _check_upper(k.hi, k_bound, "||k||^2")
-    if p.lo < pairing_bound - slack:
+    if p.lo < pairing_bound + ROUNDING * abs(pairing_bound):
         raise BoundViolation(f"pairing {p.lo:.6e} below analytic floor {pairing_bound:.6e}")
 
     sc2 = q.scale**2
-    fg_ok = p.hi / sc2 <= 1.0 + slack
-    hk_ok = True
-    if n is not None:
-        hk_ok = max(h.hi, k.hi) / sc2 <= float(n) + slack
+    fg_ok = p.hi <= sc2 * (1.0 - ROUNDING)
+    hk_ok = n is None or max(h.hi, k.hi) <= n * sc2 * (1.0 - ROUNDING)
     return WitnessNorms(
         delta=q.delta,
         fg_sq=p.value,
@@ -311,7 +306,7 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
             f"scaled witness infeasible at n={n}: the pairing does not certify a lower bracket"
         )
     floor = CONSTANTS.lower_c * math.sqrt(n * (1.0 + math.log(n)))
-    if value < floor - 1e-8:
+    if value < floor * (1.0 + ROUNDING):
         raise BoundViolation(f"lower bracket {value:.6e} below analytic floor {floor:.6e}")
     return value, q
 

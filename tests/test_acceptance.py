@@ -187,7 +187,7 @@ def test_criterion_7_witness_inequality_audit():
     details = []
     for delta in (1e-2, 1e-4):
         q = witness_build(8, delta=delta)
-        norms = witness_validate(q, slack=1e-8)  # raises on violation
+        norms = witness_validate(q)  # raises on violation
         ok = ok and norms.fg_sq <= norms.fg_bound + 1e-8
         ok = ok and norms.h_sq <= norms.h_bound + 1e-8
         ok = ok and norms.k_sq <= norms.k_bound + 1e-8

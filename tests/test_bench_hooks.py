@@ -68,7 +68,9 @@ def test_traced_sumspace_counts_the_kfunc_solves(capsys):
 def test_traced_pw_reads_each_factorisation(capsys):
     # per trial: two ingests and the root's ingest build a PositiveMatrix
     # (one eigh each); the oracle's roots, the dual and the norm checks read
-    # the stored spectra and solve nothing again
+    # the stored spectra and solve nothing again.  The pair's eigenbasis is
+    # one freeprob Haar draw, and the commuting check runs at build and again
+    # in the oracle's sqrt_commuting
     tracing = load_tracing()
     rec = tracing.Recorder()
     with tracing.tracing(rec):
@@ -79,3 +81,5 @@ def test_traced_pw_reads_each_factorisation(capsys):
     m = tracing.layer_metrics(records, 1)
     assert m["numlin.positive_builds"] == 2 * 3
     assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 3
+    assert m["freeprob.haar_calls"] == 2
+    assert sum(r["name"] == "numlin.commuting_pair" for r in records) == 2 * 2

@@ -10,7 +10,8 @@ from ohlab.geomean import (
     pw_primal,
     random_commuting_pair,
 )
-from ohlab.numlin import PositiveMatrix
+from ohlab.freeprob import haar_unitary
+from ohlab.numlin import PositiveMatrix, hermitian_part, sqrt_commuting
 from ohlab.quad import arcsine_rule
 
 RULE = arcsine_rule(4096)
@@ -66,6 +67,30 @@ class TestPrimal:
         b = np.array([[1.0, 0.4], [0.4, 1.0]])
         with pytest.raises(ValueError, match="commute"):
             PWProblem.build(np.diag([1.0, 3.0]), b)
+
+    def test_non_commuting_message_shared_with_sqrt(self):
+        # the problem and the oracle certify the pair with one check
+        a, b = np.diag([1.0, 3.0]), np.array([[1.0, 0.4], [0.4, 1.0]])
+        with pytest.raises(ValueError) as built:
+            PWProblem.build(a, b)
+        with pytest.raises(ValueError) as rooted:
+            sqrt_commuting(a, b)
+        assert str(built.value) == str(rooted.value)
+        assert str(built.value).startswith("matrices do not commute: ")
+
+
+@pytest.mark.parametrize("dim", [1, 4, 7, 64])
+def test_random_pair_draws_a_haar_eigenbasis(dim):
+    # the pair's eigenbasis is freeprob's Haar draw: same matrices, bit for
+    # bit, and the same generator state afterwards
+    rng, twin = np.random.default_rng(dim), np.random.default_rng(dim)
+    p = random_commuting_pair(dim, rng, cond=50.0)
+    q = haar_unitary(dim, twin)
+    wa = np.exp(twin.uniform(0.0, np.log(50.0), size=dim))
+    wb = np.exp(twin.uniform(0.0, np.log(50.0), size=dim))
+    for got, w in ((p.A, wa), (p.B, wb)):
+        assert np.array_equal(got.mat, PositiveMatrix(hermitian_part((q * w) @ q.conj().T)).mat)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestDual:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ohlab.numlin import (
     PositiveMatrix,
+    commuting_pair,
     hermitian_part,
     opnorm,
     sqrt_commuting,
@@ -200,6 +201,16 @@ class TestSqrtCommuting:
         b = np.array([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match="commute"):
             sqrt_commuting(a, b)
+
+    def test_zero_pair_commutes(self):
+        # commutator and bound are both 0, so the certificate passes
+        pa, pb = commuting_pair(np.zeros((3, 3)), np.zeros((3, 3)))
+        assert pa.norm == pb.norm == 0.0
+        assert np.array_equal(sqrt_commuting(pa, pb).mat, np.zeros((3, 3)))
+
+    def test_pair_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            commuting_pair(np.eye(2), np.eye(3))
 
     def test_square_recovers_product(self):
         rng = np.random.default_rng(4)

@@ -49,6 +49,14 @@ class TestDirect:
         with pytest.raises(ValueError, match=r"expected shape \(n, m, m\)"):
             oh_norm_direct(np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (7, 3), (3, 7), (40, 4)])
+    def test_matches_kron_loop(self, n, m):
+        # the one-GEMM Kronecker sum against sum_k kron(conj(x_k), x_k)
+        xs = random_tuple(np.random.default_rng(n * 100 + m), n, m)
+        big = sum(np.kron(np.conj(x), x) for x in xs)
+        reference = float(np.sqrt(np.linalg.norm(big, 2)))
+        assert oh_norm_direct(xs) == pytest.approx(reference, rel=1e-14)
+
 
 class TestVariational:
     def test_single_identity(self):

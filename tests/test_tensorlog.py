@@ -96,6 +96,13 @@ class TestWitness:
         assert norms.k_sq < norms.k_bound
         assert norms.pairing > norms.pairing_bound
 
+    @pytest.mark.parametrize("delta", [0.15, 0.2])
+    def test_validate_negative_pairing_floor(self, delta):
+        # -ln(8 delta) / pi^2 < 0 for delta > 1/8: the floor's rounding margin
+        # is |floor|, so the check stays stricter than the floor itself
+        norms = witness_validate(witness_build(8, delta=delta))
+        assert norms.pairing_bound < 0.0 < norms.pairing
+
     @pytest.mark.parametrize("delta", [0.2000001, 0.3, 0.499])
     def test_delta_above_one_fifth_rejected(self, delta):
         # the Ti2 series covers u = sqrt(delta/(1-delta)) <= 1/2 only
