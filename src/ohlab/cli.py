@@ -54,7 +54,7 @@ DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
 # a free trial streams its members into one sum, so its memory is a fixed
 # handful of dim x dim complex arrays whatever --summands is; cold
-# `free --dim 2048 --summands 16 --trials 1` peaked at 494 MB RSS (100 s on
+# `free --dim 2048 --summands 16 --trials 1` peaked at 367 MB RSS (51 s on
 # 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
 # the moments are exact integer walk counts, written as floats; every count up

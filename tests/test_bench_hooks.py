@@ -26,11 +26,16 @@ def test_tracing_enters_and_restores(capsys):
             assert cli.main(["free", "--dim", "16", "--summands", "3", "--trials", "1"]) == 0
     capsys.readouterr()
     assert freeprob.free_family is original
-    m = tracing.layer_metrics(rec.records(), 1)
+    records = rec.records()
+    m = tracing.layer_metrics(records, 1)
     # one family per trial, its members' spectra known: one eigensolve, for the sum
     assert (m["freeprob.families"], m["freeprob.clt_families"]) == (1, 0)
     assert (m["freeprob.haar_calls"], m["freeprob.eigensolves"]) == (3, 1)
     assert m["freeprob.brentq_calls"] == 16
+    # each draw factors its one 16-column panel inside the Haar span, so
+    # freeprob.qr_s times every QR the free path makes
+    qr_parents = [records[r["parent"]]["name"] for r in records if r["name"] == "linalg.qr"]
+    assert qr_parents == ["freeprob.haar_unitary"] * 3
 
 
 def test_traced_bracket_sees_the_closed_forms(capsys):

@@ -73,10 +73,13 @@ def summed_in_order(members) -> np.ndarray:
     return total
 
 
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+
 def parent_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """haar_unitary as the out-of-place formula (x + 1j*y)/sqrt(2) -> qr -> phase."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(ginibre(dim, rng))
     d = np.diag(r)
     return q * (d / np.abs(d))
 
@@ -97,14 +100,66 @@ class TestHaar:
         b = haar_unitary(16, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("dim", [1, 7, 64])
+    @pytest.mark.parametrize("dim", [1, 7, 64, 127, 128, 129, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_place_kernels_bit_equal(self, dim, seed):
-        u = haar_unitary(dim, np.random.default_rng(seed))
-        assert np.array_equal(u, parent_haar_unitary(dim, np.random.default_rng(seed)))
-        # the residual subtracts 1 from the Gram diagonal in place
+        # the blocked in-place QR rounds differently from np.linalg.qr, so the
+        # draw agrees with the out-of-place formula to rounding (dims 127..129
+        # and 300 cross panel edges), from the same 2 dim^2 normals
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(dim, rng)
+        reference = parent_haar_unitary(dim, np.random.default_rng(seed))
+        assert np.max(np.abs(u - reference)) <= 64 * dim * np.finfo(float).eps
+        twin = np.random.default_rng(seed)
+        twin.standard_normal(2 * dim * dim)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # the residual subtracts 1 from the Gram diagonal in place: bit equal
         for v in (u, 1.001 * u, np.random.default_rng(seed).standard_normal((dim, dim)).astype(complex)):
             assert unitarity_residual(v) == float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
+
+    @pytest.mark.parametrize("dim", [1, 5, 130, 300])
+    def test_every_tau_zero_gives_identity(self, dim):
+        # upper triangular with a real positive diagonal: every reflector is
+        # H = I (tau = 0), so T = 0 and Q = I exactly, with R's diagonal as given
+        z = np.triu(ginibre(dim, np.random.default_rng(dim)))
+        np.fill_diagonal(z, 1.0 + np.arange(dim))
+        q, d = freeprob._householder_q(z.copy())
+        assert np.array_equal(q, np.eye(dim))
+        assert np.array_equal(d, 1.0 + np.arange(dim))
+
+    @pytest.mark.parametrize("dim,j", [(7, 3), (300, 133)])
+    def test_one_zero_tau_matches_lapack(self, dim, j):
+        # from row j down, column j is 2 e_j and the first j columns vanish,
+        # so the reflectors before j leave rows j.. alone and H_j = I
+        z = ginibre(dim, np.random.default_rng(j))
+        z[j:, :j + 1] = 0.0
+        z[j, j] = 2.0
+        assert np.linalg.qr(z, mode="raw")[1][j] == 0.0
+        q_ref, r_ref = np.linalg.qr(z)
+        q, d = freeprob._householder_q(z.copy())
+        tol = 64 * dim * np.finfo(float).eps
+        assert np.max(np.abs(q - q_ref)) <= tol
+        assert np.max(np.abs(d - np.diag(r_ref))) <= tol * np.max(np.abs(r_ref))
+
+    def test_input_becomes_q(self):
+        z = ginibre(200, np.random.default_rng(3))
+        q_ref = np.linalg.qr(z).Q
+        q, _ = freeprob._householder_q(z)
+        assert q is z
+        assert np.max(np.abs(z - q_ref)) <= 64 * 200 * np.finfo(float).eps
+
+    def test_draw_memory_peak(self):
+        # np.linalg.qr of the Ginibre matrix peaks at 4.07 dim^2 complex
+        # entries: the matrix, numpy's copy of it, Q and R
+        dim = 256
+        haar_unitary(dim, np.random.default_rng(0))  # one-time state
+        tracemalloc.start()
+        try:
+            haar_unitary(dim, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * dim * dim * 16
 
 
 class TestFreeFamily:
