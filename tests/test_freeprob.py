@@ -77,11 +77,44 @@ def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
 
 
-def parent_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """haar_unitary as the out-of-place formula (x + 1j*y)/sqrt(2) -> qr -> phase."""
-    q, r = np.linalg.qr(ginibre(dim, rng))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def draw_count(dim: int) -> int:
+    """The normals one haar_unitary(dim) draws: 2 (dim - k) b per panel."""
+    block = freeprob._BLOCK
+    return sum(2 * (dim - k) * min(block, dim - k) for k in range(0, dim, block))
+
+
+def reflector_columns(dim: int, rng: np.random.Generator) -> list:
+    """Column j's reflector vector x = z[j:, j], drawn as haar_unitary draws
+    them: per panel, the (dim - k) x b block of real parts, then imaginary
+    parts, unscaled."""
+    block = freeprob._BLOCK
+    columns = []
+    for k in range(0, dim, block):
+        shape = (dim - k, min(block, dim - k))
+        panel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        columns.extend(panel[j:, j] for j in range(shape[1]))
+    return columns
+
+
+def dense_reflector_q(columns):
+    """(Q, phases) applying each reflector to the identity in turn,
+    Q = H_1 (H_2 (... H_dim)), H_j = I - tau v v^H on rows j.. from the closed
+    form of x = columns[j]; a zero x leaves H_j = I with phase 1."""
+    dim = len(columns)
+    q = np.eye(dim, dtype=complex)
+    phases = np.ones(dim, dtype=complex)
+    for j in reversed(range(dim)):
+        x = columns[j]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        e = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
+        v = x / (e * (abs(x[0]) + norm))
+        v[0] = 1.0
+        tau = 1.0 + abs(x[0]) / norm
+        q[j:] -= tau * np.outer(v, v.conj() @ q[j:])
+        phases[j] = -e
+    return q, phases
 
 
 class TestHaar:
@@ -103,54 +136,101 @@ class TestHaar:
     @pytest.mark.parametrize("dim", [1, 7, 64, 127, 128, 129, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_place_kernels_bit_equal(self, dim, seed):
-        # the blocked in-place QR rounds differently from np.linalg.qr, so the
-        # draw agrees with the out-of-place formula to rounding (dims 127..129
-        # and 300 cross panel edges), from the same 2 dim^2 normals
+        # the compact-WY panels round differently from reflector-by-reflector
+        # products, so the draw agrees with the dense oracle to rounding (dims
+        # 127..129 and 300 cross panel edges), from the same normals
         rng = np.random.default_rng(seed)
         u = haar_unitary(dim, rng)
-        reference = parent_haar_unitary(dim, np.random.default_rng(seed))
-        assert np.max(np.abs(u - reference)) <= 64 * dim * np.finfo(float).eps
+        q, phases = dense_reflector_q(reflector_columns(dim, np.random.default_rng(seed)))
+        assert np.max(np.abs(u - q * phases)) <= 64 * dim * np.finfo(float).eps
         twin = np.random.default_rng(seed)
-        twin.standard_normal(2 * dim * dim)
+        twin.standard_normal(draw_count(dim))
         assert rng.bit_generator.state == twin.bit_generator.state
         # the residual subtracts 1 from the Gram diagonal in place: bit equal
         for v in (u, 1.001 * u, np.random.default_rng(seed).standard_normal((dim, dim)).astype(complex)):
             assert unitarity_residual(v) == float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
 
+    def test_draw_count(self):
+        # panel k draws its (dim - k) x b block: 62.5 % of 2 dim^2 at dim 512
+        assert [draw_count(d) for d in (1, 2, 128, 129)] == [2, 8, 2 * 128 * 128, 2 * (129 * 128 + 1)]
+        assert draw_count(512) == 0.625 * 2 * 512 * 512
+
     @pytest.mark.parametrize("dim", [1, 5, 130, 300])
     def test_every_tau_zero_gives_identity(self, dim):
-        # upper triangular with a real positive diagonal: every reflector is
-        # H = I (tau = 0), so T = 0 and Q = I exactly, with R's diagonal as given
-        z = np.triu(ginibre(dim, np.random.default_rng(dim)))
-        np.fill_diagonal(z, 1.0 + np.arange(dim))
-        q, d = freeprob._householder_q(z.copy())
+        # every reflector vector is zero: tau = 0 (H = I) and phase 1 for each,
+        # so T = 0 and Q = I exactly
+        q, phases = freeprob._reflector_q(np.zeros((dim, dim), dtype=complex))
         assert np.array_equal(q, np.eye(dim))
-        assert np.array_equal(d, 1.0 + np.arange(dim))
+        assert np.array_equal(phases, np.ones(dim))
+
+    @pytest.mark.parametrize("dim", [1, 5, 130, 300])
+    def test_positive_diagonal_gives_identity(self, dim):
+        # x = c e_1 with c > 0: H = I - 2 e_1 e_1^H (tau = 2) and phase -1, so
+        # Q = -I and U = Q diag(phases) = I exactly; the strict upper triangle
+        # (here NaN) is never read
+        z = np.full((dim, dim), np.nan, dtype=complex)
+        z[np.tril_indices(dim)] = 0.0
+        np.fill_diagonal(z, 1.0 + np.arange(dim))
+        q, phases = freeprob._reflector_q(z)
+        assert np.array_equal(q, -np.eye(dim))
+        assert np.array_equal(phases, -np.ones(dim))
 
     @pytest.mark.parametrize("dim,j", [(7, 3), (300, 133)])
-    def test_one_zero_tau_matches_lapack(self, dim, j):
-        # from row j down, column j is 2 e_j and the first j columns vanish,
-        # so the reflectors before j leave rows j.. alone and H_j = I
+    def test_one_zero_tail_drops_its_reflector(self, dim, j):
+        # column j is zero from row j down: H_j = I with phase 1, and Q is the
+        # product of the other reflectors
         z = ginibre(dim, np.random.default_rng(j))
-        z[j:, :j + 1] = 0.0
-        z[j, j] = 2.0
-        assert np.linalg.qr(z, mode="raw")[1][j] == 0.0
-        q_ref, r_ref = np.linalg.qr(z)
-        q, d = freeprob._householder_q(z.copy())
+        z[j:, j] = 0.0
+        q_ref, phases_ref = dense_reflector_q([z[i:, i].copy() for i in range(dim)])
+        q, phases = freeprob._reflector_q(z)
+        assert phases[j] == 1.0
         tol = 64 * dim * np.finfo(float).eps
         assert np.max(np.abs(q - q_ref)) <= tol
-        assert np.max(np.abs(d - np.diag(r_ref))) <= tol * np.max(np.abs(r_ref))
+        assert np.max(np.abs(phases - phases_ref)) <= tol
+
+    def test_unread_entries_do_not_matter(self):
+        # each panel's top b x b block is read on and below its diagonal only,
+        # and the rows above a panel not at all
+        dim, block = 300, freeprob._BLOCK
+        z = ginibre(dim, np.random.default_rng(5))
+        poisoned = z.copy()
+        for k in range(0, dim, block):
+            poisoned[:k, k:k + block] = np.nan
+            top = poisoned[k:k + block, k:k + block]
+            top[np.triu_indices(len(top), 1, top.shape[1])] = np.nan
+        q, phases = freeprob._reflector_q(z)
+        q_poisoned, phases_poisoned = freeprob._reflector_q(poisoned)
+        assert np.array_equal(q, q_poisoned)
+        assert np.array_equal(phases, phases_poisoned)
 
     def test_input_becomes_q(self):
         z = ginibre(200, np.random.default_rng(3))
-        q_ref = np.linalg.qr(z).Q
-        q, _ = freeprob._householder_q(z)
+        q_ref, _ = dense_reflector_q([z[i:, i].copy() for i in range(200)])
+        q, _ = freeprob._reflector_q(z)
         assert q is z
         assert np.max(np.abs(z - q_ref)) <= 64 * 200 * np.finfo(float).eps
 
+    def test_trace_power_moments(self):
+        # Diaconis-Shahshahani: E|tr U^k|^2 = min(k, n) for Haar U in U(n)
+        n, draws = 8, 4000
+        rng = np.random.default_rng(2024)
+        eigs = np.array([np.linalg.eigvals(haar_unitary(n, rng)) for _ in range(draws)])
+        for k in (1, 2, 3, 8, 10):
+            samples = np.abs(np.sum(eigs ** k, axis=1)) ** 2
+            z_score = (samples.mean() - min(k, n)) / (samples.std() / math.sqrt(draws))
+            assert abs(z_score) < 4.0, (k, samples.mean(), z_score)
+
+    def test_corner_entry_law(self):
+        # |U_11|^2 of a Haar U in U(n) is Beta(1, n - 1)
+        from scipy import stats
+
+        n, draws = 8, 4000
+        rng = np.random.default_rng(2025)
+        corner = np.array([abs(haar_unitary(n, rng)[0, 0]) ** 2 for _ in range(draws)])
+        assert stats.kstest(corner, stats.beta(1, n - 1).cdf).pvalue > 1e-3
+
     def test_draw_memory_peak(self):
-        # np.linalg.qr of the Ginibre matrix peaks at 4.07 dim^2 complex
-        # entries: the matrix, numpy's copy of it, Q and R
+        # the draw holds z and at most a few dim x _BLOCK temporaries
         dim = 256
         haar_unitary(dim, np.random.default_rng(0))  # one-time state
         tracemalloc.start()
