@@ -25,8 +25,8 @@ from ohlab.freeprob import (
 
 def main():
     dim, n = 256, 16
-    base = semicircle_diag(dim)
-    fam = free_family([base] * n, dim, seed=1)
+    spectrum = semicircle_diag(dim)
+    fam = free_family([spectrum] * n, dim, seed=1)
     res = voiculescu_check(fam)
     print(f"rotated model, D={dim}, n={n}:")
     print(f"  ||sum a_i||      = {res.lhs:.4f}   (free prediction {2 * math.sqrt(n):.4f})")
@@ -46,9 +46,9 @@ def main():
     defect = np.max(np.abs((eye - p1) @ a @ (eye - p1)))
     print(f"  off-diagonal compression of a mean-zero letter: {defect:.1e}")
 
-    print("\nfree central limit (normalised sums of rotated sign matrices):")
-    signs = np.diag(np.where(np.arange(dim) < dim // 2, 1.0, -1.0)).astype(complex)
-    res = free_clt_check(16, dim, trials=5, seed=2, base=signs)
+    print("\nfree central limit (normalised sums of rotated sign spectra):")
+    signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
+    res = free_clt_check(16, dim, trials=5, seed=2, spectrum=signs)
     print(f"  moments k=1..4: {[f'{m:.4f}' for m in res.moments]}")
     print(f"  semicircle targets:      {res.targets}")
 

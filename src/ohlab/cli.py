@@ -54,7 +54,7 @@ DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
 # a free trial streams its members into one sum, so its memory is a fixed
 # handful of dim x dim complex arrays whatever --summands is; cold
-# `free --dim 2048 --summands 16 --trials 1` peaked at 367 MB RSS (38 s on
+# `free --dim 2048 --summands 16 --trials 1` peaked at 303 MB RSS (39 s on
 # 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
 # the moments are exact integer walk counts, written as floats; every count up
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
     p.add_argument("--dim", type=int, default=512,
-                   help=f"at most {MAX_FREE_DIM} (about 0.37 GB peak RSS there, for any --summands)")
+                   help=f"at most {MAX_FREE_DIM} (about 0.3 GB peak RSS there, for any --summands)")
     p.add_argument("--summands", type=int, default=16)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--slack", type=float, default=0.02)
@@ -341,13 +341,13 @@ def run_free(args) -> tuple[Report, bool]:
     # the first min(T, 5) trial families also give the CLT moments
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     clt_trials = min(args.trials, 5)
-    base = freeprob.semicircle_diag(args.dim)
+    spectrum = freeprob.semicircle_diag(args.dim)
     rows = []
     failed = False
     target = 2.0 * math.sqrt(args.summands)
     clt_acc = np.zeros(4)
     for t in range(args.trials):
-        fam = freeprob.free_family([base] * args.summands, args.dim, seed=seeds[t])
+        fam = freeprob.free_family([spectrum] * args.summands, args.dim, seed=seeds[t])
         voi = freeprob.voiculescu_check(fam)
         conv = freeprob.voiculescu_converse_check(fam)
         if t < clt_trials:

@@ -7,15 +7,18 @@ Two models of free independence are used side by side:
   the off-diagonal compression identity (1-P_i) pi_i(a) (1-P_i) = 0 holds as
   an exact matrix identity;
 
-* an asymptotic one -- independent Haar conjugations of trace-centred base
-  matrices, which are free only in the large-dimension limit, so the
-  inequalities are asserted with a small finite-dimension slack.  Such
-  rotations are strongly asymptotically free (B. Collins and C. Male, "The
-  strong asymptotic freeness of Haar and deterministic matrices", Ann. Sci.
-  Ec. Norm. Super. 47 (2014)): operator norms converge too, so the sum of n
-  rotated variance-one semicircle diagonals has norm tending to 2 sqrt(n),
-  the norm of a semicircular element of variance n.  ``ohlab free`` reports
-  its sum norm relative to this target.
+* an asymptotic one -- independent Haar rotations U diag(a) U^H of
+  trace-centred real spectra a, which are free only in the large-dimension
+  limit, so the inequalities are asserted with a small finite-dimension
+  slack.  Only the spectrum of a Hermitian base matters: for
+  G = V diag(a) V^H and a Haar U, U G U^H = W diag(a) W^H with W = U V,
+  again Haar, so :func:`free_family` takes spectra only.  Such rotations are
+  strongly asymptotically free (B. Collins and C. Male, "The strong
+  asymptotic freeness of Haar and deterministic matrices", Ann. Sci. Ec.
+  Norm. Super. 47 (2014)): operator norms converge too, so the sum of n
+  rotated variance-one semicircle spectra has norm tending to 2 sqrt(n), the
+  norm of a semicircular element of variance n.  ``ohlab free`` reports its
+  sum norm relative to this target.
 
 :func:`free_family` streams each rotated member into one sum buffer and keeps
 only what the checks read (a :class:`FreeFamily`), so its memory is a fixed
@@ -216,28 +219,12 @@ def brentq(f, a, b, xtol=2e-12, maxiter=100):
 
 
 def semicircle_diag(dim: int) -> np.ndarray:
-    """Diagonal matrix of semicircle-law quantiles (variance 1, norm <= 2)."""
+    """Semicircle-law quantiles (variance 1, norm <= 2), ascending: the real
+    spectrum of the free path's base."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     qs = (np.arange(1, dim + 1) - 0.5) / dim
-    xs = np.array([brentq(lambda x, q=q: _semicircle_cdf(x) - q, -2.0, 2.0, xtol=1e-14) for q in qs])
-    return np.diag(xs).astype(complex)
-
-
-def normalized_trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a) / a.shape[0])
-
-
-def _is_hermitian(a: np.ndarray) -> bool:
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    return scale == 0.0 or np.max(np.abs(a - a.conj().T)) <= 1e-12 * scale
-
-
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    # Hermitian members dominate the workload; eigvalsh is much cheaper
-    if _is_hermitian(a):
-        return np.abs(np.linalg.eigvalsh(a))
-    return np.linalg.svd(a, compute_uv=False)
+    return np.array([brentq(lambda x, q=q: _semicircle_cdf(x) - q, -2.0, 2.0, xtol=1e-14) for q in qs])
 
 
 # A product of computed Householder reflectors is unitary to O(dim * eps)
@@ -258,14 +245,14 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FreeFamily:
-    """What the checks read of a trace-centred family a_1..a_n (not the members).
+    """What the checks read of a centred Hermitian family, not its members.
 
     It holds the member ``sum`` (do not write to it), each member's ``spectra``
     (singular values) and ``second_moments`` tau(a_i^* a_i) = tau(a_i a_i^*),
-    and ``sum_singular_values``, from one Hermitian scan and one eigensolve
-    (``eigvalsh`` when the scan passes, an SVD otherwise) when the record is
-    made.  ``unitarity_residual`` is the largest of the Haar factors', None
-    when the family was not built by rotation.
+    and ``sum_singular_values``, |eigvalsh| of the Hermitian sum, from one
+    eigensolve when the record is made.  ``unitarity_residual`` is the
+    largest of the Haar factors', None when the family was not built by
+    rotation.
     """
 
     sum: np.ndarray
@@ -277,57 +264,66 @@ class FreeFamily:
     def __post_init__(self):
         if not self.spectra:
             raise ValueError("family must be nonempty")
-        object.__setattr__(self, "sum_singular_values", _singular_values(self.sum))
+        object.__setattr__(self, "sum_singular_values", np.abs(np.linalg.eigvalsh(self.sum)))
 
     @classmethod
     def from_members(cls, members) -> "FreeFamily":
-        """The direct route: each member's spectrum from its own eigensolve
-        (after the Hermitian scan), the sum added in member order."""
+        """The direct route, the reference for :func:`free_family`: each
+        member's spectrum from its own ``eigvalsh``, the sum added in member
+        order.  ValueError unless the members are square of one dimension,
+        Hermitian and trace-centred to 1e-12 of their largest entries."""
         members = tuple(members)
         dim = len(members[0]) if members else 0
         if not members or any(a.shape != (dim, dim) for a in members):
             raise ValueError("need a nonempty family of square members of one dimension")
         for a in members:
-            _check_centred(a)
-        spectra = tuple(_singular_values(a) for a in members)
+            scale = float(np.max(np.abs(a)))
+            if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
+                raise ValueError("members must be Hermitian")
+            if abs(np.mean(np.diagonal(a))) > 1e-12 * max(scale, 1.0):
+                raise ValueError("members must be trace-centred")
+        spectra = tuple(np.abs(np.linalg.eigvalsh(a)) for a in members)
         moments = tuple(float(np.vdot(a, a).real) / dim for a in members)
         return cls(sum(members[1:], members[0].copy()), spectra, moments)
 
 
-def _check_centred(a: np.ndarray) -> None:
-    if abs(np.mean(a if a.ndim == 1 else np.diagonal(a))) > 1e-12 * max(np.max(np.abs(a)), 1.0):
-        raise ValueError("members must be trace-centred")
+def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
+    """A finite real spectrum of length dim minus its mean; ValueError otherwise
+    (a complex one is not cast, which would drop its imaginary part)."""
+    s = np.asarray(spectrum)
+    if s.shape != (dim,):
+        raise ValueError(f"spectrum has shape {s.shape}, expected ({dim},)")
+    if s.dtype.kind not in "biuf":
+        raise ValueError(f"spectrum must be real, got dtype {s.dtype}")
+    s = s.astype(float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("spectrum must be finite")
+    return s - s.mean()
 
 
-def free_family(bases, dim: int, seed=0) -> FreeFamily:
-    """Centre each base matrix and conjugate it by an independent Haar unitary.
+def free_family(spectra, dim: int, seed=0) -> FreeFamily:
+    """Rotate each centred real spectrum by an independent Haar unitary.
 
-    Each member is added into one sum buffer (the first product is the buffer)
-    and its tau(a_i^* a_i) taken as soon as it is made, then dropped: memory is
-    O(dim^2) whatever the number of bases.  Each distinct base (by identity) is
-    centred, and its singular values found, once: |diag| for a diagonal base
-    (centred as a vector), one eigensolve otherwise.  A Haar factor whose
-    unitarity residual exceeds ``UNITARITY_SLACK * dim * eps`` raises
-    RuntimeError.
+    Member i is U_i diag(a_i) U_i^H for the centred spectrum a_i, with the
+    law of any Hermitian base of that spectrum.  Each member is added into
+    one sum buffer (the first member is the buffer) and its tau(a_i^* a_i)
+    taken as soon as it is made, then dropped: memory is O(dim^2) whatever
+    the number of spectra.  Each distinct spectrum (by identity) is checked
+    and centred once, before any draw, so a ``[spectrum] * n`` family holds
+    one.  A Haar factor whose unitarity residual exceeds
+    ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
-    bases = list(bases)    # keeps every base alive, so no id is reused
-    known = {}             # id(base) -> (centred base or its diagonal, singular values)
-    total, spectra, moments, worst = None, [], [], 0.0
-    for i, base in enumerate(bases):
-        if id(base) not in known:
-            a = np.asarray(base, dtype=complex)
-            if a.shape != (dim, dim):
-                raise ValueError(f"base has shape {a.shape}, expected ({dim}, {dim})")
-            if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
-                a = np.diagonal(a) - normalized_trace(a)
-                known[id(base)] = (a, np.abs(a))
-            else:
-                a = a - normalized_trace(a) * np.eye(dim)
-                known[id(base)] = (a, _singular_values(a))
-            _check_centred(a)
-        a, sv = known[id(base)]
+    spectra = list(spectra)  # keeps every spectrum alive, so no id is reused
+    known = {}               # id(spectrum) -> (centred spectrum, its singular values)
+    for spectrum in spectra:
+        if id(spectrum) not in known:
+            a = _centred_spectrum(spectrum, dim)
+            known[id(spectrum)] = (a, np.abs(a))
+    total, moments, worst = None, [], 0.0
+    for i, spectrum in enumerate(spectra):
+        a = known[id(spectrum)][0]
         u = haar_unitary(dim, rng)
         residual = unitarity_residual(u)
         if not residual <= bound:
@@ -335,14 +331,13 @@ def free_family(bases, dim: int, seed=0) -> FreeFamily:
                 f"free_family: Haar factor {i} (dim {dim}) has unitarity residual {residual:.3e} > {bound:.3e}"
             )
         worst = max(worst, residual)
-        # U A U^H with U^H conjugated in place, U being needed no more
-        ua = u * a if a.ndim == 1 else u @ a
+        # U diag(a) U^H with U^H conjugated in place, U being needed no more
+        ua = u * a
         member = ua @ np.conjugate(u, out=u).T
         moments.append(float(np.vdot(member, member).real) / dim)
-        spectra.append(sv)
         total = member if total is None else np.add(total, member, out=total)
         del u, ua, member  # so that none is alive during the next draw
-    return FreeFamily(total, tuple(spectra), tuple(moments), worst)
+    return FreeFamily(total, tuple(known[id(s)][1] for s in spectra), tuple(moments), worst)
 
 
 @dataclass(frozen=True)
@@ -513,22 +508,22 @@ def free_clt_check(
     dim: int,
     trials: int = 20,
     seed: int = 0,
-    base: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
 ) -> CLTResult:
     """Moments of S = n^{-1/2} sum a_i for rotated, centred, variance-one a_i.
 
-    ``base`` defaults to the semicircle quantile diagonal; any Hermitian base
-    is centred and variance-normalised (by :func:`clt_moments`) before
+    ``spectrum`` defaults to the semicircle quantiles; any real spectrum is
+    centred and variance-normalised (by :func:`clt_moments`) before
     rotation.  Trial t draws its unitaries from child t of
-    ``SeedSequence(seed).spawn``, so it rotates the base exactly as trial t
-    of ``ohlab free`` with the same seed does.
+    ``SeedSequence(seed).spawn``, so it rotates the spectrum exactly as trial
+    t of ``ohlab free`` with the same seed does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if base is None:
-        base = semicircle_diag(dim)
+    if spectrum is None:
+        spectrum = semicircle_diag(dim)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     acc = np.zeros(4)
     for t in range(trials):
-        acc += clt_moments(free_family([base] * n, dim, seed=seeds[t]))
+        acc += clt_moments(free_family([spectrum] * n, dim, seed=seeds[t]))
     return CLTResult.from_moments(acc / trials)

@@ -160,9 +160,9 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
     if h.ndim != 2 or h.shape != (rule.n_nodes, p.dim):
         raise ValueError(f"witness has shape {h.shape}, expected ({rule.n_nodes}, {p.dim})")
     t = rule.nodes
-    # rows of h A^{-T} and h B^{-T} are A^{-1} h(t) = f(t)/t and B^{-1} h(t) = g(t)/(1-t)
-    ah = h @ np.linalg.inv(p.A.mat).T
-    bh = h @ np.linalg.inv(p.B.mat).T
+    # rows of h A^{-T}, h B^{-T} are A^{-1} h(t) = f(t)/t, B^{-1} h(t) = g(t)/(1-t), by the spectra
+    ah = h @ p.A.func(np.reciprocal).T
+    bh = h @ p.B.func(np.reciprocal).T
     # ||f||^2_{L2(nu1,H_A)} = int (A f, f)/t dmu = int t (A^{-1} h, h) dmu
     e_a = np.einsum("ni,ni->n", h.conj(), ah).real
     e_b = np.einsum("ni,ni->n", h.conj(), bh).real

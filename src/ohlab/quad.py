@@ -8,8 +8,8 @@ Chebyshev weight on [-1,1], so Gauss-Chebyshev nodes of the first kind
 integrate polynomials of degree <= 2N-1 against mu exactly and absorb the
 endpoint singularities of the weight.
 
-Exact closed forms for interval masses (mu CDF and nu1/nu2 tails) are
-provided for the corner estimates that quadrature cannot resolve.
+Exact closed forms for the nu1/nu2 interval masses are provided for the
+corner estimates that quadrature cannot resolve.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ __all__ = [
     "Grid2D",
     "arcsine_rule",
     "integrate_mu",
-    "mu_cdf",
     "nu1_mass",
     "nu2_mass",
-    "arcsine_moment",
 ]
 
 
@@ -107,13 +105,6 @@ def integrate_mu(f, rule: ArcsineRule) -> float:
     return float(np.sum(vals * rule.weights))
 
 
-def mu_cdf(t: float) -> float:
-    """Exact CDF of mu: F(t) = (2/pi) * arcsin(sqrt(t))."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0,1]")
-    return 2.0 / math.pi * math.asin(math.sqrt(t))
-
-
 def nu1_mass(a: float, b: float) -> float:
     """Exact nu1-mass of [a,b]: integral of 1/t dmu, with nu1([a,1]) = (2/pi) sqrt((1-a)/a)."""
     if not 0.0 <= a <= b <= 1.0:
@@ -131,9 +122,3 @@ def nu2_mass(a: float, b: float) -> float:
     """Exact nu2-mass of [a,b]: integral of 1/(1-t) dmu (mirror image of nu1)."""
     return nu1_mass(1.0 - b, 1.0 - a)
 
-
-def arcsine_moment(k: int) -> float:
-    """Exact k-th moment of mu: central binomial C(2k,k) / 4^k."""
-    if k < 0:
-        raise ValueError("moment order must be >= 0")
-    return math.comb(2 * k, k) / 4.0**k

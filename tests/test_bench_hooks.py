@@ -28,9 +28,11 @@ def test_tracing_enters_and_restores(capsys):
     assert freeprob.free_family is original
     records = rec.records()
     m = tracing.layer_metrics(records, 1)
-    # one family per trial, its members' spectra known: one eigensolve, for the sum
+    # one family per trial, its members' spectra known: one eigvalsh, for the
+    # Hermitian sum, and no SVD
     assert (m["freeprob.families"], m["freeprob.clt_families"]) == (1, 0)
     assert (m["freeprob.haar_calls"], m["freeprob.eigensolves"]) == (3, 1)
+    assert [r for r in records if r["name"] == "linalg.svd"] == []
     assert m["freeprob.brentq_calls"] == 16
     # each draw builds its reflectors from fresh normals and factors nothing,
     # so freeprob.qr_s reads 0
@@ -88,3 +90,5 @@ def test_traced_pw_reads_each_factorisation(capsys):
     assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 3
     assert m["freeprob.haar_calls"] == 2
     assert sum(r["name"] == "numlin.commuting_pair" for r in records) == 2 * 2
+    # the witness check reads A^{-1} and B^{-1} from the stored spectra
+    assert [r for r in records if r["name"] == "linalg.inv"] == []

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,22 @@ class TestFree:
         bound = freeprob.UNITARITY_SLACK * dim * np.finfo(float).eps
         assert len(doc["rows"]) == 3
         assert all(0.0 < r["unitarity_residual"] <= bound for r in doc["rows"])
+
+    def test_op_memory_peak(self, capsys):
+        # one op holds at most the sum, a Haar factor and two temporaries (the
+        # residual's conjugate copy and Gram, or U diag(a) and the member), and
+        # no dense base: 4.0 dim x dim complex arrays
+        dim = 256
+        argv = ["free", "--dim", str(dim), "--summands", "16", "--trials", "1"]
+        assert main(argv) == 0  # the first call also allocates one-time state
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 4.25 * dim * dim * np.dtype(complex).itemsize
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["free", "--dim", "8", "--summands", "2", "--trials", "0"]) == 2

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ohlab.freeprob import (
     free_clt_check,
     free_family,
     haar_unitary,
-    normalized_trace,
     semicircle_diag,
     unitarity_residual,
     voiculescu_check,
@@ -33,6 +33,11 @@ def gue(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (g + g.conj().T) / np.sqrt(2.0)
 
 
+def gue_spectrum(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The eigenvalues of a GUE matrix, the spectrum free_family rotates."""
+    return np.linalg.eigvalsh(gue(dim, rng))
+
+
 def trace_norm(a: np.ndarray) -> float:
     """Normalised trace norm tau(|a|), from a full SVD."""
     return float(np.sum(np.linalg.svd(a, compute_uv=False)) / a.shape[0])
@@ -43,26 +48,21 @@ def top_level_projection(fock: TruncatedFock) -> np.ndarray:
     return np.diag([1.0 if len(w) == fock.cutoff else 0.0 for w in fock.words])
 
 
-def centred(base, dim: int) -> np.ndarray:
-    """The dense centred base, as free_family centred it before it streamed."""
-    a = np.asarray(base, dtype=complex)
-    return a - normalized_trace(a) * np.eye(dim)
+def centred(spectrum) -> np.ndarray:
+    """The centred spectrum, as free_family centred it before it streamed."""
+    d = np.asarray(spectrum, dtype=float)
+    return d - d.mean()
 
 
-def rotated_members(bases, dim: int, seed) -> list:
-    """The members free_family(bases, dim, seed) adds into its sum, rebuilt from
-    the same seeded haar_unitary stream in member order: (U * d) U^H for a
-    diagonal base with centred diagonal d, U A U^H for any other centred A."""
+def rotated_members(spectra, dim: int, seed) -> list:
+    """The members free_family(spectra, dim, seed) adds into its sum, rebuilt
+    from the same seeded haar_unitary stream in member order: (U * d) U^H for
+    the centred spectrum d."""
     rng = np.random.default_rng(seed)
     members = []
-    for base in bases:
-        a = centred(base, dim)
+    for spectrum in spectra:
         u = haar_unitary(dim, rng)
-        diag = np.diagonal(a)
-        if np.count_nonzero(a - np.diag(diag)) == 0:
-            members.append((u * diag) @ u.conj().T)
-        else:
-            members.append(u @ a @ u.conj().T)
+        members.append((u * centred(spectrum)) @ u.conj().T)
     return members
 
 
@@ -244,14 +244,14 @@ class TestHaar:
 
 class TestFreeFamily:
     def test_members_centred(self):
-        bases = [gue(32, np.random.default_rng(2))]
-        fam = free_family(bases, 32, seed=3)
-        (member,) = rotated_members(bases, 32, seed=3)
+        spectra = [gue_spectrum(32, np.random.default_rng(2))]
+        fam = free_family(spectra, 32, seed=3)
+        (member,) = rotated_members(spectra, 32, seed=3)
         assert np.array_equal(fam.sum, member)
-        assert abs(normalized_trace(member)) < 1e-12
+        assert abs(np.trace(member) / 32) < 1e-12
 
     def test_seed_reproducibility(self):
-        base = [gue(24, np.random.default_rng(4)) for _ in range(3)]
+        base = [gue_spectrum(24, np.random.default_rng(4)) for _ in range(3)]
         f1 = free_family(base, 24, seed=11)
         f2 = free_family(base, 24, seed=11)
         assert np.array_equal(f1.sum, f2.sum)
@@ -262,14 +262,55 @@ class TestFreeFamily:
         with pytest.raises(ValueError, match="shape"):
             free_family([np.eye(3)], 4, seed=0)
 
+    @pytest.mark.parametrize(
+        "spectrum, match",
+        [
+            pytest.param(np.diag(np.arange(4.0)), "shape", id="dense"),
+            pytest.param(np.arange(5.0), "shape", id="length"),
+            pytest.param(np.array([0.0, np.nan, 1.0, 2.0]), "finite", id="nan"),
+            pytest.param(np.array([0.0, np.inf, 1.0, 2.0]), "finite", id="inf"),
+            pytest.param(np.array([1.0, 2.0, 3.0, 4.0 + 1.0j]), "real", id="complex"),
+            pytest.param(np.arange(4.0).astype(complex), "real", id="complex-real-valued"),
+        ],
+    )
+    def test_invalid_spectrum_rejected(self, spectrum, match, monkeypatch):
+        # a complex spectrum is rejected, not cast (a cast would drop its
+        # imaginary part with only a ComplexWarning), before any draw
+        def no_draw(dim, rng):
+            raise AssertionError("a Haar factor was drawn before the spectra were checked")
+
+        monkeypatch.setattr(freeprob, "haar_unitary", no_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                free_family([np.arange(4.0), spectrum], 4, seed=0)
+
     def test_uncentred_rejected(self):
         with pytest.raises(ValueError, match="centred"):
             FreeFamily.from_members((np.eye(8, dtype=complex),))
 
+    def test_non_hermitian_member_rejected(self):
+        a = ginibre(8, np.random.default_rng(6))
+        a -= np.trace(a) / 8 * np.eye(8)
+        with pytest.raises(ValueError, match="Hermitian"):
+            FreeFamily.from_members((a + a.conj().T, a))
+
+    def test_rotation_of_a_hermitian_base(self):
+        # for G = V diag(lam) V^H the member free_family([lam]) makes is
+        # W G W^H with W = U V^H, U from the same seeded haar_unitary stream:
+        # only the spectrum of a Hermitian base matters
+        dim = 64
+        g = gue(dim, np.random.default_rng(7))
+        g -= np.trace(g).real / dim * np.eye(dim)
+        lam, v = np.linalg.eigh(g)
+        fam = free_family([lam], dim, seed=8)
+        w = haar_unitary(dim, np.random.default_rng(8)) @ v.conj().T
+        assert np.max(np.abs(fam.sum - w @ g @ w.conj().T)) <= 1e-12 * np.linalg.norm(g, 2)
+
     def test_mixed_moment_vanishes(self):
         # alternating centred moment of two independently rotated elements
         rng = np.random.default_rng(5)
-        a1, a2 = rotated_members([gue(512, rng), gue(512, rng)], 512, seed=6)
+        a1, a2 = rotated_members([gue_spectrum(512, rng), gue_spectrum(512, rng)], 512, seed=6)
         mixed = abs(np.trace(a1 @ a2 @ a1 @ a2) / 512)
         assert mixed <= 0.05
 
@@ -284,9 +325,9 @@ class TestKnownSpectra:
     @pytest.mark.parametrize("kind", ["diagonal", "gue"])
     def test_known_spectra_match_members(self, kind):
         dim = 64
-        base = semicircle_diag(dim) if kind == "diagonal" else gue(dim, np.random.default_rng(20))
+        base = semicircle_diag(dim) if kind == "diagonal" else gue_spectrum(dim, np.random.default_rng(20))
         fam = free_family([base] * 3, dim, seed=21)
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(base))))
+        scale = float(np.max(np.abs(base)))
         for a, sv in zip(rotated_members([base] * 3, dim, seed=21), fam.spectra):
             assert np.max(np.abs(np.sort(sv) - _sorted_sv(a))) <= 1e-12 * scale
             assert np.max(np.abs(np.sort(sv) - np.sort(np.abs(np.linalg.eigvalsh(a))))) <= 1e-12 * scale
@@ -294,7 +335,7 @@ class TestKnownSpectra:
     def test_direct_family_keeps_eigensolve_route(self):
         dim, n = 48, 4
         rng = np.random.default_rng(22)
-        bases = [gue(dim, rng) for _ in range(n)]
+        bases = [gue_spectrum(dim, rng) for _ in range(n)]
         rotated = free_family(bases, dim, seed=23)
         members = rotated_members(bases, dim, seed=23)
         direct = FreeFamily.from_members(members)
@@ -336,9 +377,10 @@ class TestStreaming:
         if kind == "diagonal":
             return [semicircle_diag(dim)] * 5
         if kind == "gue":
-            return [gue(dim, rng)] * 5
-        # distinct bases, both routes, a real non-Hermitian one among them
-        return [semicircle_diag(dim), gue(dim, rng), rng.standard_normal((dim, dim)), semicircle_diag(dim)]
+            return [gue_spectrum(dim, rng)] * 5
+        # distinct spectra, an integer one among them
+        signs = np.where(np.arange(dim) < dim // 2, 1, -1)
+        return [semicircle_diag(dim), gue_spectrum(dim, rng), signs, semicircle_diag(dim)]
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_sum_equals_members_summed_in_order(self, kind):
@@ -357,15 +399,24 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue"])
     def test_known_spectra_and_centring_as_before(self, kind):
-        # a diagonal base's spectrum is |centred diagonal|; any other base's
-        # comes from one eigensolve of the dense centred base
+        # a member's singular values are |centred spectrum|
         dim = 40
         base = self.bases(kind, dim)[0]
         fam = free_family([base] * 2, dim, seed=43)
-        a = centred(base, dim)
-        want = np.abs(np.diagonal(a)) if kind == "diagonal" else np.abs(np.linalg.eigvalsh(a))
-        assert all(np.array_equal(sv, want) for sv in fam.spectra)
+        assert all(np.array_equal(sv, np.abs(centred(base))) for sv in fam.spectra)
         assert np.array_equal(fam.sum, summed_in_order(rotated_members([base] * 2, dim, seed=43)))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
+    def test_each_distinct_spectrum_is_held_once(self, kind):
+        # a [spectrum] * n family keeps one centred spectrum, so a trial holds
+        # O(dim^2 + summands), not n vectors
+        dim = 40
+        bases = self.bases(kind, dim)
+        fam = free_family(bases, dim, seed=46)
+        if kind == "mixed":
+            assert len({id(s) for s in fam.spectra}) == len(bases)
+        else:
+            assert all(s is fam.spectra[0] for s in fam.spectra)
 
     def test_from_members_matches_the_stream(self):
         dim = 32
@@ -394,64 +445,45 @@ class TestStreaming:
         assert large < 12 * unit
 
 
-def scan_then_solve(a):
-    # the sum's route, written out: the Hermitian scan, then eigvalsh or an SVD
-    if freeprob._is_hermitian(a):
-        return np.abs(np.linalg.eigvalsh(a))
-    return np.linalg.svd(a, compute_uv=False)
-
-
 class TestHermitianSum:
-    """Every sum is scanned once, after the scan of each dense base, and goes
-    to eigvalsh when the scan passes, to an SVD otherwise."""
+    """Every sum is Hermitian by construction and goes to one eigvalsh; no
+    SVD is taken."""
 
-    def scans(self, monkeypatch):
+    def solves(self, monkeypatch):
         seen = []
-        real = freeprob._is_hermitian
+        real = np.linalg.eigvalsh
 
         def spy(a):
             seen.append(a)
             return real(a)
 
-        monkeypatch.setattr(freeprob, "_is_hermitian", spy)
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the free path takes no SVD")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         return seen
 
-    @pytest.mark.parametrize("kind, base_scans", [("semicircle", 0), ("gue", 1)])
-    def test_sum_is_scanned_once(self, kind, base_scans, monkeypatch):
+    @pytest.mark.parametrize("kind", ["semicircle", "gue"])
+    def test_sum_is_solved_once(self, kind, monkeypatch):
         dim = 48
-        base = semicircle_diag(dim) if kind == "semicircle" else gue(dim, np.random.default_rng(25))
-        seen = self.scans(monkeypatch)
+        base = semicircle_diag(dim) if kind == "semicircle" else gue_spectrum(dim, np.random.default_rng(25))
+        seen = self.solves(monkeypatch)
         fam = free_family([base] * 3, dim, seed=26)
-        sv = fam.sum_singular_values
-        assert len(seen) == base_scans + 1 and seen[-1] is fam.sum
-        assert np.array_equal(sv, scan_then_solve(fam.sum))
+        assert len(seen) == 1 and seen[0] is fam.sum
+        monkeypatch.undo()
+        assert np.array_equal(fam.sum_singular_values, np.abs(np.linalg.eigvalsh(fam.sum)))
+        assert np.max(np.abs(fam.sum - fam.sum.conj().T)) <= 1e-12 * np.max(np.abs(fam.sum))
 
-    @pytest.mark.parametrize("kind", ["real", "complex-diagonal", "mixed"])
-    def test_non_hermitian_base_keeps_the_svd_route(self, kind, monkeypatch):
-        dim = 32
-        rng = np.random.default_rng(27)
-        if kind == "real":
-            bases = [rng.standard_normal((dim, dim))] * 2
-        elif kind == "complex-diagonal":
-            bases = [np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))] * 2
-        else:
-            bases = [semicircle_diag(dim), rng.standard_normal((dim, dim))]
-        seen = self.scans(monkeypatch)
-        fam = free_family(bases, dim, seed=28)
-        sv = fam.sum_singular_values
-        assert any(a is fam.sum for a in seen)
-        assert not freeprob._is_hermitian(fam.sum)
-        assert np.array_equal(sv, np.linalg.svd(fam.sum, compute_uv=False))
-
-    def test_direct_family_scans_the_sum(self, monkeypatch):
+    def test_direct_family_solves_each_member_and_the_sum(self, monkeypatch):
         dim = 24
-        members = rotated_members([gue(dim, np.random.default_rng(29))] * 2, dim, seed=30)
-        seen = self.scans(monkeypatch)
+        members = rotated_members([gue_spectrum(dim, np.random.default_rng(29))] * 2, dim, seed=30)
+        seen = self.solves(monkeypatch)
         fam = FreeFamily.from_members(members)
-        sv = fam.sum_singular_values
         # each member once, for its own spectrum, then the sum
         assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1] and seen[2] is fam.sum
-        assert np.array_equal(sv, scan_then_solve(fam.sum))
+        monkeypatch.undo()
+        assert np.array_equal(fam.sum_singular_values, np.abs(np.linalg.eigvalsh(fam.sum)))
 
 
 class TestUnitarity:
@@ -473,7 +505,7 @@ class TestUnitarity:
 class TestVoiculescu:
     def test_single_member_margin(self):
         rng = np.random.default_rng(7)
-        bases = [gue(64, rng)]
+        bases = [gue_spectrum(64, rng)]
         res = voiculescu_check(free_family(bases, 64, seed=8))
         (a,) = rotated_members(bases, 64, seed=8)
         assert res.margin == pytest.approx(2 * math.sqrt(np.vdot(a, a).real / 64), rel=1e-12)
@@ -496,7 +528,7 @@ class TestVoiculescu:
     def test_margin_never_materially_negative(self):
         dim = 128
         for seed in range(5):
-            bases = [gue(dim, np.random.default_rng(100 + seed))] * 6
+            bases = [gue_spectrum(dim, np.random.default_rng(100 + seed))] * 6
             fam = free_family(bases, dim, seed=seed)
             res = voiculescu_check(fam)
             assert res.margin >= -0.01 * res.rhs
@@ -505,7 +537,7 @@ class TestVoiculescu:
 class TestConverse:
     def test_single_member_cauchy_schwarz(self):
         rng = np.random.default_rng(10)
-        (a,) = rotated_members([gue(48, rng)], 48, seed=11)
+        (a,) = rotated_members([gue_spectrum(48, rng)], 48, seed=11)
         assert trace_norm(a) <= math.sqrt(np.vdot(a, a).real / 48) + 1e-12
 
     def test_zero_family(self):
@@ -516,7 +548,7 @@ class TestConverse:
     def test_rotated_gue_margins(self):
         dim, n = 256, 8
         rng = np.random.default_rng(12)
-        fam = free_family([gue(dim, rng) for _ in range(n)], dim, seed=13)
+        fam = free_family([gue_spectrum(dim, rng) for _ in range(n)], dim, seed=13)
         c = voiculescu_converse_check(fam)
         assert c.triangle >= 0.0  # exact triangle inequality
         assert c.column >= -0.02 * c.column_rhs
@@ -604,8 +636,8 @@ class TestCLT:
 
     def test_non_semicircular_base_converges(self):
         dim = 128
-        signs = np.diag(np.where(np.arange(dim) < dim // 2, 1.0, -1.0)).astype(complex)
-        res = free_clt_check(16, dim, trials=5, seed=2, base=signs)
+        signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
+        res = free_clt_check(16, dim, trials=5, seed=2, spectrum=signs)
         # free convolution of +-1 masses: fourth moment 2 - 1/n
         assert res.moments[3] == pytest.approx(2.0 - 1.0 / 16.0, abs=0.08)
 
@@ -613,7 +645,7 @@ class TestCLT:
         # reference: tau(S^k) from successive products, S = n^{-1/2} sum a_i
         dim, n = 64, 5
         rng = np.random.default_rng(26)
-        bases = [gue(dim, rng)] * n
+        bases = [gue_spectrum(dim, rng)] * n
         fam = free_family(bases, dim, seed=27)
         members = rotated_members(bases, dim, seed=27)
         s = np.sum(members, axis=0) / math.sqrt(sum(np.vdot(a, a).real / dim for a in members))
@@ -643,7 +675,7 @@ class TestBrentqPort:
             root = freeprob.brentq(f, -2.0, 2.0, xtol=1e-14)
             assert root == scipy_brentq(f, -2.0, 2.0, xtol=1e-14)
             ref.append(root)
-        assert np.array_equal(np.diag(semicircle_diag(dim)), np.array(ref, dtype=complex))
+        assert np.array_equal(semicircle_diag(dim), np.array(ref))
 
     def test_monotone_cubics_bit_equal(self):
         rng = np.random.default_rng(70)

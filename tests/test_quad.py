@@ -5,10 +5,8 @@ import pytest
 
 from ohlab.quad import (
     Grid2D,
-    arcsine_moment,
     arcsine_rule,
     integrate_mu,
-    mu_cdf,
     nu1_mass,
     nu2_mass,
 )
@@ -20,9 +18,21 @@ def integrate_2d(f, grid: Grid2D) -> float:
     return float(np.sum(f(T, S) * W))
 
 
-def central_binomial_moment(k):
-    # independent oracle for the arcsine moments: C(2k, k) / 4^k
+# test-only oracles: nothing in the library calls them
+
+
+def arcsine_moment(k: int) -> float:
+    """Exact k-th moment of mu: central binomial C(2k,k) / 4^k."""
+    if k < 0:
+        raise ValueError("moment order must be >= 0")
     return math.comb(2 * k, k) / 4.0**k
+
+
+def mu_cdf(t: float) -> float:
+    """Exact CDF of mu: F(t) = (2/pi) * arcsin(sqrt(t))."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t={t} outside [0,1]")
+    return 2.0 / math.pi * math.asin(math.sqrt(t))
 
 
 class TestArcsineRule:
@@ -53,8 +63,7 @@ class TestArcsineRule:
         r = arcsine_rule(64)
         for k in range(7):
             val = integrate_mu(r.nodes**k, r)
-            assert abs(val - central_binomial_moment(k)) < 1e-12
-            assert central_binomial_moment(k) == arcsine_moment(k)
+            assert abs(val - arcsine_moment(k)) < 1e-12
 
     def test_symmetric_integrand_invariance(self):
         r = arcsine_rule(101)
@@ -107,6 +116,12 @@ class TestExactMasses:
     def test_cdf_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             mu_cdf(1.5)
+
+    def test_rule_masses_match_the_cdf(self):
+        # the rule's equal weights put mass within one weight of F(x) below x
+        r = arcsine_rule(4096)
+        for x in (0.01, 0.25, 0.5, 0.9):
+            assert integrate_mu(np.where(r.nodes <= x, 1.0, 0.0), r) == pytest.approx(mu_cdf(x), abs=1.0 / 4096)
 
     def test_nu_masses_against_quadrature(self):
         r = arcsine_rule(4096)
