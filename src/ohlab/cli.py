@@ -334,6 +334,8 @@ def run_bracket(args) -> tuple[Report, bool]:
 def run_free(args) -> tuple[Report, bool]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.summands < 1:
+        raise ValueError("--summands must be >= 1")
     if args.dim > MAX_FREE_DIM:
         raise ValueError(f"--dim {args.dim} exceeds {MAX_FREE_DIM}")
     check_finite(args.slack, "--slack", nonnegative=True)
@@ -369,7 +371,6 @@ def run_free(args) -> tuple[Report, bool]:
             failed = True
         if conv.column < -args.slack * conv.column_rhs or conv.row < -args.slack * conv.row_rhs:
             failed = True
-        del fam  # drop this trial's sum before the next trial streams its own
     clt = freeprob.CLTResult.from_moments(clt_acc / clt_trials)
     params = flag_params(args)
     params["clt_moments"] = list(clt.moments)

@@ -21,8 +21,9 @@ Two models of free independence are used side by side:
   sum norm relative to this target.
 
 :func:`free_family` streams each rotated member into one sum buffer and keeps
-only what the checks read (a :class:`FreeFamily`), so its memory is a fixed
-handful of dim x dim arrays, independent of the number of summands.
+only the sum's signed spectrum and what else the checks read (a
+:class:`FreeFamily`), so its memory is a fixed handful of dim x dim arrays,
+whatever the number of summands, none of which outlives the build.
 
 The scalar expectation is the normalised trace throughout.  Voiculescu's
 inequality for a family (a_i) reads
@@ -41,7 +42,7 @@ CDF, found by :func:`brentq`, a port of scipy's Brent root finder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -245,26 +246,20 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FreeFamily:
-    """What the checks read of a centred Hermitian family, not its members.
+    """What the checks read of a centred Hermitian family: spectra, no matrix.
 
-    It holds the member ``sum`` (do not write to it), each member's ``spectra``
-    (singular values) and ``second_moments`` tau(a_i^* a_i) = tau(a_i a_i^*),
-    and ``sum_singular_values``, |eigvalsh| of the Hermitian sum, from one
-    eigensolve when the record is made.  ``unitarity_residual`` is the
-    largest of the Haar factors', None when the family was not built by
-    rotation.
+    ``eigenvalues`` is the signed spectrum of the Hermitian member sum, from
+    the one ``eigvalsh`` its builder takes before it drops the sum; the sum's
+    norm, trace norm and CLT moments all read it.  ``spectra`` are each
+    member's singular values and ``second_moments`` its
+    tau(a_i^* a_i) = tau(a_i a_i^*).  ``unitarity_residual`` is the largest
+    of the Haar factors', None when the family was not built by rotation.
     """
 
-    sum: np.ndarray
+    eigenvalues: np.ndarray
     spectra: tuple
     second_moments: tuple
     unitarity_residual: float | None = None
-    sum_singular_values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.spectra:
-            raise ValueError("family must be nonempty")
-        object.__setattr__(self, "sum_singular_values", np.abs(np.linalg.eigvalsh(self.sum)))
 
     @classmethod
     def from_members(cls, members) -> "FreeFamily":
@@ -284,7 +279,7 @@ class FreeFamily:
                 raise ValueError("members must be trace-centred")
         spectra = tuple(np.abs(np.linalg.eigvalsh(a)) for a in members)
         moments = tuple(float(np.vdot(a, a).real) / dim for a in members)
-        return cls(sum(members[1:], members[0].copy()), spectra, moments)
+        return cls(np.linalg.eigvalsh(sum(members[1:], members[0].copy())), spectra, moments)
 
 
 def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
@@ -308,14 +303,17 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     law of any Hermitian base of that spectrum.  Each member is added into
     one sum buffer (the first member is the buffer) and its tau(a_i^* a_i)
     taken as soon as it is made, then dropped: memory is O(dim^2) whatever
-    the number of spectra.  Each distinct spectrum (by identity) is checked
-    and centred once, before any draw, so a ``[spectrum] * n`` family holds
-    one.  A Haar factor whose unitarity residual exceeds
-    ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
+    the number of spectra.  The sum goes to one ``eigvalsh`` and is dropped
+    on return.  Each distinct spectrum (by identity) is checked and centred
+    once, before any draw, so a ``[spectrum] * n`` family holds one.  An
+    empty family raises ValueError; a Haar factor whose unitarity residual
+    exceeds ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
     spectra = list(spectra)  # keeps every spectrum alive, so no id is reused
+    if not spectra:
+        raise ValueError("family must be nonempty")
     known = {}               # id(spectrum) -> (centred spectrum, its singular values)
     for spectrum in spectra:
         if id(spectrum) not in known:
@@ -337,7 +335,7 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
         moments.append(float(np.vdot(member, member).real) / dim)
         total = member if total is None else np.add(total, member, out=total)
         del u, ua, member  # so that none is alive during the next draw
-    return FreeFamily(total, tuple(known[id(s)][1] for s in spectra), tuple(moments), worst)
+    return FreeFamily(np.linalg.eigvalsh(total), tuple(known[id(s)][1] for s in spectra), tuple(moments), worst)
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,7 @@ def voiculescu_check(fam: FreeFamily) -> VoiculescuResult:
 
     ``row_term`` equals ``col_term``: tau(a a^*) = tau(a^* a) by traciality.
     """
-    lhs = float(np.max(fam.sum_singular_values))
+    lhs = float(np.max(np.abs(fam.eigenvalues)))
     max_norm = max(float(np.max(sv)) for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
     rhs = max_norm + 2.0 * col
@@ -379,8 +377,8 @@ class ConverseMargins:
 def voiculescu_converse_check(fam: FreeFamily) -> ConverseMargins:
     """Trace-norm converse; the row fields equal the column fields by
     traciality and are kept for the report schema."""
-    dim = len(fam.sum)
-    l1 = float(np.sum(fam.sum_singular_values)) / dim
+    dim = len(fam.eigenvalues)
+    l1 = float(np.sum(np.abs(fam.eigenvalues))) / dim
     tri = sum(float(np.sum(sv)) / dim for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
     return ConverseMargins(
@@ -489,18 +487,14 @@ def clt_moments(fam: FreeFamily) -> np.ndarray:
     """tau(S^k), k = 1..4, for S = sum_i a_i / (sum_i tau(a_i^* a_i))^{1/2}.
 
     For n members of one variance this is n^{-1/2} sum_i a_i at unit
-    variance.  S is Hermitian for Hermitian members, so one product suffices:
-    tau(S^2) = ||S||_F^2 / d, tau(S^3) = Re<S, S^2> / d, tau(S^4) = ||S^2||_F^2 / d.
+    variance.  The sum is Hermitian with eigenvalues lambda, so
+    tau(S^k) = mean(lambda^k) / var^{k/2}: no matrix is formed.
     """
     var = sum(fam.second_moments)
     if var == 0.0:
         raise ValueError("every member is zero after centring: the CLT sum has no variance to normalise by")
-    dim = len(fam.sum)
-    s = fam.sum / math.sqrt(var)
-    s2 = s @ s
-    return np.array(
-        [np.trace(s).real, np.vdot(s, s).real, np.vdot(s, s2).real, np.vdot(s2, s2).real]
-    ) / dim
+    s = fam.eigenvalues / math.sqrt(var)
+    return np.array([np.mean(s**k) for k in range(1, 5)])
 
 
 def free_clt_check(
@@ -513,13 +507,15 @@ def free_clt_check(
     """Moments of S = n^{-1/2} sum a_i for rotated, centred, variance-one a_i.
 
     ``spectrum`` defaults to the semicircle quantiles; any real spectrum is
-    centred and variance-normalised (by :func:`clt_moments`) before
-    rotation.  Trial t draws its unitaries from child t of
-    ``SeedSequence(seed).spawn``, so it rotates the spectrum exactly as trial
-    t of ``ohlab free`` with the same seed does.
+    centred before rotation and variance-normalised by :func:`clt_moments`
+    after; ValueError unless n >= 1 and trials >= 1.  Trial t draws its
+    unitaries from child t of ``SeedSequence(seed).spawn``, so it rotates the
+    spectrum exactly as trial t of ``ohlab free`` with the same seed does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if spectrum is None:
         spectrum = semicircle_diag(dim)
     seeds = np.random.SeedSequence(seed).spawn(trials)

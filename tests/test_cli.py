@@ -410,6 +410,10 @@ class TestPw:
         pytest.param(["ohnorm", "--trials", "1", "--tol", "nan"], "--tol", id="ohnorm-tol-nan"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
+        # these failed later with messages that did not name the flag: "math
+        # domain error" from the 2 sqrt(n) target, and the empty family's
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--summands=-2"], "--summands", id="free-summands-negative"),
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--summands", "0"], "--summands", id="free-summands-0"),
         # memory ceilings, checked before any work
         pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
                      f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -71,6 +72,37 @@ def summed_in_order(members) -> np.ndarray:
     for a in members[1:]:
         total += a
     return total
+
+
+def solved(build, monkeypatch) -> tuple:
+    """(family, arrays): the family build() returns, and every array its build
+    handed to np.linalg.eigvalsh, in order, with np.linalg.svd failing, as
+    the free path takes none.  The family holds no 2-D array, and its
+    eigenvalues are the eigvalsh of the last array, the member sum."""
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a)
+        return real(a)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the free path takes no SVD")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    fam = build()
+    monkeypatch.undo()
+    assert all(np.ndim(v) <= 1 for v in held_arrays(fam))
+    assert np.array_equal(fam.eigenvalues, np.linalg.eigvalsh(seen[-1]))
+    return fam, seen
+
+
+def held_arrays(fam: FreeFamily):
+    """Every array a FreeFamily holds, those in its tuples included."""
+    for f in dataclasses.fields(fam):
+        value = getattr(fam, f.name)
+        yield from value if isinstance(value, tuple) else (value,)
 
 
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -243,18 +275,19 @@ class TestHaar:
 
 
 class TestFreeFamily:
-    def test_members_centred(self):
+    def test_members_centred(self, monkeypatch):
         spectra = [gue_spectrum(32, np.random.default_rng(2))]
-        fam = free_family(spectra, 32, seed=3)
+        _, (total,) = solved(lambda: free_family(spectra, 32, seed=3), monkeypatch)
         (member,) = rotated_members(spectra, 32, seed=3)
-        assert np.array_equal(fam.sum, member)
+        assert np.array_equal(total, member)
         assert abs(np.trace(member) / 32) < 1e-12
 
-    def test_seed_reproducibility(self):
+    def test_seed_reproducibility(self, monkeypatch):
         base = [gue_spectrum(24, np.random.default_rng(4)) for _ in range(3)]
-        f1 = free_family(base, 24, seed=11)
-        f2 = free_family(base, 24, seed=11)
-        assert np.array_equal(f1.sum, f2.sum)
+        f1, (s1,) = solved(lambda: free_family(base, 24, seed=11), monkeypatch)
+        f2, (s2,) = solved(lambda: free_family(base, 24, seed=11), monkeypatch)
+        assert np.array_equal(s1, s2)
+        assert np.array_equal(f1.eigenvalues, f2.eigenvalues)
         assert f1.second_moments == f2.second_moments
         assert all(np.array_equal(a, b) for a, b in zip(f1.spectra, f2.spectra))
 
@@ -285,6 +318,16 @@ class TestFreeFamily:
             with pytest.raises(ValueError, match=match):
                 free_family([np.arange(4.0), spectrum], 4, seed=0)
 
+    def test_empty_family_rejected(self, monkeypatch):
+        def no_draw(dim, rng):
+            raise AssertionError("a Haar factor was drawn for an empty family")
+
+        monkeypatch.setattr(freeprob, "haar_unitary", no_draw)
+        with pytest.raises(ValueError, match="nonempty"):
+            free_family([], 8, seed=0)
+        with pytest.raises(ValueError, match="nonempty"):
+            FreeFamily.from_members(())
+
     def test_uncentred_rejected(self):
         with pytest.raises(ValueError, match="centred"):
             FreeFamily.from_members((np.eye(8, dtype=complex),))
@@ -295,7 +338,7 @@ class TestFreeFamily:
         with pytest.raises(ValueError, match="Hermitian"):
             FreeFamily.from_members((a + a.conj().T, a))
 
-    def test_rotation_of_a_hermitian_base(self):
+    def test_rotation_of_a_hermitian_base(self, monkeypatch):
         # for G = V diag(lam) V^H the member free_family([lam]) makes is
         # W G W^H with W = U V^H, U from the same seeded haar_unitary stream:
         # only the spectrum of a Hermitian base matters
@@ -303,9 +346,9 @@ class TestFreeFamily:
         g = gue(dim, np.random.default_rng(7))
         g -= np.trace(g).real / dim * np.eye(dim)
         lam, v = np.linalg.eigh(g)
-        fam = free_family([lam], dim, seed=8)
+        _, (member,) = solved(lambda: free_family([lam], dim, seed=8), monkeypatch)
         w = haar_unitary(dim, np.random.default_rng(8)) @ v.conj().T
-        assert np.max(np.abs(fam.sum - w @ g @ w.conj().T)) <= 1e-12 * np.linalg.norm(g, 2)
+        assert np.max(np.abs(member - w @ g @ w.conj().T)) <= 1e-12 * np.linalg.norm(g, 2)
 
     def test_mixed_moment_vanishes(self):
         # alternating centred moment of two independently rotated elements
@@ -361,10 +404,9 @@ class TestKnownSpectra:
             for x, y in zip(vars(a).values(), vars(b).values()):
                 assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
 
-    def test_sum_is_built_once(self):
-        fam = free_family([semicircle_diag(16)] * 3, 16, seed=24)
-        assert fam.sum is fam.sum
-        assert np.array_equal(fam.sum, np.sum(rotated_members([semicircle_diag(16)] * 3, 16, seed=24), axis=0))
+    def test_sum_is_built_once(self, monkeypatch):
+        _, (total,) = solved(lambda: free_family([semicircle_diag(16)] * 3, 16, seed=24), monkeypatch)
+        assert np.array_equal(total, np.sum(rotated_members([semicircle_diag(16)] * 3, 16, seed=24), axis=0))
 
 
 class TestStreaming:
@@ -383,11 +425,11 @@ class TestStreaming:
         return [semicircle_diag(dim), gue_spectrum(dim, rng), signs, semicircle_diag(dim)]
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
-    def test_sum_equals_members_summed_in_order(self, kind):
+    def test_sum_equals_members_summed_in_order(self, kind, monkeypatch):
         dim = 40
         bases = self.bases(kind, dim)
-        fam = free_family(bases, dim, seed=41)
-        assert np.array_equal(fam.sum, summed_in_order(rotated_members(bases, dim, seed=41)))
+        _, (total,) = solved(lambda: free_family(bases, dim, seed=41), monkeypatch)
+        assert np.array_equal(total, summed_in_order(rotated_members(bases, dim, seed=41)))
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_second_moments_are_the_member_vdots(self, kind):
@@ -398,13 +440,13 @@ class TestStreaming:
         assert fam.second_moments == tuple(float(np.vdot(a, a).real) / dim for a in members)
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue"])
-    def test_known_spectra_and_centring_as_before(self, kind):
+    def test_known_spectra_and_centring_as_before(self, kind, monkeypatch):
         # a member's singular values are |centred spectrum|
         dim = 40
         base = self.bases(kind, dim)[0]
-        fam = free_family([base] * 2, dim, seed=43)
+        fam, (total,) = solved(lambda: free_family([base] * 2, dim, seed=43), monkeypatch)
         assert all(np.array_equal(sv, np.abs(centred(base))) for sv in fam.spectra)
-        assert np.array_equal(fam.sum, summed_in_order(rotated_members([base] * 2, dim, seed=43)))
+        assert np.array_equal(total, summed_in_order(rotated_members([base] * 2, dim, seed=43)))
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_each_distinct_spectrum_is_held_once(self, kind):
@@ -418,12 +460,14 @@ class TestStreaming:
         else:
             assert all(s is fam.spectra[0] for s in fam.spectra)
 
-    def test_from_members_matches_the_stream(self):
+    def test_from_members_matches_the_stream(self, monkeypatch):
         dim = 32
         bases = self.bases("gue", dim)
-        fam = free_family(bases, dim, seed=44)
-        direct = FreeFamily.from_members(rotated_members(bases, dim, seed=44))
-        assert np.array_equal(direct.sum, fam.sum)
+        members = rotated_members(bases, dim, seed=44)
+        fam, (total,) = solved(lambda: free_family(bases, dim, seed=44), monkeypatch)
+        direct, seen = solved(lambda: FreeFamily.from_members(members), monkeypatch)
+        assert np.array_equal(seen[-1], total)
+        assert np.array_equal(direct.eigenvalues, fam.eigenvalues)
         assert direct.second_moments == fam.second_moments
 
     def test_peak_memory_does_not_grow_with_summands(self):
@@ -449,41 +493,21 @@ class TestHermitianSum:
     """Every sum is Hermitian by construction and goes to one eigvalsh; no
     SVD is taken."""
 
-    def solves(self, monkeypatch):
-        seen = []
-        real = np.linalg.eigvalsh
-
-        def spy(a):
-            seen.append(a)
-            return real(a)
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the free path takes no SVD")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        return seen
-
     @pytest.mark.parametrize("kind", ["semicircle", "gue"])
     def test_sum_is_solved_once(self, kind, monkeypatch):
         dim = 48
         base = semicircle_diag(dim) if kind == "semicircle" else gue_spectrum(dim, np.random.default_rng(25))
-        seen = self.solves(monkeypatch)
-        fam = free_family([base] * 3, dim, seed=26)
-        assert len(seen) == 1 and seen[0] is fam.sum
-        monkeypatch.undo()
-        assert np.array_equal(fam.sum_singular_values, np.abs(np.linalg.eigvalsh(fam.sum)))
-        assert np.max(np.abs(fam.sum - fam.sum.conj().T)) <= 1e-12 * np.max(np.abs(fam.sum))
+        _, (total,) = solved(lambda: free_family([base] * 3, dim, seed=26), monkeypatch)
+        assert np.array_equal(total, summed_in_order(rotated_members([base] * 3, dim, seed=26)))
+        assert np.max(np.abs(total - total.conj().T)) <= 1e-12 * np.max(np.abs(total))
 
     def test_direct_family_solves_each_member_and_the_sum(self, monkeypatch):
         dim = 24
         members = rotated_members([gue_spectrum(dim, np.random.default_rng(29))] * 2, dim, seed=30)
-        seen = self.solves(monkeypatch)
-        fam = FreeFamily.from_members(members)
+        _, seen = solved(lambda: FreeFamily.from_members(members), monkeypatch)
         # each member once, for its own spectrum, then the sum
-        assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1] and seen[2] is fam.sum
-        monkeypatch.undo()
-        assert np.array_equal(fam.sum_singular_values, np.abs(np.linalg.eigvalsh(fam.sum)))
+        assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1]
+        assert np.array_equal(seen[2], summed_in_order(members))
 
 
 class TestUnitarity:
@@ -655,6 +679,16 @@ class TestCLT:
             power = power @ s
             expected.append(np.trace(power).real / dim)
         assert np.max(np.abs(clt_moments(fam) - expected)) <= 1e-12
+
+    def test_moments_read_the_spectrum_only(self):
+        # a record made from a spectrum alone: S = lambda / sqrt(2.5)
+        fam = FreeFamily(np.array([-2.0, -1.0, 1.0, 2.0]), (np.ones(4),), (2.5,))
+        assert np.allclose(clt_moments(fam), [0.0, 1.0, 0.0, 8.5 / 6.25], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            free_clt_check(2, 8, trials=trials)
 
     def test_determinism(self):
         a = free_clt_check(4, 64, trials=2, seed=3)
