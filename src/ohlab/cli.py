@@ -52,10 +52,10 @@ EXIT_NUMERICAL = 3
 # default and ceiling and is echoed in each row, so old invocations still work
 DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
-# a free trial streams its members into one sum, so its memory is a fixed
-# handful of dim x dim complex arrays whatever --summands is; cold
-# `free --dim 2048 --summands 16 --trials 1` peaked at 303 MB RSS (39 s on
-# 2 CPUs with OpenBLAS)
+# a free trial streams its members' lower block-triangles into one sum, so
+# its memory is the sum, one Haar factor and dim x 128 panels whatever
+# --summands is; cold `free --dim 2048 --summands 16 --trials 1` peaked at
+# 179 MB RSS (30 s on 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
 # the moments are exact integer walk counts, written as floats; every count up
 # to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
     p.add_argument("--dim", type=int, default=512,
-                   help=f"at most {MAX_FREE_DIM} (about 0.3 GB peak RSS there, for any --summands)")
+                   help=f"at most {MAX_FREE_DIM} (about 0.2 GB peak RSS there, for any --summands)")
     p.add_argument("--summands", type=int, default=16)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--slack", type=float, default=0.02)
@@ -336,6 +336,8 @@ def run_free(args) -> tuple[Report, bool]:
         raise ValueError("--trials must be >= 1")
     if args.summands < 1:
         raise ValueError("--summands must be >= 1")
+    if args.dim < 1:
+        raise ValueError("--dim must be >= 1")
     if args.dim > MAX_FREE_DIM:
         raise ValueError(f"--dim {args.dim} exceeds {MAX_FREE_DIM}")
     check_finite(args.slack, "--slack", nonnegative=True)

@@ -12,18 +12,24 @@ Two models of free independence are used side by side:
   limit, so the inequalities are asserted with a small finite-dimension
   slack.  Only the spectrum of a Hermitian base matters: for
   G = V diag(a) V^H and a Haar U, U G U^H = W diag(a) W^H with W = U V,
-  again Haar, so :func:`free_family` takes spectra only.  Such rotations are
-  strongly asymptotically free (B. Collins and C. Male, "The strong
-  asymptotic freeness of Haar and deterministic matrices", Ann. Sci. Ec.
-  Norm. Super. 47 (2014)): operator norms converge too, so the sum of n
-  rotated variance-one semicircle spectra has norm tending to 2 sqrt(n), the
-  norm of a semicircular element of variance n.  ``ohlab free`` reports its
-  sum norm relative to this target.
+  again Haar, so :func:`free_family` takes spectra only.  Nor does the
+  first member's frame: conjugating sum_i U_i diag(a_i) U_i^H by U_0^H
+  keeps its spectrum and gives diag(a_0) + sum_{i>=1} V_i diag(a_i) V_i^H
+  with V_i = U_0^H U_i iid Haar, so member 0 is not rotated.  Haar and
+  deterministic matrices are strongly asymptotically free (B. Collins and
+  C. Male, "The strong asymptotic freeness of Haar and deterministic
+  matrices", Ann. Sci. Ec. Norm. Super. 47 (2014)): operator norms converge
+  too, so the sum of n such variance-one semicircle spectra has norm tending
+  to 2 sqrt(n), the norm of a semicircular element of variance n.
+  ``ohlab free`` reports its sum norm relative to this target.
 
-:func:`free_family` streams each rotated member into one sum buffer and keeps
+:func:`free_family` streams the lower block-triangle of each rotated member,
+all that ``eigvalsh`` reads of the Hermitian sum, into one sum buffer, checks
+each Haar factor on the upper block-triangle of its Hermitian Gram, and keeps
 only the sum's signed spectrum and what else the checks read (a
-:class:`FreeFamily`), so its memory is a fixed handful of dim x dim arrays,
-whatever the number of summands, none of which outlives the build.
+:class:`FreeFamily`).  Its memory is the sum, one Haar factor and
+``_BLOCK``-row panels, whatever the number of summands, and none of it
+outlives the build.
 
 The scalar expectation is the normalised trace throughout.  Voiculescu's
 inequality for a family (a_i) reads
@@ -238,10 +244,16 @@ UNITARITY_SLACK = 16.0
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """max |U^H U - I| over the entries."""
-    g = u.conj().T @ u
-    g.flat[:: g.shape[0] + 1] -= 1.0
-    return float(np.max(np.abs(g)))
+    """max |U^H U - I| over the entries.  The Gram is Hermitian, so only its
+    upper block-triangle is formed, one ``_BLOCK``-row panel at a time."""
+    worst = 0.0
+    for k in range(0, len(u), _BLOCK):
+        g = u[:, k:k + _BLOCK].conj().T @ u[:, k:]  # rows k..k+b of U^H U, columns k..
+        i = np.arange(len(g))
+        g[i, i] -= 1.0
+        worst = max(worst, float(np.max(np.abs(g))))
+        del g  # before the next panel's product
+    return worst
 
 
 @dataclass(frozen=True)
@@ -253,7 +265,8 @@ class FreeFamily:
     norm, trace norm and CLT moments all read it.  ``spectra`` are each
     member's singular values and ``second_moments`` its
     tau(a_i^* a_i) = tau(a_i a_i^*).  ``unitarity_residual`` is the largest
-    of the Haar factors', None when the family was not built by rotation.
+    of the Haar factors', None when no factor was drawn: a family not built
+    by rotation, or a one-member one, whose member stays in its own frame.
     """
 
     eigenvalues: np.ndarray
@@ -297,17 +310,26 @@ def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
 
 
 def free_family(spectra, dim: int, seed=0) -> FreeFamily:
-    """Rotate each centred real spectrum by an independent Haar unitary.
+    """Rotate each centred real spectrum but the first by an independent Haar
+    unitary.
 
     Member i is U_i diag(a_i) U_i^H for the centred spectrum a_i, with the
-    law of any Hermitian base of that spectrum.  Each member is added into
-    one sum buffer (the first member is the buffer) and its tau(a_i^* a_i)
-    taken as soon as it is made, then dropped: memory is O(dim^2) whatever
-    the number of spectra.  The sum goes to one ``eigvalsh`` and is dropped
-    on return.  Each distinct spectrum (by identity) is checked and centred
-    once, before any draw, so a ``[spectrum] * n`` family holds one.  An
-    empty family raises ValueError; a Haar factor whose unitarity residual
-    exceeds ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.
+    law of any Hermitian base of that spectrum.  Member 0 stays diag(a_0):
+    conjugating the whole sum by U_0^H changes no eigenvalue, and turns
+    member i into V_i diag(a_i) V_i^H with V_i = U_0^H U_i, again iid Haar,
+    so the sum's spectrum has the same law with one draw fewer (the Haar and
+    deterministic setting of Collins and Male).  The sum is Hermitian and
+    ``eigvalsh`` reads its lower triangle only, so each member adds just its
+    lower block-triangle into one sum buffer, one ``_BLOCK``-row panel at a
+    time, and its tau(a_i^* a_i) is taken from those blocks (each strictly
+    lower block counted twice); no member is formed whole, and memory is
+    O(dim^2) whatever the number of spectra.  The sum goes to one
+    ``eigvalsh`` and is dropped on return.  Each distinct spectrum (by
+    identity) is checked and centred once, before any draw, so a
+    ``[spectrum] * n`` family holds one.  An empty family raises ValueError;
+    a Haar factor whose unitarity residual exceeds
+    ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.  A one-member family
+    draws no factor, and its ``unitarity_residual`` is None.
     """
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
@@ -319,8 +341,11 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
         if id(spectrum) not in known:
             a = _centred_spectrum(spectrum, dim)
             known[id(spectrum)] = (a, np.abs(a))
-    total, moments, worst = None, [], 0.0
-    for i, spectrum in enumerate(spectra):
+    a = known[id(spectra[0])][0]
+    total = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(total, a)  # member 0, in its own frame
+    moments, residuals = [float(a @ a) / dim], []
+    for i, spectrum in enumerate(spectra[1:], 1):
         a = known[id(spectrum)][0]
         u = haar_unitary(dim, rng)
         residual = unitarity_residual(u)
@@ -328,14 +353,26 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
             raise RuntimeError(
                 f"free_family: Haar factor {i} (dim {dim}) has unitarity residual {residual:.3e} > {bound:.3e}"
             )
-        worst = max(worst, residual)
-        # U diag(a) U^H with U^H conjugated in place, U being needed no more
-        ua = u * a
-        member = ua @ np.conjugate(u, out=u).T
-        moments.append(float(np.vdot(member, member).real) / dim)
-        total = member if total is None else np.add(total, member, out=total)
-        del u, ua, member  # so that none is alive during the next draw
-    return FreeFamily(np.linalg.eigvalsh(total), tuple(known[id(s)][1] for s in spectra), tuple(moments), worst)
+        residuals.append(residual)
+        np.conjugate(u, out=u)  # U is needed no more, its conjugate is
+        square = 0.0
+        for k in range(0, dim, _BLOCK):
+            rows = np.conjugate(u[k:k + _BLOCK])
+            rows *= a
+            block = rows @ u[:k + _BLOCK].T  # rows k..k+b of U diag(a) U^H, columns ..k+b
+            del rows
+            total[k:k + _BLOCK, :k + _BLOCK] += block
+            # each block left of the diagonal one stands for its mirror too
+            square += 2.0 * np.vdot(block, block).real - np.vdot(block[:, k:], block[:, k:]).real
+            del block  # before the next panel's product
+        moments.append(square / dim)
+        del u  # so that it is not alive during the next draw
+    return FreeFamily(
+        np.linalg.eigvalsh(total, UPLO="L"),
+        tuple(known[id(s)][1] for s in spectra),
+        tuple(moments),
+        max(residuals, default=None),
+    )
 
 
 @dataclass(frozen=True)
@@ -508,9 +545,12 @@ def free_clt_check(
 
     ``spectrum`` defaults to the semicircle quantiles; any real spectrum is
     centred before rotation and variance-normalised by :func:`clt_moments`
-    after; ValueError unless n >= 1 and trials >= 1.  Trial t draws its
-    unitaries from child t of ``SeedSequence(seed).spawn``, so it rotates the
-    spectrum exactly as trial t of ``ohlab free`` with the same seed does.
+    after; ValueError unless n >= 1 and trials >= 1.  As in
+    :func:`free_family`, the first member stays diagonal and the other n - 1
+    are rotated, which leaves the law of S unchanged.  Trial t draws its
+    unitaries from child t of ``SeedSequence(seed).spawn``, so it rotates
+    the spectrum exactly as trial t of ``ohlab free`` with the same seed
+    does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -339,9 +339,11 @@ class TestFree:
         assert all(0.0 < r["unitarity_residual"] <= bound for r in doc["rows"])
 
     def test_op_memory_peak(self, capsys):
-        # one op holds at most the sum, a Haar factor and two temporaries (the
-        # residual's conjugate copy and Gram, or U diag(a) and the member), and
-        # no dense base: 4.0 dim x dim complex arrays
+        # one op holds at most the sum, a Haar factor and _BLOCK-row panels
+        # (the residual's conjugate columns and Gram rows, or U diag(a)'s rows
+        # and the member's block, half a dim x dim array each at dim 256), or
+        # the sum beside a draw, and no dense base or whole member: 3.0 dim x
+        # dim complex arrays
         dim = 256
         argv = ["free", "--dim", str(dim), "--summands", "16", "--trials", "1"]
         assert main(argv) == 0  # the first call also allocates one-time state
@@ -352,7 +354,7 @@ class TestFree:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak <= 4.25 * dim * dim * np.dtype(complex).itemsize
+        assert peak <= 3.25 * dim * dim * np.dtype(complex).itemsize
 
     def test_zero_trials_rejected(self, capsys):
         assert main(["free", "--dim", "8", "--summands", "2", "--trials", "0"]) == 2
@@ -362,6 +364,24 @@ class TestFree:
         assert main(["free", "--dim", str(cli.MAX_FREE_DIM + 1), "--summands", "2", "--trials", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--dim" in err and str(cli.MAX_FREE_DIM) in err
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected(self, dim, capsys, monkeypatch):
+        # checked before the base is built
+        def no_base(dim):
+            raise AssertionError("the base was built before --dim was checked")
+
+        monkeypatch.setattr(freeprob, "semicircle_diag", no_base)
+        assert main(["free", f"--dim={dim}", "--summands", "2", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--dim must be >= 1" in err
+
+    def test_one_summand_draws_no_factor(self, capsys):
+        # the one member stays in its own frame, so no Haar factor is drawn
+        # and the row reports a null residual
+        code, doc = run_in_process(["free", "--dim", "16", "--summands", "1", "--trials", "2"], capsys)
+        assert code == 0
+        assert [r["unitarity_residual"] for r in doc["rows"]] == [None, None]
 
     def test_zero_centred_base_rejected(self, capsys):
         # at dim 1 the centred base is 0, so the CLT sum cannot be normalised

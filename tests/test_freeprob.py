@@ -56,12 +56,13 @@ def centred(spectrum) -> np.ndarray:
 
 
 def rotated_members(spectra, dim: int, seed) -> list:
-    """The members free_family(spectra, dim, seed) adds into its sum, rebuilt
-    from the same seeded haar_unitary stream in member order: (U * d) U^H for
-    the centred spectrum d."""
+    """The members free_family(spectra, dim, seed) adds into its sum, each
+    whole, rebuilt in member order: diag(d) for the first centred spectrum d,
+    in its own frame, and (U * d) U^H for the others, U from the same seeded
+    haar_unitary stream."""
     rng = np.random.default_rng(seed)
-    members = []
-    for spectrum in spectra:
+    members = [np.diag(centred(spectra[0])).astype(complex)]
+    for spectrum in spectra[1:]:
         u = haar_unitary(dim, rng)
         members.append((u * centred(spectrum)) @ u.conj().T)
     return members
@@ -74,15 +75,26 @@ def summed_in_order(members) -> np.ndarray:
     return total
 
 
-def solved(build, monkeypatch) -> tuple:
+def lower_sum(bases, dim: int, seed) -> np.ndarray:
+    """The lower triangle of the whole members free_family(bases, dim, seed)
+    rotates, summed in member order: what its sum must hold there."""
+    return np.tril(summed_in_order(rotated_members(bases, dim, seed)))
+
+
+def solved(build, monkeypatch, poison=False) -> tuple:
     """(family, arrays): the family build() returns, and every array its build
     handed to np.linalg.eigvalsh, in order, with np.linalg.svd failing, as
     the free path takes none.  The family holds no 2-D array, and its
-    eigenvalues are the eigvalsh of the last array, the member sum."""
+    eigenvalues are the eigvalsh of the last array, the member sum, whose
+    lower triangle is all that eigvalsh reads.  With ``poison`` each array's
+    strict upper triangle is overwritten with NaN before it is solved."""
     seen = []
     real = np.linalg.eigvalsh
 
-    def spy(a):
+    def spy(a, UPLO="L"):
+        assert UPLO == "L"
+        if poison:
+            a[np.triu_indices(len(a), 1)] = np.nan
         seen.append(a)
         return real(a)
 
@@ -178,9 +190,6 @@ class TestHaar:
         twin = np.random.default_rng(seed)
         twin.standard_normal(draw_count(dim))
         assert rng.bit_generator.state == twin.bit_generator.state
-        # the residual subtracts 1 from the Gram diagonal in place: bit equal
-        for v in (u, 1.001 * u, np.random.default_rng(seed).standard_normal((dim, dim)).astype(complex)):
-            assert unitarity_residual(v) == float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
 
     def test_draw_count(self):
         # panel k draws its (dim - k) x b block: 62.5 % of 2 dim^2 at dim 512
@@ -276,11 +285,12 @@ class TestHaar:
 
 class TestFreeFamily:
     def test_members_centred(self, monkeypatch):
-        spectra = [gue_spectrum(32, np.random.default_rng(2))]
+        spectra = [gue_spectrum(32, np.random.default_rng(2)) for _ in range(2)]
         _, (total,) = solved(lambda: free_family(spectra, 32, seed=3), monkeypatch)
-        (member,) = rotated_members(spectra, 32, seed=3)
-        assert np.array_equal(total, member)
-        assert abs(np.trace(member) / 32) < 1e-12
+        members = rotated_members(spectra, 32, seed=3)
+        assert np.array_equal(np.tril(total), np.tril(summed_in_order(members)))
+        assert all(abs(np.trace(a) / 32) < 1e-12 for a in members)
+        assert abs(np.trace(total) / 32) < 1e-12
 
     def test_seed_reproducibility(self, monkeypatch):
         base = [gue_spectrum(24, np.random.default_rng(4)) for _ in range(3)]
@@ -339,16 +349,31 @@ class TestFreeFamily:
             FreeFamily.from_members((a + a.conj().T, a))
 
     def test_rotation_of_a_hermitian_base(self, monkeypatch):
-        # for G = V diag(lam) V^H the member free_family([lam]) makes is
-        # W G W^H with W = U V^H, U from the same seeded haar_unitary stream:
-        # only the spectrum of a Hermitian base matters
+        # for G = V diag(lam) V^H the second member free_family([lam, lam])
+        # makes is W G W^H with W = U V^H, U the first draw of the seeded
+        # haar_unitary stream (the first member, diag(lam), draws none): only
+        # the spectrum of a Hermitian base matters
         dim = 64
         g = gue(dim, np.random.default_rng(7))
         g -= np.trace(g).real / dim * np.eye(dim)
         lam, v = np.linalg.eigh(g)
-        _, (member,) = solved(lambda: free_family([lam], dim, seed=8), monkeypatch)
+        _, (total,) = solved(lambda: free_family([lam, lam], dim, seed=8), monkeypatch)
         w = haar_unitary(dim, np.random.default_rng(8)) @ v.conj().T
-        assert np.max(np.abs(member - w @ g @ w.conj().T)) <= 1e-12 * np.linalg.norm(g, 2)
+        expected = np.diag(lam) + w @ g @ w.conj().T
+        assert np.max(np.abs(np.tril(total - expected))) <= 1e-12 * np.linalg.norm(g, 2)
+
+    def test_one_member_family_draws_nothing(self, monkeypatch):
+        # the only member stays in its own frame: its sum is diag(a), solved
+        # exactly, and no Haar factor is drawn or reported
+        def no_draw(dim, rng):
+            raise AssertionError("a one-member family drew a Haar factor")
+
+        monkeypatch.setattr(freeprob, "haar_unitary", no_draw)
+        spectrum = gue_spectrum(40, np.random.default_rng(9))
+        fam = free_family([spectrum], 40, seed=10)
+        assert fam.unitarity_residual is None
+        assert np.array_equal(fam.eigenvalues, np.sort(centred(spectrum)))
+        assert fam.second_moments == (float(centred(spectrum) @ centred(spectrum)) / 40,)
 
     def test_mixed_moment_vanishes(self):
         # alternating centred moment of two independently rotated elements
@@ -406,12 +431,19 @@ class TestKnownSpectra:
 
     def test_sum_is_built_once(self, monkeypatch):
         _, (total,) = solved(lambda: free_family([semicircle_diag(16)] * 3, 16, seed=24), monkeypatch)
-        assert np.array_equal(total, np.sum(rotated_members([semicircle_diag(16)] * 3, 16, seed=24), axis=0))
+        assert np.array_equal(np.tril(total), lower_sum([semicircle_diag(16)] * 3, 16, seed=24))
 
 
 class TestStreaming:
-    """free_family keeps no member: the sum is streamed into one buffer, and
-    the record holds exactly what the members summed in order would give."""
+    """free_family keeps no member: each member's lower block-triangle is
+    streamed into one buffer, and the record holds what the whole members
+    summed in order would give.  Dims below, at and off a multiple of
+    ``_BLOCK`` (40, 128, 300) take one panel, one full panel and a last
+    short one; at these the panel products round as the whole member's
+    product does, so the lower triangle is bit equal (a one-row panel, as at
+    dim 129, is a matrix-vector product in BLAS and may round differently)."""
+
+    DIMS = [40, 128, 300]
 
     @staticmethod
     def bases(kind, dim):
@@ -426,18 +458,35 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_sum_equals_members_summed_in_order(self, kind, monkeypatch):
-        dim = 40
-        bases = self.bases(kind, dim)
-        _, (total,) = solved(lambda: free_family(bases, dim, seed=41), monkeypatch)
-        assert np.array_equal(total, summed_in_order(rotated_members(bases, dim, seed=41)))
+        block = freeprob._BLOCK
+        for dim in self.DIMS:
+            bases = self.bases(kind, dim)
+            _, (total,) = solved(lambda: free_family(bases, dim, seed=41), monkeypatch)
+            assert np.array_equal(np.tril(total), lower_sum(bases, dim, seed=41))
+            # above the diagonal blocks nothing is added
+            assert all(not np.any(total[k:k + block, k + block:]) for k in range(0, dim, block))
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_second_moments_are_the_member_vdots(self, kind):
-        dim = 40
-        bases = self.bases(kind, dim)
-        fam = free_family(bases, dim, seed=42)
-        members = rotated_members(bases, dim, seed=42)
-        assert fam.second_moments == tuple(float(np.vdot(a, a).real) / dim for a in members)
+        # taken from the blocks, each strictly lower one twice: the whole
+        # members' vdots to rounding
+        for dim in self.DIMS:
+            bases = self.bases(kind, dim)
+            fam = free_family(bases, dim, seed=42)
+            members = rotated_members(bases, dim, seed=42)
+            expected = [float(np.vdot(a, a).real) / dim for a in members]
+            assert len(fam.second_moments) == len(expected)
+            for got, want in zip(fam.second_moments, expected):
+                assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_upper_triangle_is_never_read(self, dim, monkeypatch):
+        # NaN above the diagonal of the solved array leaves its eigenvalues
+        bases = self.bases("mixed", dim)
+        fam, _ = solved(lambda: free_family(bases, dim, seed=47), monkeypatch)
+        poisoned, (total,) = solved(lambda: free_family(bases, dim, seed=47), monkeypatch, poison=True)
+        assert np.isnan(total[0, -1]) == (dim > 1)
+        assert np.array_equal(poisoned.eigenvalues, fam.eigenvalues)
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue"])
     def test_known_spectra_and_centring_as_before(self, kind, monkeypatch):
@@ -446,7 +495,7 @@ class TestStreaming:
         base = self.bases(kind, dim)[0]
         fam, (total,) = solved(lambda: free_family([base] * 2, dim, seed=43), monkeypatch)
         assert all(np.array_equal(sv, np.abs(centred(base))) for sv in fam.spectra)
-        assert np.array_equal(total, summed_in_order(rotated_members([base] * 2, dim, seed=43)))
+        assert np.array_equal(np.tril(total), lower_sum([base] * 2, dim, seed=43))
 
     @pytest.mark.parametrize("kind", ["diagonal", "gue", "mixed"])
     def test_each_distinct_spectrum_is_held_once(self, kind):
@@ -466,9 +515,9 @@ class TestStreaming:
         members = rotated_members(bases, dim, seed=44)
         fam, (total,) = solved(lambda: free_family(bases, dim, seed=44), monkeypatch)
         direct, seen = solved(lambda: FreeFamily.from_members(members), monkeypatch)
-        assert np.array_equal(seen[-1], total)
+        assert np.array_equal(np.tril(seen[-1]), np.tril(total))
         assert np.array_equal(direct.eigenvalues, fam.eigenvalues)
-        assert direct.second_moments == fam.second_moments
+        assert direct.second_moments == pytest.approx(fam.second_moments, rel=1e-14)
 
     def test_peak_memory_does_not_grow_with_summands(self):
         dim = 128
@@ -490,15 +539,16 @@ class TestStreaming:
 
 
 class TestHermitianSum:
-    """Every sum is Hermitian by construction and goes to one eigvalsh; no
-    SVD is taken."""
+    """Every sum is Hermitian by construction and goes to one eigvalsh, which
+    reads its lower triangle; no SVD is taken."""
 
     @pytest.mark.parametrize("kind", ["semicircle", "gue"])
     def test_sum_is_solved_once(self, kind, monkeypatch):
+        # below _BLOCK one panel holds the whole sum, Hermitian to rounding
         dim = 48
         base = semicircle_diag(dim) if kind == "semicircle" else gue_spectrum(dim, np.random.default_rng(25))
         _, (total,) = solved(lambda: free_family([base] * 3, dim, seed=26), monkeypatch)
-        assert np.array_equal(total, summed_in_order(rotated_members([base] * 3, dim, seed=26)))
+        assert np.array_equal(np.tril(total), lower_sum([base] * 3, dim, seed=26))
         assert np.max(np.abs(total - total.conj().T)) <= 1e-12 * np.max(np.abs(total))
 
     def test_direct_family_solves_each_member_and_the_sum(self, monkeypatch):
@@ -519,11 +569,27 @@ class TestUnitarity:
     def test_non_unitary_factor_raises(self, monkeypatch):
         real = freeprob.haar_unitary
         monkeypatch.setattr(freeprob, "haar_unitary", lambda dim, rng: 1.001 * real(dim, rng))
-        with pytest.raises(RuntimeError, match="unitarity residual"):
-            free_family([semicircle_diag(8)], 8, seed=0)
+        with pytest.raises(RuntimeError, match="Haar factor 1 .* unitarity residual"):
+            free_family([semicircle_diag(8)] * 2, 8, seed=0)
 
     def test_residual_of_identity(self):
         assert unitarity_residual(np.eye(5, dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 7, 40, 127, 128, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_residual_is_the_full_gram_max(self, dim, seed):
+        # the upper block-triangle holds every entry of the Hermitian Gram or
+        # its conjugate: max |U^H U - I| over the whole Gram, bit equal, for a
+        # Haar factor, a scaled one, one whose last column leans on its first
+        # (the largest entry off the diagonal blocks) and a matrix far from
+        # unitary (a panel one column wide, as at dim 129, is a matrix-vector
+        # product in BLAS and may round its entries differently)
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(dim, rng)
+        leaning = u.copy()
+        leaning[:, -1] += 0.01 * u[:, 0]
+        for v in (u, 1.001 * u, leaning, rng.standard_normal((dim, dim)).astype(complex)):
+            assert unitarity_residual(v) == float(np.max(np.abs(v.conj().T @ v - np.eye(dim))))
 
 
 class TestVoiculescu:
