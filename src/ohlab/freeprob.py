@@ -321,8 +321,8 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     deterministic setting of Collins and Male).  The sum is Hermitian and
     ``eigvalsh`` reads its lower triangle only, so each member adds just its
     lower block-triangle into one sum buffer, one ``_BLOCK``-row panel at a
-    time, and its tau(a_i^* a_i) is taken from those blocks (each strictly
-    lower block counted twice); no member is formed whole, and memory is
+    time.  Its tau(a_i^* a_i) is a_i . a_i / dim, as no unitary rotation
+    moves it; no member is formed whole, and memory is
     O(dim^2) whatever the number of spectra.  The sum goes to one
     ``eigvalsh`` and is dropped on return.  Each distinct spectrum (by
     identity) is checked and centred once, before any draw, so a
@@ -336,15 +336,14 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     spectra = list(spectra)  # keeps every spectrum alive, so no id is reused
     if not spectra:
         raise ValueError("family must be nonempty")
-    known = {}               # id(spectrum) -> (centred spectrum, its singular values)
+    known = {}               # id(spectrum) -> (centred spectrum, its singular values, tau(a^2))
     for spectrum in spectra:
         if id(spectrum) not in known:
             a = _centred_spectrum(spectrum, dim)
-            known[id(spectrum)] = (a, np.abs(a))
-    a = known[id(spectra[0])][0]
+            known[id(spectrum)] = (a, np.abs(a), float(a @ a) / dim)
     total = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(total, a)  # member 0, in its own frame
-    moments, residuals = [float(a @ a) / dim], []
+    np.fill_diagonal(total, known[id(spectra[0])][0])  # member 0, in its own frame
+    residuals = []
     for i, spectrum in enumerate(spectra[1:], 1):
         a = known[id(spectrum)][0]
         u = haar_unitary(dim, rng)
@@ -355,22 +354,17 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
             )
         residuals.append(residual)
         np.conjugate(u, out=u)  # U is needed no more, its conjugate is
-        square = 0.0
         for k in range(0, dim, _BLOCK):
             rows = np.conjugate(u[k:k + _BLOCK])
             rows *= a
-            block = rows @ u[:k + _BLOCK].T  # rows k..k+b of U diag(a) U^H, columns ..k+b
-            del rows
-            total[k:k + _BLOCK, :k + _BLOCK] += block
-            # each block left of the diagonal one stands for its mirror too
-            square += 2.0 * np.vdot(block, block).real - np.vdot(block[:, k:], block[:, k:]).real
-            del block  # before the next panel's product
-        moments.append(square / dim)
+            # rows k..k+b of U diag(a) U^H, columns ..k+b
+            total[k:k + _BLOCK, :k + _BLOCK] += rows @ u[:k + _BLOCK].T
+            del rows  # before the next panel's conjugate
         del u  # so that it is not alive during the next draw
     return FreeFamily(
         np.linalg.eigvalsh(total, UPLO="L"),
         tuple(known[id(s)][1] for s in spectra),
-        tuple(moments),
+        tuple(known[id(s)][2] for s in spectra),
         max(residuals, default=None),
     )
 
