@@ -3,7 +3,7 @@
 Submodules:
 
 * ``quad``      -- arcsine-measure quadrature and exact interval masses
-* ``numlin``    -- certified positive matrices, factorised once, and commuting square roots
+* ``numlin``    -- certified positive matrices, commuting square roots, the interval type and verdicts
 * ``geomean``   -- Pusz-Woronowicz primal/dual square-root formulas
 * ``ohspace``   -- matrix-tuple norms (spectral oracle and alternating maximisation)
 * ``kfunc``     -- two- and three-term sum-space norms on weighted grids

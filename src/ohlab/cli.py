@@ -4,7 +4,8 @@ Exit status: 0 on success, 1 when a computed quantity violates an asserted
 bound (or an experiment tolerance), 2 on invalid configuration, 3 on a
 numerical failure (non-convergence, a singular or failed solve).  JSON goes
 to --out or stdout; wall-clock timing goes to stderr so identical seeded
-runs stay byte-identical.
+runs stay byte-identical.  A runner returns its report and one ``numlin.violation``
+per checked inequality; exit 1 prints a ``bound violation:`` line per failure.
 
 ``main(argv)`` may be called repeatedly in one process.  It parses with one
 parser per process, built on the first call by :func:`build_parser` (which
@@ -38,6 +39,7 @@ from .kfunc import (
     l2sum2_norm,
     two_term_k_norm,
 )
+from .numlin import BoundViolation, violation
 from .quad import arcsine_rule
 from .report import MergeError, Report, report_from_dict, report_merge
 
@@ -79,6 +81,8 @@ MAX_PW_NODES_DIM = 2**21
 MAX_NODES = 2**22
 MAX_BASIS_N = 2**22
 MAX_SUMSPACE_POINTS = 2**21
+# share of Voiculescu's bound by which the Haar model's finite-dimension norm may exceed it
+FREE_NORM_SLACK = 0.01
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,16 +164,23 @@ def flag_params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "out")}
 
 
+def check_counts(args, **limits) -> None:
+    """Each named count flag must be >= 1, and at most its limit where one is given."""
+    for name, limit in limits.items():
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1")
+        if limit is not None and value > limit:
+            raise ValueError(f"{flag} {value} exceeds {limit}")
+
+
 def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
     if not math.isfinite(value) or (nonnegative and value < 0.0):
         raise ValueError(f"{flag} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
 
 
-def run_pw(args) -> tuple[Report, bool]:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if args.dim > MAX_PW_DIM:
-        raise ValueError(f"--dim {args.dim} exceeds {MAX_PW_DIM}")
+def run_pw(args) -> tuple[Report, list]:
+    check_counts(args, trials=None, dim=MAX_PW_DIM, nodes=None)
     if args.nodes * args.dim > MAX_PW_NODES_DIM:
         raise ValueError(f"--nodes {args.nodes} x --dim {args.dim} exceeds {MAX_PW_NODES_DIM}")
     check_finite(args.tol, "--tol", nonnegative=True)
@@ -177,7 +188,7 @@ def run_pw(args) -> tuple[Report, bool]:
     rule = arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
-    failed = False
+    verdicts = []
     for t in range(args.trials):
         rng = np.random.default_rng(seeds[t])
         prob = geomean.random_commuting_pair(args.dim, rng, cond=args.cond)
@@ -200,24 +211,21 @@ def run_pw(args) -> tuple[Report, bool]:
                 "witness_ratio_residual": resid,
             }
         )
-        if rel_primal > args.tol or rel_dual > 2.0 * args.tol:
-            failed = True
+        verdicts += [violation("rel_err_primal <= tol", rel_primal, args.tol, trial=t),
+                     violation("rel_err_dual_vs_primal <= 2 tol", rel_dual, 2.0 * args.tol, trial=t)]
     params = flag_params(args)
     params["max_rel_error"] = max(r["rel_err_primal"] for r in rows)
-    return Report("pw", params, rows), failed
+    return Report("pw", params, rows), verdicts
 
 
-def run_ohnorm(args) -> tuple[Report, bool]:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if args.m > MAX_OHNORM_M:
-        raise ValueError(f"--m {args.m} exceeds {MAX_OHNORM_M}")
+def run_ohnorm(args) -> tuple[Report, list]:
+    check_counts(args, trials=None, n=None, m=MAX_OHNORM_M, restarts=None)
     if args.n * args.m**2 > MAX_OHNORM_ENTRIES:
         raise ValueError(f"--n {args.n} x --m {args.m}^2 exceeds {MAX_OHNORM_ENTRIES}")
     check_finite(args.tol, "--tol", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
-    failed = False
+    verdicts = []
     for t in range(args.trials):
         rng = np.random.default_rng(seeds[t])
         xs = rng.standard_normal((args.n, args.m, args.m)) + 1j * rng.standard_normal(
@@ -240,42 +248,34 @@ def run_ohnorm(args) -> tuple[Report, bool]:
                 "argmax_min_eig_b": res.argmax.min_eig_b,
             }
         )
-        if rel > args.tol:
-            failed = True
-    return Report("ohnorm", flag_params(args), rows), failed
+        verdicts.append(violation("rel_diff <= tol", rel, args.tol, trial=t))
+    return Report("ohnorm", flag_params(args), rows), verdicts
 
 
-def run_basis(args) -> tuple[Report, bool]:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    if args.vectors < 1:
-        raise ValueError("--vectors must be >= 1")
-    if args.n > MAX_BASIS_N:
-        raise ValueError(f"--n {args.n} exceeds {MAX_BASIS_N}")
-    if args.nodes > MAX_NODES:
-        raise ValueError(f"--nodes {args.nodes} exceeds {MAX_NODES}")
+def run_basis(args) -> tuple[Report, list]:
+    check_counts(args, n=MAX_BASIS_N, vectors=None, nodes=MAX_NODES)
     rule = arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
+    verdicts = []
     for i in range(args.vectors):
         a = rng.standard_normal(args.n) + 1j * rng.standard_normal(args.n)
         val = ohspace.fn_scalar_norm(a, rule)
-        rows.append({"vector": i, "norm": val, "ratio": val / float(np.linalg.norm(a))})
+        ratio = val / float(np.linalg.norm(a))
+        rows.append({"vector": i, "norm": val, "ratio": ratio})
+        verdicts += [violation("1/sqrt(2) <= ratio", 1 / math.sqrt(2), ratio, 1e-3, vector=i),
+                     violation("ratio <= sqrt(2)", ratio, math.sqrt(2), 1e-3, vector=i)]
     ratios = [r["ratio"] for r in rows]
     params = flag_params(args)
     params["ratio_spread"] = max(ratios) - min(ratios)
-    failed = not all(1 / math.sqrt(2) - 1e-3 <= r <= math.sqrt(2) + 1e-3 for r in ratios)
-    return Report("basis", params, rows), failed
+    return Report("basis", params, rows), verdicts
 
 
-def run_sumspace(args) -> tuple[Report, bool]:
+def run_sumspace(args) -> tuple[Report, list]:
     t_values = [float(v) for v in args.t_sweep.split(",") if v]
     if not t_values:
         raise ValueError("--t-sweep needs at least one value")
-    if args.points > MAX_SUMSPACE_POINTS:
-        raise ValueError(f"--points {args.points} exceeds {MAX_SUMSPACE_POINTS}")
-    if args.nodes > MAX_NODES:
-        raise ValueError(f"--nodes {args.nodes} exceeds {MAX_NODES}")
+    check_counts(args, points=MAX_SUMSPACE_POINTS, nodes=MAX_NODES)
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
     base /= base.sum()
@@ -286,13 +286,14 @@ def run_sumspace(args) -> tuple[Report, bool]:
     grid = WeightedGrid(base_weights=base, g=g, h=h)
     two = l2sum2_norm(k, grid)
     one = l2sum1_norm(k, grid)
-    failed = not (two - 1e-12 <= one <= math.sqrt(2) * two + 1e-12)
     # cross-module consistency on the arcsine rule: the two-density quotient
     # norm of the constant profile equals the scalar basis norm
     rule = arcsine_rule(args.nodes)
     quotient = k_d1d2_norm(np.ones(args.nodes), rule.nodes, 1.0 - rule.nodes, rule.weights)
     basis_norm = ohspace.fn_scalar_norm([1.0], rule)
-    failed = failed or abs(quotient - basis_norm) > 1e-8
+    verdicts = [violation("l2sum2 <= l2sum1", two, one, 1e-12),
+                violation("l2sum1 <= sqrt(2) l2sum2", one, math.sqrt(2) * two, 1e-12),
+                violation("|quotient - basis norm| <= 1e-8", abs(quotient - basis_norm), 1e-8)]
     rows = []
     prev = -math.inf
     for t in t_values:
@@ -307,18 +308,17 @@ def run_sumspace(args) -> tuple[Report, bool]:
                 "gap_to_k": k_norm - val,   # reported, never asserted
             }
         )
-        if val < prev - 1e-10:
-            failed = True
+        verdicts.append(violation("ik_t nondecreasing in t", prev, val, 1e-10, t=t))
         prev = val
     params = flag_params(args)
     params["t_sweep"] = t_values
     params["l2sum2"] = two
     params["l2sum1"] = one
     params["quotient_vs_basis_gap"] = quotient - basis_norm
-    return Report("sumspace", params, rows), failed
+    return Report("sumspace", params, rows), verdicts
 
 
-def run_bracket(args) -> tuple[Report, bool]:
+def run_bracket(args) -> tuple[Report, list]:
     if args.grid > MAX_BRACKET_GRID:
         raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}")
     n_list = [int(v) for v in args.n_list.split(",") if v]
@@ -328,18 +328,11 @@ def run_bracket(args) -> tuple[Report, bool]:
     rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
     params = flag_params(args)
     params["n_list"] = n_list
-    return Report("bracket", params, rows, constants=tensorlog.provenance()), False
+    return Report("bracket", params, rows, constants=tensorlog.provenance()), []
 
 
-def run_free(args) -> tuple[Report, bool]:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if args.summands < 1:
-        raise ValueError("--summands must be >= 1")
-    if args.dim < 1:
-        raise ValueError("--dim must be >= 1")
-    if args.dim > MAX_FREE_DIM:
-        raise ValueError(f"--dim {args.dim} exceeds {MAX_FREE_DIM}")
+def run_free(args) -> tuple[Report, list]:
+    check_counts(args, trials=None, summands=None, dim=MAX_FREE_DIM)
     check_finite(args.slack, "--slack", nonnegative=True)
     # trial t uses child t of the spawn, as trial t of free_clt_check does, so
     # the first min(T, 5) trial families also give the CLT moments
@@ -347,7 +340,7 @@ def run_free(args) -> tuple[Report, bool]:
     clt_trials = min(args.trials, 5)
     spectrum = freeprob.semicircle_diag(args.dim)
     rows = []
-    failed = False
+    verdicts = []
     target = 2.0 * math.sqrt(args.summands)
     clt_acc = np.zeros(4)
     for t in range(args.trials):
@@ -369,20 +362,22 @@ def run_free(args) -> tuple[Report, bool]:
                 "unitarity_residual": fam.unitarity_residual,
             }
         )
-        if voi.margin < -0.01 * voi.rhs:
-            failed = True
-        if conv.column < -args.slack * conv.column_rhs or conv.row < -args.slack * conv.row_rhs:
-            failed = True
+        verdicts += [
+            violation("||sum a_i|| <= max ||a_i|| + 2 (sum tau(a_i* a_i))^(1/2)",
+                      voi.lhs, voi.rhs, FREE_NORM_SLACK * voi.rhs, trial=t),
+            # the row inequality is this one: tau(a a*) = tau(a* a)
+            violation("||sum a_i||_1 <= (sum tau(a_i* a_i))^(1/2)", conv.column_rhs - conv.column,
+                      conv.column_rhs, args.slack * conv.column_rhs, trial=t),
+        ]
     clt = freeprob.CLTResult.from_moments(clt_acc / clt_trials)
     params = flag_params(args)
     params["clt_moments"] = list(clt.moments)
     params["clt_deviations"] = list(clt.deviations)
-    return Report("free", params, rows), failed
+    return Report("free", params, rows), verdicts
 
 
-def run_fock(args) -> tuple[Report, bool]:
-    if args.kmax > MAX_FOCK_KMAX:
-        raise ValueError(f"--kmax {args.kmax} exceeds {MAX_FOCK_KMAX}")
+def run_fock(args) -> tuple[Report, list]:
+    check_counts(args, kmax=MAX_FOCK_KMAX)
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
     catalans = freeprob.catalan_numbers(args.kmax)
     fock = freeprob.TruncatedFock(letter_dim=2, cutoff=min(args.cutoff, 6))
@@ -394,13 +389,14 @@ def run_fock(args) -> tuple[Report, bool]:
         {"k": k + 1, "moment": float(m), "catalan": float(c), "abs_err": float(abs(m - c))}
         for k, (m, c) in enumerate(zip(moments, catalans))
     ]
-    failed = moments != catalans or defect > 1e-12
+    verdicts = [violation("|moment - Catalan number| <= 0", r["abs_err"], 0.0, k=r["k"]) for r in rows]
+    verdicts.append(violation("compression defect <= 1e-12", defect, 1e-12))
     params = flag_params(args)
     params["compression_defect"] = defect
-    return Report("fock", params, rows), failed
+    return Report("fock", params, rows), verdicts
 
 
-def run_report(args) -> tuple[Report, bool]:
+def run_report(args) -> tuple[Report, list]:
     reports = []
     sources = []
     for path in args.paths:
@@ -411,7 +407,7 @@ def run_report(args) -> tuple[Report, bool]:
             raise MergeError(f"{path}: unreadable report ({exc})") from exc
         reports.append(report_from_dict(data, source=path))
         sources.append(os.path.basename(path))
-    return report_merge(reports, sources=sources), False
+    return report_merge(reports, sources=sources), []
 
 
 RUNNERS = {
@@ -431,8 +427,8 @@ def main(argv=None) -> int:
     runner = RUNNERS[args.subcommand]
     start = time.perf_counter()
     try:
-        report, failed = runner(args)
-    except tensorlog.BoundViolation as exc:
+        report, verdicts = runner(args)
+    except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except MergeError as exc:
@@ -456,7 +452,10 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(payload)
     print(f"ohlab {args.subcommand}: {len(report.rows)} rows in {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_ASSERTION if failed else EXIT_OK
+    failures = [line for line in verdicts if line is not None]
+    for line in failures:
+        print(f"bound violation: {line}", file=sys.stderr)
+    return EXIT_ASSERTION if failures else EXIT_OK
 
 
 if __name__ == "__main__":

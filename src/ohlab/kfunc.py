@@ -37,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numlin import ROUNDING, require
+
 __all__ = [
-    "BoundViolation",
     "WeightedGrid",
     "ThreeTermSpec",
     "l2sum2_norm",
@@ -48,15 +49,6 @@ __all__ = [
     "two_term_k_norm",
     "k_d1d2_norm",
 ]
-
-# c eps per unit of term magnitude: the rounding bound on a computed derivative
-# here and on tensorlog's closed forms
-ROUNDING = 64 * float(np.finfo(float).eps)
-
-
-class BoundViolation(RuntimeError):
-    """A numerically computed quantity violated an analytically proved bound."""
-
 
 # result of minimize_scalar: the minimiser and the number of derivative evaluations
 ScalarMinimum = namedtuple("ScalarMinimum", "x nfev")
@@ -246,11 +238,8 @@ def ik_t_parts(x, spec: ThreeTermSpec):
     value = sqrt_t * float(np.sum(w * np.abs(x1))) + _weighted_l2(np.abs(y), w)
     # the identity route (x1 = 0) is always feasible, so the three-term value
     # can never exceed the two-term K-norm
-    if not value <= k_route + 1e-9 * max(k_route, 1.0):
-        raise BoundViolation(
-            f"three-term value {value:.6e} exceeds the two-term K-norm {k_route:.6e} "
-            f"(t={spec.t_param:g}, {v.size} points)"
-        )
+    require("three-term value <= two-term K-norm", value, k_route, 1e-9 * max(k_route, 1.0),
+            t=spec.t_param, points=v.size)
     return value, (x1, 0.5 * y, 0.5 * y)
 
 

@@ -1,4 +1,7 @@
-"""Dense complex linear-algebra substrate.
+"""Dense complex linear-algebra substrate, and the one verdict path.
+
+Every inequality ohlab claims is decided by ``violation`` (hard invariants
+raise its line through ``require``), and ``Bounded`` is the one interval type.
 
 One certified matrix type, ``PositiveMatrix``, the one commuting-pair check
 (``commuting_pair``), the one Hermitian part and square roots of commuting
@@ -13,9 +16,17 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
+    "ROUNDING",
+    "BoundViolation",
+    "Bounded",
+    "violation",
+    "require",
     "PositiveMatrix",
     "commuting_pair",
     "hermitian_part",
@@ -28,6 +39,51 @@ HERM_TOL = 1e-12        # Hermitian ingest check
 PSD_CLAMP_TOL = 1e-10   # eigenvalues in [-tol*|H|, 0) are clamped to 0
 EPS_PD = 1e-12          # strict positivity: min_eig > EPS_PD * |H|
 COMMUTE_TOL = 1e-8      # ||AB-BA|| <= tol * ||A|| ||B||
+
+# c eps per unit of term magnitude: the rounding bound on a closed form summed
+# from a handful of terms (tensorlog) and on a computed derivative (kfunc)
+ROUNDING = 64 * float(np.finfo(float).eps)
+
+
+class BoundViolation(RuntimeError):
+    """A numerically computed quantity violated an analytically proved bound."""
+
+
+class Bounded(NamedTuple):
+    """A computed value and a bound on its distance from the exact one."""
+
+    value: float
+    err: float
+
+    @classmethod
+    def from_terms(cls, terms, trunc=0.0, factor=1.0) -> Bounded:
+        """factor * sum(terms), off by at most factor * (trunc + ROUNDING sum |term|)."""
+        return cls(factor * math.fsum(terms), factor * (trunc + ROUNDING * math.fsum(abs(x) for x in terms)))
+
+    @property
+    def lo(self) -> float:
+        return self.value - self.err
+
+    @property
+    def hi(self) -> float:
+        return self.value + self.err
+
+
+def violation(claim: str, lhs: float, rhs: float, slack: float = 0.0, **params) -> str | None:
+    """None when lhs <= rhs + slack; otherwise one line naming ``claim``, both
+    sides, the slack and ``params`` (the stage: trial, n, delta, ...).  A NaN
+    side fails.  A negative slack is a margin the claim must clear."""
+    if lhs <= rhs + slack:
+        return None
+    where = f" at {', '.join(f'{k}={v}' for k, v in params.items())}" if params else ""
+    return f"{claim} fails{where}: {lhs:.6e} > {rhs:.6e}" + (f" (slack {slack:.1e})" if slack else "")
+
+
+def require(claim: str, lhs: float, rhs: float, slack: float = 0.0, **params) -> None:
+    """A hard invariant: raise ``violation``'s line as BoundViolation."""
+    line = violation(claim, lhs, rhs, slack, **params)
+    if line is not None:
+        raise BoundViolation(line)
 
 
 def as_matrix(x) -> np.ndarray:

@@ -19,7 +19,8 @@ The analytic estimates certified in ``witness_validate``:
     pairing integral over I     >= (-ln 8 delta) / pi^2
 
 (the h, k operator norms are dominated by their L2 norms, which is how the
-trace-class constraints are discharged).  A violation raises hard.
+trace-class constraints are discharged).  A violation raises hard, through
+``numlin.require``, naming delta and n.
 
 Upper route: a (x) 1 = a1 + a2.  a1 lives on a region R of four rectangles
 avoiding the corners (0,1) and (1,0), in the +_1 sum of the Hilbertian
@@ -45,11 +46,12 @@ With u = sqrt(delta/(1-delta)) = tan(alpha_delta/2) and Catalan's constant G:
 For u <= 1/2 (delta <= 1/5; a larger delta raises ValueError) Ti2(u) is the
 alternating series sum_{k<25} (-1)^k u^(2k+1)/(2k+1)^2, off by less than its
 first omitted term, u^51/51^2 <= 1.7e-19.  Each value carries that bound plus
-an outward slack of c eps times the magnitudes of the terms it sums; a term
-takes a handful of roundings, u's included (libm's log and atan are within
-one ulp), so c = 64 (``kfunc.ROUNDING``) also covers the final scaling.
-Lower, upper and every check take the safe end of each enclosure, each check
-clears its analytic bound by c eps |bound|, and the corner strips get 1 + c eps.
+an outward slack of c eps times the magnitudes of the terms it sums
+(``numlin.Bounded.from_terms``); a term takes a handful of roundings, u's
+included (libm's log and atan are within one ulp), so c = 64
+(``numlin.ROUNDING``) also covers the final scaling.  Lower, upper and every
+check take the safe end of each enclosure, each check clears its analytic
+bound by c eps |bound|, and the corner strips get 1 + c eps.
 
 ``bracket_report`` computes the two brackets once per n and derives the rest
 by arithmetic: the completely-1-summing norm of the identity lies in
@@ -67,12 +69,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kfunc import ROUNDING, BoundViolation
+from .numlin import ROUNDING, Bounded, require
 from .quad import nu1_mass, nu2_mass
 
 __all__ = [
-    "BoundViolation",
-    "Bounded",
     "WitnessQuadruple",
     "WitnessNorms",
     "CONSTANT_TABLE",
@@ -124,27 +124,6 @@ CATALAN = 0.915965594177219015054603514932384110774
 TI2_TERMS = 25
 
 
-class Bounded(NamedTuple):
-    """A computed value and a bound on its distance from the exact one."""
-
-    value: float
-    err: float
-
-    @property
-    def lo(self) -> float:
-        return self.value - self.err
-
-    @property
-    def hi(self) -> float:
-        return self.value + self.err
-
-
-def _bounded(terms, trunc=0.0, factor=1.0) -> Bounded:
-    """factor * sum(terms), off by at most factor * (trunc + c eps sum |term|)."""
-    return Bounded(factor * math.fsum(terms),
-                   factor * (trunc + ROUNDING * math.fsum(abs(x) for x in terms)))
-
-
 def _u(delta: float) -> float:
     """u = tan(alpha_delta / 2) = sqrt(delta / (1 - delta)), inside the series' domain."""
     if not 0.0 < delta <= 0.2:
@@ -158,14 +137,15 @@ def ti2(u: float) -> Bounded:
         raise ValueError(f"u={u} outside [0, 1/2]")
     terms = [(-1) ** k * u ** (2 * k + 1) / (2 * k + 1) ** 2 for k in range(TI2_TERMS)]
     m = 2 * TI2_TERMS + 1
-    return _bounded(terms, trunc=u**m / m**2)
+    return Bounded.from_terms(terms, trunc=u**m / m**2)
 
 
 def _log_form(delta: float, catalans: float, factor: float) -> Bounded:
     """factor [(pi/2) ln(1/u) + 2 Ti2(u) - catalans G], the shape of both v integrals."""
     u = _u(delta)
     t = ti2(u)
-    return _bounded([-0.5 * math.pi * math.log(u), 2.0 * t.value, -catalans * CATALAN], 2.0 * t.err, factor)
+    return Bounded.from_terms([-0.5 * math.pi * math.log(u), 2.0 * t.value, -catalans * CATALAN],
+                              2.0 * t.err, factor)
 
 
 def pairing(delta: float) -> Bounded:
@@ -182,8 +162,8 @@ def hk_sq(delta: float) -> tuple[Bounded, Bounded]:
     """The trace-class slot norms ||h||^2 and ||k||^2 = ||h||^2 / u^2 of the witness."""
     u = _u(delta)
     terms = [0.5 * math.pi * (1.0 + u), -2.0 * (1.0 + u) * math.atan(u), u - 1.0]
-    return (_bounded(terms, factor=(1.0 - u) / math.pi**2),
-            _bounded(terms, factor=(1.0 - u) / (math.pi * u) ** 2))
+    return (Bounded.from_terms(terms, factor=(1.0 - u) / math.pi**2),
+            Bounded.from_terms(terms, factor=(1.0 - u) / (math.pi * u) ** 2))
 
 
 @dataclass(frozen=True)
@@ -238,60 +218,45 @@ def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
 
 @dataclass(frozen=True)
 class WitnessNorms:
-    """Unscaled witness integrals, their analytic bounds, and feasibility flags."""
+    """Unscaled witness integrals as enclosures, and their analytic bounds."""
 
-    delta: float
-    fg_sq: float            # ||f||^2 + ||g||^2, which collapses to the pairing
-    h_sq: float             # ||h||^2_{L2(nu1xnu2)}
-    k_sq: float             # ||k||^2_{L2(nu2xnu1)}
-    pairing: float          # integral of v over I against mu x mu
-    pairing_err: float      # bound on the pairing's truncation and rounding error
-    fg_bound: float
+    pairing: Bounded        # int_I v d(mu x mu), which is also ||f||^2 + ||g||^2
+    h_sq: Bounded           # ||h||^2_{L2(nu1xnu2)}
+    k_sq: Bounded           # ||k||^2_{L2(nu2xnu1)}
+    fg_bound: float         # ceiling of the pairing as ||f||^2 + ||g||^2
     h_bound: float
     k_bound: float
-    pairing_bound: float
-    scaled_fg_feasible: bool
-    scaled_hk_feasible: bool
+    pairing_bound: float    # floor of the pairing
 
 
 def witness_validate(q: WitnessQuadruple, n: int | None = None) -> WitnessNorms:
-    """Witness integrals in closed form; each must clear its analytic bound by
-    ROUNDING |bound| or raise.  Given ``n``, also flags whether the scaled
-    quadruple is feasible for the size-n pairing, with the same margin."""
+    """Witness integrals in closed form; the safe end of each enclosure must
+    clear its analytic bound by ROUNDING |bound| or raise.  Given ``n``, the
+    scaled quadruple must also be feasible for the size-n pairing, with the
+    same margin."""
     p = pairing(q.delta)
     h, k = hk_sq(q.delta)
-    fg_bound = 16.0 / math.pi**2 * (-math.log(q.delta))
-    h_bound = 16.0 / (3.0 * math.pi**2)
-    k_bound = 32.0 / math.pi**2 / q.delta
-    pairing_bound = (-math.log(8.0 * q.delta)) / math.pi**2
-
-    def _check_upper(value, bound, label):
-        if value > bound - ROUNDING * abs(bound):
-            raise BoundViolation(f"{label} = {value:.6e} exceeds analytic bound {bound:.6e}")
-
-    _check_upper(p.hi, fg_bound, "||f||^2 + ||g||^2")
-    _check_upper(h.hi, h_bound, "||h||^2")
-    _check_upper(k.hi, k_bound, "||k||^2")
-    if p.lo < pairing_bound + ROUNDING * abs(pairing_bound):
-        raise BoundViolation(f"pairing {p.lo:.6e} below analytic floor {pairing_bound:.6e}")
-
-    sc2 = q.scale**2
-    fg_ok = p.hi <= sc2 * (1.0 - ROUNDING)
-    hk_ok = n is None or max(h.hi, k.hi) <= n * sc2 * (1.0 - ROUNDING)
-    return WitnessNorms(
-        delta=q.delta,
-        fg_sq=p.value,
-        h_sq=h.value,
-        k_sq=k.value,
-        pairing=p.value,
-        pairing_err=p.err,
-        fg_bound=fg_bound,
-        h_bound=h_bound,
-        k_bound=k_bound,
-        pairing_bound=pairing_bound,
-        scaled_fg_feasible=fg_ok,
-        scaled_hk_feasible=hk_ok,
+    norms = WitnessNorms(
+        pairing=p,
+        h_sq=h,
+        k_sq=k,
+        fg_bound=16.0 / math.pi**2 * (-math.log(q.delta)),
+        h_bound=16.0 / (3.0 * math.pi**2),
+        k_bound=32.0 / math.pi**2 / q.delta,
+        pairing_bound=(-math.log(8.0 * q.delta)) / math.pi**2,
     )
+    at = {"delta": q.delta} if n is None else {"n": n, "delta": q.delta}
+    for claim, value, bound in (("||f||^2 + ||g||^2 <= 16 pi^-2 (-ln delta)", p.hi, norms.fg_bound),
+                                ("||h||^2 <= 16 / (3 pi^2)", h.hi, norms.h_bound),
+                                ("||k||^2 <= 32 pi^-2 / delta", k.hi, norms.k_bound)):
+        require(claim, value, bound, -ROUNDING * abs(bound), **at)
+    require("(-ln 8 delta) / pi^2 <= pairing", norms.pairing_bound, p.lo,
+            -ROUNDING * abs(norms.pairing_bound), **at)
+    if n is not None:
+        sc2 = q.scale**2
+        require("||f||^2 + ||g||^2 <= scale^2", p.hi, sc2, -ROUNDING * sc2, **at)
+        require("max(||h||^2, ||k||^2) <= n scale^2", max(h.hi, k.hi), n * sc2, -ROUNDING * n * sc2, **at)
+    return norms
 
 
 def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
@@ -299,15 +264,10 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     if n < 7:
         raise ValueError("witness lower route needs n >= 7")
     q = witness_build(n)
-    norms = witness_validate(q, n=n)
-    value = math.sqrt(n) * (norms.pairing - norms.pairing_err) / q.scale
-    if not (norms.scaled_fg_feasible and norms.scaled_hk_feasible):
-        raise BoundViolation(
-            f"scaled witness infeasible at n={n}: the pairing does not certify a lower bracket"
-        )
+    value = math.sqrt(n) * witness_validate(q, n=n).pairing.lo / q.scale
     floor = CONSTANTS.lower_c * math.sqrt(n * (1.0 + math.log(n)))
-    if value < floor * (1.0 + ROUNDING):
-        raise BoundViolation(f"lower bracket {value:.6e} below analytic floor {floor:.6e}")
+    require("lower_c sqrt(n (1 + ln n)) <= lower bracket", floor, value, -ROUNDING * floor,
+            n=n, delta=q.delta)
     return value, q
 
 
@@ -395,22 +355,13 @@ class BracketReport:
     upper_parts: UpperBoundParts = field(repr=False)
 
     def __post_init__(self):
-        if self.lower > self.upper:
-            raise BoundViolation(
-                f"bracket inverted at n={self.n}: lower={self.lower:.6e} > upper={self.upper:.6e}"
-            )
-        if self.lambda_lo > self.lambda_hi:
-            raise BoundViolation(
-                f"projection bracket inverted at n={self.n}: "
-                f"lo={self.lambda_lo:.6e} hi={self.lambda_hi:.6e}"
-            )
+        at = {"n": self.n, "delta_lower": self.delta_lower, "delta_upper": self.delta_upper}
+        require("lower <= upper", self.lower, self.upper, **at)
+        require("lambda_cb.lo <= lambda_cb.hi", self.lambda_lo, self.lambda_hi, **at)
         # every projection onto a nonzero space has norm >= 1, and the
         # identity of an n-dimensional space has pi1 <= n
-        if self.lambda_hi < 1.0 or self.pi1_lo > self.n:
-            raise BoundViolation(
-                f"bracket outside its trivial limits at n={self.n}: lambda_cb.hi={self.lambda_hi:.6e} "
-                f"(must be >= 1), pi1.lo={self.pi1_lo:.6e} (must be <= n)"
-            )
+        require("1 <= lambda_cb.hi", 1.0, self.lambda_hi, **at)
+        require("pi1.lo <= n", self.pi1_lo, self.n, **at)
 
     def row(self) -> dict:
         return {

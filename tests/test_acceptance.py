@@ -188,11 +188,11 @@ def test_criterion_7_witness_inequality_audit():
     for delta in (1e-2, 1e-4):
         q = witness_build(8, delta=delta)
         norms = witness_validate(q)  # raises on violation
-        ok = ok and norms.fg_sq <= norms.fg_bound + 1e-8
-        ok = ok and norms.h_sq <= norms.h_bound + 1e-8
-        ok = ok and norms.k_sq <= norms.k_bound + 1e-8
-        ok = ok and norms.pairing >= norms.pairing_bound - 1e-8
-        details.append(f"delta={delta:g}: pairing {norms.pairing:.3f}>={norms.pairing_bound:.3f}")
+        ok = ok and norms.pairing.hi <= norms.fg_bound + 1e-8
+        ok = ok and norms.h_sq.hi <= norms.h_bound + 1e-8
+        ok = ok and norms.k_sq.hi <= norms.k_bound + 1e-8
+        ok = ok and norms.pairing.lo >= norms.pairing_bound - 1e-8
+        details.append(f"delta={delta:g}: pairing {norms.pairing.lo:.3f}>={norms.pairing_bound:.3f}")
     verdict(7, ok, "; ".join(details))
 
 

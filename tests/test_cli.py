@@ -10,8 +10,8 @@ import pytest
 
 from ohlab import cli, freeprob, tensorlog
 from ohlab.cli import main
+from ohlab.numlin import BoundViolation
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
-from ohlab.tensorlog import BoundViolation
 
 
 def run_cli(args, tmp_path=None):
@@ -126,6 +126,33 @@ class TestCLI:
         # quadrature error ~1e-14 can never satisfy an impossible tolerance
         code, _, _ = run_cli(["pw", "--dim", "2", "--trials", "1", "--nodes", "256", "--tol", "1e-20"])
         assert code == 1
+
+    # the row fields each runner checks, and the multiple of --tol each may reach
+    TOLERANCE_CHECKS = {"pw": (("rel_err_primal", 1.0), ("rel_err_dual_vs_primal", 2.0)),
+                        "ohnorm": (("rel_diff", 1.0),)}
+
+    @pytest.mark.parametrize("argv", [
+        ["pw", "--dim", "2", "--trials", "2", "--nodes", "256", "--tol", "1e-20"],
+        ["ohnorm", "--n", "2", "--m", "2", "--trials", "2", "--tol", "1e-30"],
+        ["bracket", "--n-list", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_one_names_each_failed_check(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        lines = [line for line in err.splitlines() if line.startswith("bound violation: ")]
+        if argv[0] == "bracket":
+            # the first broken invariant raises, before any report is written
+            assert out == "" and len(lines) == 1
+            assert lines[0].startswith("bound violation: 1 <= lambda_cb.hi fails at n=1, ")
+            return
+        # the report is still written, and each failed check has its own line
+        rows = strict_loads(out)["rows"]
+        tol = float(argv[-1])
+        checks = self.TOLERANCE_CHECKS[argv[0]]
+        failing = [(key, r["trial"]) for r in rows for key, k in checks if r[key] > k * tol]
+        assert len(lines) == len(failing) >= len(rows)
+        for (key, trial), line in zip(failing, lines):
+            assert line.startswith(f"bound violation: {key} <= ") and f" fails at trial={trial}: " in line
 
     def test_unwritable_out_path(self, tmp_path):
         code, _, err = run_cli(
@@ -434,6 +461,15 @@ class TestPw:
         # domain error" from the 2 sqrt(n) target, and the empty family's
         pytest.param(["free", "--dim", "8", "--trials", "1", "--summands=-2"], "--summands", id="free-summands-negative"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--summands", "0"], "--summands", id="free-summands-0"),
+        # these failed with library text that did not name the flag
+        pytest.param(["pw", "--dim", "0", "--trials", "1"], "--dim must be >= 1", id="pw-dim-0"),
+        pytest.param(["pw", "--trials", "1", "--nodes", "0"], "--nodes must be >= 1", id="pw-nodes-0"),
+        pytest.param(["basis", "--vectors", "1", "--nodes", "0"], "--nodes must be >= 1", id="basis-nodes-0"),
+        pytest.param(["sumspace", "--nodes", "0"], "--nodes must be >= 1", id="sumspace-nodes-0"),
+        pytest.param(["sumspace", "--points", "0"], "--points must be >= 1", id="sumspace-points-0"),
+        pytest.param(["ohnorm", "--n", "0", "--trials", "1"], "--n must be >= 1", id="ohnorm-n-0"),
+        pytest.param(["ohnorm", "--m", "0", "--trials", "1"], "--m must be >= 1", id="ohnorm-m-0"),
+        pytest.param(["ohnorm", "--trials", "1", "--restarts", "0"], "--restarts must be >= 1", id="ohnorm-restarts-0"),
         # memory ceilings, checked before any work
         pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
                      f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ohlab.numlin import (
+    BoundViolation,
     PositiveMatrix,
     commuting_pair,
     hermitian_part,
     opnorm,
+    require,
     sqrt_commuting,
+    violation,
 )
 
 
@@ -231,3 +234,18 @@ class TestSqrtCommuting:
         b = (q * np.array([1.0, 4.0, 9.0])) @ q.conj().T
         r = sqrt_commuting(a, b).mat
         assert opnorm(r @ r - a @ b) < 1e-10
+
+
+class TestVerdict:
+    def test_holds_up_to_slack(self):
+        assert violation("a <= b", 1.0, 1.0) is None
+        assert violation("a <= b", 1.1, 1.0, 0.2) is None
+
+    def test_line_names_claim_stage_and_sides(self):
+        assert (violation("a <= b", 2.0, 1.0, trial=3, n=8)
+                == "a <= b fails at trial=3, n=8: 2.000000e+00 > 1.000000e+00")
+
+    def test_nan_fails_and_a_negative_slack_is_a_margin(self):
+        assert violation("a <= b", float("nan"), 1.0) is not None
+        with pytest.raises(BoundViolation, match=r"^a <= b fails: .* \(slack -1\.0e-03\)$"):
+            require("a <= b", 1.0, 1.0, -1e-3)

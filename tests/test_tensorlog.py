@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from ohlab import kfunc, quad, tensorlog
+from ohlab.numlin import Bounded, BoundViolation
 from ohlab.tensorlog import (
     CONSTANTS,
     TI2_TERMS,
-    BoundViolation,
     BracketReport,
     bracket_report,
     diag_upper_bound,
@@ -79,29 +79,29 @@ class TestWitness:
 
     def test_validate_canonical_n7(self):
         q = witness_build(7)
+        # given n, the scaled quadruple's feasibility is checked too
         norms = witness_validate(q, n=7)
-        assert norms.scaled_fg_feasible and norms.scaled_hk_feasible
-        assert norms.fg_sq <= norms.fg_bound
-        assert norms.h_sq <= norms.h_bound
-        assert norms.k_sq <= norms.k_bound
-        assert norms.pairing >= norms.pairing_bound
+        assert norms.pairing.hi <= norms.fg_bound
+        assert norms.h_sq.hi <= norms.h_bound
+        assert norms.k_sq.hi <= norms.k_bound
+        assert norms.pairing.lo >= norms.pairing_bound
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-4])
     def test_validate_audit_deltas(self, delta):
         q = witness_build(8, delta=delta)
         norms = witness_validate(q)
         # strictly below the analytic ceilings, strictly above the floor
-        assert norms.fg_sq < norms.fg_bound
-        assert norms.h_sq < norms.h_bound
-        assert norms.k_sq < norms.k_bound
-        assert norms.pairing > norms.pairing_bound
+        assert norms.pairing.hi < norms.fg_bound
+        assert norms.h_sq.hi < norms.h_bound
+        assert norms.k_sq.hi < norms.k_bound
+        assert norms.pairing.lo > norms.pairing_bound
 
     @pytest.mark.parametrize("delta", [0.15, 0.2])
     def test_validate_negative_pairing_floor(self, delta):
         # -ln(8 delta) / pi^2 < 0 for delta > 1/8: the floor's rounding margin
         # is |floor|, so the check stays stricter than the floor itself
         norms = witness_validate(witness_build(8, delta=delta))
-        assert norms.pairing_bound < 0.0 < norms.pairing
+        assert norms.pairing_bound < 0.0 < norms.pairing.lo
 
     @pytest.mark.parametrize("delta", [0.2000001, 0.3, 0.499])
     def test_delta_above_one_fifth_rejected(self, delta):
@@ -110,6 +110,36 @@ class TestWitness:
             witness_validate(witness_build(8, delta=delta))
         with pytest.raises(ValueError, match="1/5"):
             diag_upper_bound(8, delta=delta)
+
+    @pytest.mark.parametrize("shift, claim", [
+        (1e3, "||f||^2 + ||g||^2 <= 16 pi^-2 (-ln delta)"),
+        (-1e3, "(-ln 8 delta) / pi^2 <= pairing"),
+    ])
+    def test_violation_names_delta_and_n(self, shift, claim, monkeypatch):
+        # a shifted pairing enclosure breaks one analytic bound; the raised
+        # line names that inequality and delta, and n once the lower route
+        # passes it
+        closed = tensorlog.pairing
+
+        def shifted(delta):
+            p = closed(delta)
+            return Bounded(p.value + shift, p.err)
+
+        monkeypatch.setattr(tensorlog, "pairing", shifted)
+        q = witness_build(8)
+        with pytest.raises(BoundViolation) as exc:
+            witness_validate(q)
+        assert str(exc.value).startswith(f"{claim} fails at delta={q.delta}: ")
+        with pytest.raises(BoundViolation) as exc:
+            tensorlog._lower_route(8)
+        assert str(exc.value).startswith(f"{claim} fails at n=8, delta={q.delta}: ")
+
+    def test_lower_floor_violation_names_n_and_delta(self, monkeypatch):
+        monkeypatch.setattr(tensorlog, "CONSTANTS", CONSTANTS._replace(lower_c=1.0))
+        with pytest.raises(BoundViolation) as exc:
+            tensorlog._lower_route(8)
+        assert str(exc.value).startswith(
+            f"lower_c sqrt(n (1 + ln n)) <= lower bracket fails at n=8, delta={witness_build(8).delta}: ")
 
 
 def diag_lower_bound(n: int) -> float:
@@ -217,7 +247,7 @@ class TestBrackets:
         assert tuple(calls.values()) == counts
 
     def test_inverted_lambda_bracket_raises(self):
-        with pytest.raises(BoundViolation, match="projection bracket inverted"):
+        with pytest.raises(BoundViolation, match=r"lambda_cb\.lo <= lambda_cb\.hi fails at n=8"):
             BracketReport(
                 n=8, lower=1.0, upper=2.0, pi1_lo=0.1, pi1_hi=1.0,
                 pi1_lo_method="x", lambda_lo=2.0, lambda_hi=1.0,
