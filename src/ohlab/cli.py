@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=0.02)
 
     p = common(sub.add_parser("fock", help="truncated Fock space exact checks"))
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--cutoff", type=int, default=8, help="at least --kmax")
     p.add_argument("--kmax", type=int, default=5,
                    help=f"at most {MAX_FOCK_KMAX} (larger Catalan numbers are not exact floats)")
 
@@ -319,11 +319,12 @@ def run_sumspace(args) -> tuple[Report, list]:
 
 
 def run_bracket(args) -> tuple[Report, list]:
-    if args.grid > MAX_BRACKET_GRID:
-        raise ValueError(f"--grid {args.grid} exceeds {MAX_BRACKET_GRID}")
+    check_counts(args, grid=MAX_BRACKET_GRID)
     n_list = [int(v) for v in args.n_list.split(",") if v]
     if not n_list:
         raise ValueError("--n-list needs at least one value")
+    if min(n_list) < 1:
+        raise ValueError(f"--n-list values must be >= 1, got {min(n_list)}")
     # BracketReport raises BoundViolation on an inverted bracket
     rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
     params = flag_params(args)
@@ -378,6 +379,8 @@ def run_free(args) -> tuple[Report, list]:
 
 def run_fock(args) -> tuple[Report, list]:
     check_counts(args, kmax=MAX_FOCK_KMAX)
+    if args.cutoff < args.kmax:
+        raise ValueError(f"--cutoff {args.cutoff} is below --kmax {args.kmax}")
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
     catalans = freeprob.catalan_numbers(args.kmax)
     fock = freeprob.TruncatedFock(letter_dim=2, cutoff=min(args.cutoff, 6))
@@ -396,14 +399,24 @@ def run_fock(args) -> tuple[Report, list]:
     return Report("fock", params, rows), verdicts
 
 
+def _finite_float(text: str) -> float:
+    # no report may hold NaN, Infinity or -Infinity, which json.load accepts
+    # and RFC 8259 does not, nor a literal such as 1e400 that parses to inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def run_report(args) -> tuple[Report, list]:
     reports = []
     sources = []
     for path in args.paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                data = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        # a JSONDecodeError, a UnicodeDecodeError and a non-finite number are ValueErrors
+        except (OSError, ValueError) as exc:
             raise MergeError(f"{path}: unreadable report ({exc})") from exc
         reports.append(report_from_dict(data, source=path))
         sources.append(os.path.basename(path))

@@ -1,11 +1,15 @@
 """Machine-readable experiment reports.
 
-JSON is the canonical serialisation: keys sorted, two-space indent, floats
-written with Python's shortest round-trip repr.  Identical configurations
-produce byte-identical JSON, so wall-clock timing is never part of the
-canonical document (runners print it to stderr instead).  CSV is a flat
-projection of the rows for plotting; it encodes exactly the same numeric
-values as the JSON.
+JSON is the canonical serialisation.  The canonical bytes are those of
+``json.dumps(d, indent=2, sort_keys=True, allow_nan=False) + "\n"``: keys
+sorted, two-space indent, ASCII-escaped strings, floats written with Python's
+shortest round-trip repr, and NaN or infinities refused with ``ValueError``.
+One private emitter, behind :meth:`Report.to_json`, writes them; it exists
+because ``json.dumps`` with ``indent`` skips the C encoder and runs the
+pure-Python one.  Identical configurations produce byte-identical JSON, so
+wall-clock timing is never part of the canonical document (runners print it
+to stderr instead).  CSV is a flat projection of the rows for plotting; it
+encodes exactly the same numeric values as the JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["Report", "MergeError", "report_merge", "flatten_row"]
 
@@ -44,7 +50,10 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        out = []
+        _emit(self.to_dict(), out, "\n")
+        out.append("\n")
+        return "".join(out)
 
     def to_csv(self) -> str:
         flat = [flatten_row(r) for r in self.rows]
@@ -55,6 +64,53 @@ class Report:
         for r in flat:
             writer.writerow([_csv_cell(r.get(k)) for k in keys])
         return buf.getvalue()
+
+
+def _emit(value, out, newline) -> None:
+    """Append the canonical JSON of ``value`` to ``out``; ``newline`` is the
+    line break and indent of the line that ``value`` starts on."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = comma
+            _emit(value[key], out, inner)
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            _emit(item, out, inner)
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv_cell(v) -> str:

@@ -203,6 +203,17 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and "merge error" in err and what in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_input_is_a_merge_error(self, literal, tmp_path, capsys):
+        # json.load accepts these, and 1e400 parses to inf; the merge used to
+        # go through and Report.to_json then raised out of main (exit 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"experiment": "bracket", "version": "0.1.0", "params": {}, '
+                       f'"rows": [{{"n": 8, "lower": {literal}}}]}}')
+        assert main(["report", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("merge error:") and str(bad) in err and literal in err
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["fock", "--cutoff", "5", "--kmax", "2", "--format", "csv", "--out", str(out)]) == 0
@@ -470,6 +481,11 @@ class TestPw:
         pytest.param(["ohnorm", "--n", "0", "--trials", "1"], "--n must be >= 1", id="ohnorm-n-0"),
         pytest.param(["ohnorm", "--m", "0", "--trials", "1"], "--m must be >= 1", id="ohnorm-m-0"),
         pytest.param(["ohnorm", "--trials", "1", "--restarts", "0"], "--restarts must be >= 1", id="ohnorm-restarts-0"),
+        pytest.param(["bracket", "--n-list", "8,0"], "--n-list values must be >= 1", id="bracket-n-0"),
+        pytest.param(["bracket", "--n-list", "-3"], "--n-list values must be >= 1", id="bracket-n-negative"),
+        pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
+        # this one exited 0 and echoed -5 in each row
+        pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
         # memory ceilings, checked before any work
         pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
                      f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),

@@ -1,4 +1,4 @@
-"""Structural guard: one interval type and one verdict path.
+"""Structural guards: one interval type, one verdict path and one JSON emitter.
 
 ``Bounded``, ``BoundViolation`` and ``ROUNDING`` are defined in ``numlin``
 only, and only ``numlin`` raises ``BoundViolation``; every other module
@@ -47,3 +47,21 @@ def test_shared_names_live_in_numlin_only():
         if module != "numlin":
             assert not definitions(tree) & SHARED, module
             assert "BoundViolation" not in raised_names(tree), module
+
+
+def indented_json_calls(tree) -> list:
+    """Line numbers of json.dump / json.dumps calls that pass ``indent``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps") and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json" and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
+def test_one_json_emitter():
+    # json.dumps with indent runs the pure-Python encoder; Report.to_json is
+    # the one canonical writer, and the benchmark tracer patches it by name
+    for path in sorted(SRC.glob("*.py")):
+        assert not indented_json_calls(ast.parse(path.read_text(encoding="utf-8"))), path.name
+    assert callable(ohlab.report.Report.to_json)
