@@ -12,7 +12,9 @@ Submodules:
 * ``cli``       -- seeded experiment runner with machine-readable reports
 """
 
-from . import cli, freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog
+import sys
+
+from . import freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog
 
 __version__ = "0.1.0"
 
@@ -28,3 +30,8 @@ __all__ = [
     "tensorlog",
     "__version__",
 ]
+
+# `python -m ohlab.cli` imports this package while sys.argv[0] is "-m", then runs
+# cli.py as __main__: importing cli here too would run it twice (runpy warns).
+if sys.argv[:1] != ["-m"]:
+    from . import cli

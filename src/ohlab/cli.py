@@ -57,7 +57,7 @@ MAX_BRACKET_GRID = 2048
 # a free trial streams its members' lower block-triangles into one sum, so
 # its memory is the sum, one Haar factor and dim x 128 panels whatever
 # --summands is; cold `free --dim 2048 --summands 16 --trials 1` peaked at
-# 179 MB RSS (30 s on 2 CPUs with OpenBLAS)
+# 177-179 MB RSS (30 s on 2 CPUs with OpenBLAS)
 MAX_FREE_DIM = 2048
 # the moments are exact integer walk counts, written as floats; every count up
 # to C_30 = 3814986502092304 < 2^53 < C_31 is an exact float
@@ -174,6 +174,20 @@ def check_counts(args, **limits) -> None:
             raise ValueError(f"{flag} {value} exceeds {limit}")
 
 
+def parse_list(text: str, flag: str, kind, noun: str) -> list:
+    """A list flag's comma-separated values, each read by ``kind``; ValueError names the flag."""
+    values = []
+    for v in text.split(","):
+        if v:
+            try:
+                values.append(kind(v))
+            except ValueError:
+                raise ValueError(f"{flag} values must be {noun}, got {v!r}") from None
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
+
+
 def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
     if not math.isfinite(value) or (nonnegative and value < 0.0):
         raise ValueError(f"{flag} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
@@ -272,9 +286,7 @@ def run_basis(args) -> tuple[Report, list]:
 
 
 def run_sumspace(args) -> tuple[Report, list]:
-    t_values = [float(v) for v in args.t_sweep.split(",") if v]
-    if not t_values:
-        raise ValueError("--t-sweep needs at least one value")
+    t_values = parse_list(args.t_sweep, "--t-sweep", float, "numbers")
     check_counts(args, points=MAX_SUMSPACE_POINTS, nodes=MAX_NODES)
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
@@ -320,9 +332,7 @@ def run_sumspace(args) -> tuple[Report, list]:
 
 def run_bracket(args) -> tuple[Report, list]:
     check_counts(args, grid=MAX_BRACKET_GRID)
-    n_list = [int(v) for v in args.n_list.split(",") if v]
-    if not n_list:
-        raise ValueError("--n-list needs at least one value")
+    n_list = parse_list(args.n_list, "--n-list", int, "integers")
     if min(n_list) < 1:
         raise ValueError(f"--n-list values must be >= 1, got {min(n_list)}")
     # BracketReport raises BoundViolation on an inverted bracket

@@ -29,7 +29,8 @@ each Haar factor on the upper block-triangle of its Hermitian Gram, and keeps
 only the sum's signed spectrum and what else the checks read (a
 :class:`FreeFamily`).  Its memory is the sum, one Haar factor and
 ``_BLOCK``-row panels, whatever the number of summands, and none of it
-outlives the build.
+outlives the build.  Each Haar factor is drawn by the subgroup algorithm and
+formed by LAPACK's ``zungqr`` (:func:`haar_unitary`): nothing is factored.
 
 The scalar expectation is the normalised trace throughout.  Voiculescu's
 inequality for a family (a_i) reads
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "haar_unitary",
@@ -82,84 +84,59 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     the columns before k, so by unitary invariance those rows are iid complex
     normal and independent of them: drawn fresh, they keep the joint law of
     the reflectors, and so Haar, with no factorisation.  A reflector reads
-    only the direction of its column, so the normals are not scaled."""
+    only the direction of its column, so the normals are not scaled.  LAPACK's
+    ``zungqr`` forms Q (:func:`_reflector_q`); U is in Fortran order."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = np.empty((dim, dim), dtype=complex)
+    a = np.empty((dim, dim), dtype=complex)  # row j holds column j's reflector
     for k in range(0, dim, _BLOCK):
-        panel = z[k:, k:k + _BLOCK]  # its (dim-k) x b block: real parts, then imaginary
+        panel = a[k:k + _BLOCK, k:].T  # its (dim-k) x b block: real parts, then imaginary
         panel.real[...] = rng.standard_normal(panel.shape)
         panel.imag[...] = rng.standard_normal(panel.shape)
-    q, phases = _reflector_q(z)
+    q, phases = _reflector_q(a)
     return np.multiply(q, phases, out=q)
 
 
-# columns per Householder panel, and per block of columns that a panel's
-# reflectors update at once
+# columns per panel of normals, and rows per panel of the Gram and member
+# products
 _BLOCK = 128
 
 
-def _reflector_q(z: np.ndarray):
-    """(Q, phases) for the reflectors read from the square z, which becomes
-    Q = H_1 ... H_dim in place.  H_j reads only x = z[j:, j], and is
-    H_j = I - tau v v^H on rows j.., with beta = -e^{i arg x_1} ||x||,
-    v = (x - beta e_1)/(x_1 - beta) and tau = 1 + |x_1|/||x||, so
-    H_j x = beta e_1 and its phase is beta/|beta|; a zero x gives tau = 0
-    (H_j = I) and phase 1.  A panel of ``_BLOCK`` reflectors is I - V T V^H
-    (Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10 (1989)), T from the
-    UT transform (I + diag(tau) striu(V^H V))^{-1} diag(tau) (Joffrain et al.,
-    ACM TOMS 32 (2006)), which divides by no tau; Q is formed backwards, as
-    LAPACK's zungqr does, with conj(V) kept in the panel, so every product
-    reads a view of z and no temporary exceeds dim x _BLOCK."""
-    n = len(z)
+def _reflector_q(a: np.ndarray):
+    """(Q, phases) for the reflectors read from the rows of the C-contiguous
+    square a, which becomes Q^T in place; Q is returned as its transposed
+    view.  H_j reads only x = a[j, j:], and is H_j = I - tau v v^H on rows
+    j.., with beta = -e^{i arg x_1} ||x||, v = (x - beta e_1)/(x_1 - beta)
+    and tau = 1 + |x_1|/||x||, so H_j x = beta e_1 and its phase is
+    beta/|beta|; a zero x gives tau = 0 (H_j = I) and phase 1.  Read
+    column-major, a is LAPACK's A with v_j below its diagonal (v_1 = 1 is
+    implicit), so one ``zungqr`` call forms Q = H_1 ... H_dim by the blocked
+    WY method (LAPACK Users' Guide, 3rd ed., 1999) and reads nothing on or
+    above the diagonal; RuntimeError if it reports a nonzero info."""
+    n = len(a)
+    tau = np.zeros(n, dtype=complex)
     phases = np.empty(n, dtype=complex)
-    for k in reversed(range(0, n, _BLOCK)):
-        p = z[k:, k:k + _BLOCK]
-        b = p.shape[1]
-        np.copyto(p[:b], 0.0, where=~np.tri(b, dtype=bool))  # never read
-        x1 = np.diagonal(p)  # read before p is overwritten
-        norm = np.sqrt(np.einsum("ij,ij->j", p.real, p.real) + np.einsum("ij,ij->j", p.imag, p.imag))
+    for k in range(0, n, _BLOCK):
+        p = a[k:k + _BLOCK, k:]
+        b = len(p)
+        np.copyto(p[:, :b], 0.0, where=np.tri(b, k=-1, dtype=bool))  # never read
+        x1 = np.diagonal(p)  # read before p is scaled
+        norm = np.sqrt(np.einsum("ij,ij->i", p.real, p.real) + np.einsum("ij,ij->i", p.imag, p.imag))
         a1 = np.abs(x1)
         e = np.ones(b, dtype=complex)  # e^{i arg x_1}, each part correctly rounded
         np.divide(x1.real, a1, out=e.real, where=a1 > 0.0)
         np.divide(x1.imag, a1, out=e.imag, where=a1 > 0.0)
         nonzero = norm > 0.0
-        tau = np.where(nonzero, 1.0 + a1 / np.where(nonzero, norm, 1.0), 0.0)
+        tau.real[k:k + b] = np.where(nonzero, 1.0 + a1 / np.where(nonzero, norm, 1.0), 0.0)
         phases[k:k + b] = np.where(nonzero, -e, 1.0)
-        # p <- conj(V): conj(x) / conj(x_1 - beta), where x_1 - beta = e (|x_1| + ||x||)
-        np.conjugate(p, out=p)
-        p /= np.where(nonzero, e.conj() * (a1 + norm), 1.0)
-        np.fill_diagonal(p, 1.0)
-        t = np.triu(p.conj().T @ p, 1)  # striu(conj(V^H V)), for conj(T)
-        t *= tau[:, None]
-        np.fill_diagonal(t, 1.0)
-        t = np.linalg.solve(t, np.diag(tau))  # rebinding frees the system
-        _reflect(z[k:, k + b:], p, t)  # Q_k
-        _form_panel(p, t)
-        z[:k, k:k + b] = 0.0
-    return z, phases
-
-
-def _reflect(c: np.ndarray, vbar: np.ndarray, tbar: np.ndarray) -> None:
-    """c <- (I - V conj(tbar) V^H) c in place, _BLOCK columns at a time, for
-    vbar = conj(V): each block's conj(V conj(tbar) V^H c) is
-    vbar (tbar conj(vbar^T c))."""
-    for j in range(0, c.shape[1], _BLOCK):
-        cj = c[:, j:j + _BLOCK]
-        p = vbar @ (tbar @ (vbar.T @ cj).conj())
-        cj -= np.conjugate(p, out=p)
-
-
-def _form_panel(vbar: np.ndarray, tbar: np.ndarray) -> None:
-    """Overwrite a panel holding conj(V) with its columns of Q_k, the first b
-    columns of I - V conj(tbar) V^H: e - V conj(tbar) V_1^H, where V_1 is
-    the top b x b block of V and e the first b columns of the identity."""
-    b = len(tbar)
-    p = vbar @ (tbar @ vbar[:b].T.conj())
-    np.negative(p, out=p)
-    np.conjugate(p, out=vbar)
-    i = np.arange(b)
-    vbar[i, i] += 1.0
+        p /= np.where(nonzero, e * (a1 + norm), 1.0)[:, None]  # x_1 - beta = e (|x_1| + ||x||)
+    work = np.empty(1, dtype=complex)
+    lapack_lite.zungqr(n, n, n, a, n, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0].real), dtype=complex)
+    info = lapack_lite.zungqr(n, n, n, a, n, tau, work, len(work), 0)["info"]
+    if info:
+        raise RuntimeError(f"zungqr failed with info {info} (dim {n})")
+    return a.T, phases
 
 
 def _semicircle_cdf(x: float) -> float:
@@ -236,10 +213,10 @@ def semicircle_diag(dim: int) -> np.ndarray:
 
 # A product of computed Householder reflectors is unitary to O(dim * eps)
 # (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-# Thm 19.4), and so is its blocked (WY) form (ibid., Sec. 19.5); a Haar factor
-# may deviate from unitarity by at most UNITARITY_SLACK * dim * eps,
-# entrywise.  Measured (seed = dim): at most 1.5 dim * eps over dims 1..256
-# (the worst at dim 2), and 1.3e-15 at dim 512, where the bound is 1.8e-12.
+# Thm 19.4), and so is the blocked (WY) form zungqr builds (ibid., Sec. 19.5);
+# a Haar factor may deviate from unitarity by at most UNITARITY_SLACK * dim *
+# eps, entrywise.  Measured (seed = dim): at most 1.0 dim * eps over dims
+# 1..256 (the worst at dim 2), and 1.3e-15 at dim 512, where the bound is 1.8e-12.
 UNITARITY_SLACK = 16.0
 
 

@@ -143,7 +143,8 @@ def report_merge(reports, sources) -> Report:
 
     All inputs must agree on experiment id and schema version; constants with
     the same name must carry the same value.  Rows are sorted by their "n"
-    field when every row has one, otherwise input order is kept.
+    field when every row has one, otherwise input order is kept; n values
+    that do not compare raise MergeError.
     """
     reports = list(reports)
     if not reports:
@@ -172,7 +173,10 @@ def report_merge(reports, sources) -> Report:
             tagged["source"] = src
             merged_rows.append(tagged)
     if merged_rows and all("n" in r for r in merged_rows):
-        merged_rows.sort(key=lambda r: r["n"])
+        try:
+            merged_rows.sort(key=lambda r: r["n"])
+        except TypeError as exc:
+            raise MergeError(f"rows' n values do not compare ({exc})") from exc
     return Report(
         experiment=head.experiment,
         params={"merged": params},

@@ -214,6 +214,15 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("merge error:") and str(bad) in err and literal in err
 
+    def test_incomparable_n_is_a_merge_error(self, tmp_path, capsys):
+        # sorting an int n beside a str n raised TypeError out of main (exit 1)
+        bad = tmp_path / "mixed.json"
+        bad.write_text('{"experiment": "bracket", "version": "0.1.0", "params": {}, '
+                       '"rows": [{"n": 8}, {"n": "a"}]}')
+        assert main(["report", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("merge error:") and err.count("\n") == 1
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["fock", "--cutoff", "5", "--kmax", "2", "--format", "csv", "--out", str(out)]) == 0
@@ -483,6 +492,11 @@ class TestPw:
         pytest.param(["ohnorm", "--trials", "1", "--restarts", "0"], "--restarts must be >= 1", id="ohnorm-restarts-0"),
         pytest.param(["bracket", "--n-list", "8,0"], "--n-list values must be >= 1", id="bracket-n-0"),
         pytest.param(["bracket", "--n-list", "-3"], "--n-list values must be >= 1", id="bracket-n-negative"),
+        # these printed int()'s and float()'s own text, which names no flag
+        pytest.param(["bracket", "--n-list", "8,x"], "--n-list values must be integers, got 'x'",
+                     id="bracket-n-not-an-integer"),
+        pytest.param(["sumspace", "--t-sweep", "1,x"], "--t-sweep values must be numbers, got 'x'",
+                     id="sumspace-t-not-a-number"),
         pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
         # this one exited 0 and echoed -5 in each row
         pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
@@ -545,6 +559,21 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result == {"codes": [0] * 8, "scipy_loaded": False}
+
+    def test_module_run_has_no_runpy_warning(self):
+        # `python -m ohlab.cli` imported cli with the package and then ran it
+        # again as __main__, and runpy warned about it on every run
+        code, out, err = run_cli(["fock", "--cutoff", "4", "--kmax", "2"])
+        assert code == 0 and json.loads(out)["experiment"] == "fock"
+        assert b"RuntimeWarning" not in err
+        assert err.count(b"\n") == 1 and err.startswith(b"ohlab fock: 2 rows in ")
+
+    def test_package_import_loads_cli(self):
+        # the benchmark tracer imports ohlab, then reads sys.modules["ohlab.cli"]
+        proc = subprocess.run([sys.executable, "-c", "import sys, ohlab; print('ohlab.cli' in sys.modules)"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
 
 class TestOhnormSeeds:

@@ -180,9 +180,10 @@ class TestHaar:
     @pytest.mark.parametrize("dim", [1, 7, 64, 127, 128, 129, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_place_kernels_bit_equal(self, dim, seed):
-        # the compact-WY panels round differently from reflector-by-reflector
-        # products, so the draw agrees with the dense oracle to rounding (dims
-        # 127..129 and 300 cross panel edges), from the same normals
+        # zungqr's blocked WY products round differently from reflector-by-
+        # reflector products, so the draw agrees with the dense oracle to
+        # rounding (dims 127..129 and 300 cross panel edges), from the same
+        # normals
         rng = np.random.default_rng(seed)
         u = haar_unitary(dim, rng)
         q, phases = dense_reflector_q(reflector_columns(dim, np.random.default_rng(seed)))
@@ -199,7 +200,7 @@ class TestHaar:
     @pytest.mark.parametrize("dim", [1, 5, 130, 300])
     def test_every_tau_zero_gives_identity(self, dim):
         # every reflector vector is zero: tau = 0 (H = I) and phase 1 for each,
-        # so T = 0 and Q = I exactly
+        # so Q = I exactly
         q, phases = freeprob._reflector_q(np.zeros((dim, dim), dtype=complex))
         assert np.array_equal(q, np.eye(dim))
         assert np.array_equal(phases, np.ones(dim))
@@ -207,49 +208,61 @@ class TestHaar:
     @pytest.mark.parametrize("dim", [1, 5, 130, 300])
     def test_positive_diagonal_gives_identity(self, dim):
         # x = c e_1 with c > 0: H = I - 2 e_1 e_1^H (tau = 2) and phase -1, so
-        # Q = -I and U = Q diag(phases) = I exactly; the strict upper triangle
+        # Q = -I and U = Q diag(phases) = I exactly; the strict lower triangle
         # (here NaN) is never read
-        z = np.full((dim, dim), np.nan, dtype=complex)
-        z[np.tril_indices(dim)] = 0.0
-        np.fill_diagonal(z, 1.0 + np.arange(dim))
-        q, phases = freeprob._reflector_q(z)
+        a = np.full((dim, dim), np.nan, dtype=complex)
+        a[np.triu_indices(dim)] = 0.0
+        np.fill_diagonal(a, 1.0 + np.arange(dim))
+        q, phases = freeprob._reflector_q(a)
         assert np.array_equal(q, -np.eye(dim))
         assert np.array_equal(phases, -np.ones(dim))
 
     @pytest.mark.parametrize("dim,j", [(7, 3), (300, 133)])
     def test_one_zero_tail_drops_its_reflector(self, dim, j):
-        # column j is zero from row j down: H_j = I with phase 1, and Q is the
+        # row j is zero from column j on: H_j = I with phase 1, and Q is the
         # product of the other reflectors
-        z = ginibre(dim, np.random.default_rng(j))
-        z[j:, j] = 0.0
-        q_ref, phases_ref = dense_reflector_q([z[i:, i].copy() for i in range(dim)])
-        q, phases = freeprob._reflector_q(z)
+        a = ginibre(dim, np.random.default_rng(j))
+        a[j, j:] = 0.0
+        q_ref, phases_ref = dense_reflector_q([a[i, i:].copy() for i in range(dim)])
+        q, phases = freeprob._reflector_q(a)
         assert phases[j] == 1.0
         tol = 64 * dim * np.finfo(float).eps
         assert np.max(np.abs(q - q_ref)) <= tol
         assert np.max(np.abs(phases - phases_ref)) <= tol
 
     def test_unread_entries_do_not_matter(self):
-        # each panel's top b x b block is read on and below its diagonal only,
-        # and the rows above a panel not at all
-        dim, block = 300, freeprob._BLOCK
-        z = ginibre(dim, np.random.default_rng(5))
-        poisoned = z.copy()
-        for k in range(0, dim, block):
-            poisoned[:k, k:k + block] = np.nan
-            top = poisoned[k:k + block, k:k + block]
-            top[np.triu_indices(len(top), 1, top.shape[1])] = np.nan
-        q, phases = freeprob._reflector_q(z)
+        # row j is read from column j on, so the strict lower triangle, which
+        # zungqr sees as the part of A above its diagonal, is never read
+        dim = 300
+        a = ginibre(dim, np.random.default_rng(5))
+        poisoned = a.copy()
+        poisoned[np.tril_indices(dim, -1)] = np.nan
+        q, phases = freeprob._reflector_q(a)
         q_poisoned, phases_poisoned = freeprob._reflector_q(poisoned)
         assert np.array_equal(q, q_poisoned)
         assert np.array_equal(phases, phases_poisoned)
 
     def test_input_becomes_q(self):
-        z = ginibre(200, np.random.default_rng(3))
-        q_ref, _ = dense_reflector_q([z[i:, i].copy() for i in range(200)])
-        q, _ = freeprob._reflector_q(z)
-        assert q is z
-        assert np.max(np.abs(z - q_ref)) <= 64 * 200 * np.finfo(float).eps
+        # the C-contiguous input is LAPACK's column-major A, so it becomes Q^T,
+        # and Q is its transposed view, not a copy
+        a = ginibre(200, np.random.default_rng(3))
+        q_ref, _ = dense_reflector_q([a[i, i:].copy() for i in range(200)])
+        q, _ = freeprob._reflector_q(a)
+        assert q.base is a
+        assert np.max(np.abs(a.T - q_ref)) <= 64 * 200 * np.finfo(float).eps
+
+    def test_lapack_failure_is_a_runtime_error(self, monkeypatch):
+        # a nonzero info from zungqr is a numerical failure (exit 3), never a
+        # factor
+        class FailingLapack:
+            @staticmethod
+            def zungqr(m, n, k, a, lda, tau, work, lwork, info):
+                work[0] = n
+                return {"zungqr_": 0, "info": -5}
+
+        monkeypatch.setattr(freeprob, "lapack_lite", FailingLapack)
+        with pytest.raises(RuntimeError, match="zungqr failed with info -5"):
+            haar_unitary(8, np.random.default_rng(0))
 
     def test_trace_power_moments(self):
         # Diaconis-Shahshahani: E|tr U^k|^2 = min(k, n) for Haar U in U(n)
@@ -271,7 +284,8 @@ class TestHaar:
         assert stats.kstest(corner, stats.beta(1, n - 1).cdf).pvalue > 1e-3
 
     def test_draw_memory_peak(self):
-        # the draw holds z and at most a few dim x _BLOCK temporaries
+        # the draw holds its dim x dim buffer, dim x _BLOCK panels of normals and
+        # zungqr's dim x 32 workspace
         dim = 256
         haar_unitary(dim, np.random.default_rng(0))  # one-time state
         tracemalloc.start()

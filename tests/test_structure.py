@@ -1,12 +1,17 @@
-"""Structural guards: one interval type, one verdict path and one JSON emitter.
+"""Structural guards: one interval type, one verdict path, one JSON emitter
+and one Q-forming path.
 
 ``Bounded``, ``BoundViolation`` and ``ROUNDING`` are defined in ``numlin``
 only, and only ``numlin`` raises ``BoundViolation``; every other module
 states its inequalities through ``numlin.violation`` and ``numlin.require``.
+Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
+``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
 """
 
 import ast
 from pathlib import Path
+
+from numpy.linalg import lapack_lite
 
 import ohlab
 
@@ -65,3 +70,40 @@ def test_one_json_emitter():
     for path in sorted(SRC.glob("*.py")):
         assert not indented_json_calls(ast.parse(path.read_text(encoding="utf-8"))), path.name
     assert callable(ohlab.report.Report.to_json)
+
+
+def mentions_lapack_lite(tree) -> bool:
+    """Whether a module imports or reads ``numpy.linalg.lapack_lite``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lapack_lite":
+            return True
+        if isinstance(node, ast.ImportFrom) and "lapack_lite" in (node.module or ""):
+            return True
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any("lapack_lite" in a.name for a in node.names):
+            return True
+    return False
+
+
+def linalg_qr_uses(tree) -> list:
+    """Line numbers that read ``<x>.linalg.qr`` or import ``qr`` from numpy.linalg."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "qr" and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg")
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            and any(a.name == "qr" for a in node.names))
+    ]
+
+
+def test_one_q_forming_path():
+    # haar_unitary forms Q from its reflectors with one zungqr call; nothing
+    # else reaches into lapack_lite, and nothing factors by np.linalg.qr
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert mentions_lapack_lite(tree) == (path.stem == "freeprob"), path.name
+        assert not linalg_qr_uses(tree), path.name
+
+
+def test_numpy_exposes_zungqr():
+    # every free and pw run draws through it: a numpy without it fails here
+    assert callable(getattr(lapack_lite, "zungqr", None))
