@@ -14,8 +14,6 @@ Submodules:
 
 import sys
 
-from . import freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -32,6 +30,9 @@ __all__ = [
 ]
 
 # `python -m ohlab.cli` imports this package while sys.argv[0] is "-m", then runs
-# cli.py as __main__: importing cli here too would run it twice (runpy warns).
+# cli.py as __main__, whose runners import what they run: importing cli here too
+# would run it twice (runpy warns), and the rest would only slow a cold start.
+# Every other import loads every submodule (the benchmark tracer reads them all
+# from sys.modules after `import ohlab`).
 if sys.argv[:1] != ["-m"]:
-    from . import cli
+    from . import cli, freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog

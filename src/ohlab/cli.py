@@ -15,6 +15,12 @@ state.  Reusing the parser is safe because ``parse_args`` builds a new
 immutable str, int, float or None, and ``report``'s ``paths`` (``nargs="+"``)
 is a new list on each parse.  ``RUNNERS`` is looked up at call time, so it can
 still be patched.
+
+At module level this file imports only numpy, ``numlin`` and ``report``, which
+``main`` needs, and each runner imports the modules it runs.  Under
+``python -m ohlab.cli`` the package imports no submodule either, so a cold
+command loads only the modules its runner imports and theirs: ``ohnorm``
+loads ``ohspace`` and no other computing module.
 """
 
 from __future__ import annotations
@@ -29,18 +35,7 @@ import time
 
 import numpy as np
 
-from . import freeprob, geomean, ohspace, tensorlog
-from .kfunc import (
-    ThreeTermSpec,
-    WeightedGrid,
-    ik_t_norm,
-    k_d1d2_norm,
-    l2sum1_norm,
-    l2sum2_norm,
-    two_term_k_norm,
-)
 from .numlin import BoundViolation, violation
-from .quad import arcsine_rule
 from .report import MergeError, Report, report_from_dict, report_merge
 
 __all__ = ["main", "build_parser"]
@@ -194,12 +189,14 @@ def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
 
 
 def run_pw(args) -> tuple[Report, list]:
+    from . import geomean, quad
+
     check_counts(args, trials=None, dim=MAX_PW_DIM, nodes=None)
     if args.nodes * args.dim > MAX_PW_NODES_DIM:
         raise ValueError(f"--nodes {args.nodes} x --dim {args.dim} exceeds {MAX_PW_NODES_DIM}")
     check_finite(args.tol, "--tol", nonnegative=True)
     check_finite(args.cond, "--cond")
-    rule = arcsine_rule(args.nodes)
+    rule = quad.arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
     verdicts = []
@@ -233,6 +230,8 @@ def run_pw(args) -> tuple[Report, list]:
 
 
 def run_ohnorm(args) -> tuple[Report, list]:
+    from . import ohspace
+
     check_counts(args, trials=None, n=None, m=MAX_OHNORM_M, restarts=None)
     if args.n * args.m**2 > MAX_OHNORM_ENTRIES:
         raise ValueError(f"--n {args.n} x --m {args.m}^2 exceeds {MAX_OHNORM_ENTRIES}")
@@ -267,8 +266,10 @@ def run_ohnorm(args) -> tuple[Report, list]:
 
 
 def run_basis(args) -> tuple[Report, list]:
+    from . import ohspace, quad
+
     check_counts(args, n=MAX_BASIS_N, vectors=None, nodes=MAX_NODES)
-    rule = arcsine_rule(args.nodes)
+    rule = quad.arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
     verdicts = []
@@ -286,7 +287,12 @@ def run_basis(args) -> tuple[Report, list]:
 
 
 def run_sumspace(args) -> tuple[Report, list]:
+    from . import kfunc, ohspace, quad
+
     t_values = parse_list(args.t_sweep, "--t-sweep", float, "numbers")
+    bad = [t for t in t_values if not (math.isfinite(t) and t > 0.0)]
+    if bad:
+        raise ValueError(f"--t-sweep values must be finite and > 0, got {bad[0]}")
     check_counts(args, points=MAX_SUMSPACE_POINTS, nodes=MAX_NODES)
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
@@ -295,13 +301,13 @@ def run_sumspace(args) -> tuple[Report, list]:
     h = rng.uniform(0.2, 5.0, size=args.points)
     d = rng.uniform(0.2, 5.0, size=args.points)
     k = rng.standard_normal(args.points)
-    grid = WeightedGrid(base_weights=base, g=g, h=h)
-    two = l2sum2_norm(k, grid)
-    one = l2sum1_norm(k, grid)
+    grid = kfunc.WeightedGrid(base_weights=base, g=g, h=h)
+    two = kfunc.l2sum2_norm(k, grid)
+    one = kfunc.l2sum1_norm(k, grid)
     # cross-module consistency on the arcsine rule: the two-density quotient
     # norm of the constant profile equals the scalar basis norm
-    rule = arcsine_rule(args.nodes)
-    quotient = k_d1d2_norm(np.ones(args.nodes), rule.nodes, 1.0 - rule.nodes, rule.weights)
+    rule = quad.arcsine_rule(args.nodes)
+    quotient = kfunc.k_d1d2_norm(np.ones(args.nodes), rule.nodes, 1.0 - rule.nodes, rule.weights)
     basis_norm = ohspace.fn_scalar_norm([1.0], rule)
     verdicts = [violation("l2sum2 <= l2sum1", two, one, 1e-12),
                 violation("l2sum1 <= sqrt(2) l2sum2", one, math.sqrt(2) * two, 1e-12),
@@ -309,9 +315,9 @@ def run_sumspace(args) -> tuple[Report, list]:
     rows = []
     prev = -math.inf
     for t in t_values:
-        spec = ThreeTermSpec(t_param=t, d=d, base_weights=base)
-        val = ik_t_norm(k, spec)
-        k_norm = two_term_k_norm(k, spec)
+        spec = kfunc.ThreeTermSpec(t_param=t, d=d, base_weights=base)
+        val = kfunc.ik_t_norm(k, spec)
+        k_norm = kfunc.two_term_k_norm(k, spec)
         rows.append(
             {
                 "t": t,
@@ -331,6 +337,8 @@ def run_sumspace(args) -> tuple[Report, list]:
 
 
 def run_bracket(args) -> tuple[Report, list]:
+    from . import tensorlog
+
     check_counts(args, grid=MAX_BRACKET_GRID)
     n_list = parse_list(args.n_list, "--n-list", int, "integers")
     if min(n_list) < 1:
@@ -343,6 +351,8 @@ def run_bracket(args) -> tuple[Report, list]:
 
 
 def run_free(args) -> tuple[Report, list]:
+    from . import freeprob
+
     check_counts(args, trials=None, summands=None, dim=MAX_FREE_DIM)
     check_finite(args.slack, "--slack", nonnegative=True)
     # trial t uses child t of the spawn, as trial t of free_clt_check does, so
@@ -388,6 +398,8 @@ def run_free(args) -> tuple[Report, list]:
 
 
 def run_fock(args) -> tuple[Report, list]:
+    from . import freeprob
+
     check_counts(args, kmax=MAX_FOCK_KMAX)
     if args.cutoff < args.kmax:
         raise ValueError(f"--cutoff {args.cutoff} is below --kmax {args.kmax}")

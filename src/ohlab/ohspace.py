@@ -15,6 +15,12 @@ objective is the Hilbert-Schmidt pairing of A with  M = sum_k x_k^* B x_k,
 a PSD matrix, so the optimal A is M / ||M||_2 and the half-step value is
 ||M||_2; symmetrically for B.  Each half-step is an exact maximisation, so
 the objective is monotone nondecreasing, and every iterate is feasible.
+The restarts run as one (R, m, m) stack of B's (in stacks of at most
+``STACK_BYTES`` for large tuples): each step is one batched product per
+half-step for all restarts still iterating, and a restart leaves the stack
+once its own stop rule fires.  Each slice's products and Frobenius norm are
+bit for bit those of a restart iterated alone, so the result does not depend
+on the stacking.
 
 ``fn_scalar_norm`` computes the first-level norm of a coefficient vector
 against the canonical basis of the two-density quotient: representatives
@@ -38,11 +44,14 @@ mean is not 1/2 to within rounding is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numlin import hermitian_part, opnorm
-from .quad import ArcsineRule
+
+if TYPE_CHECKING:  # an annotation only: `ohnorm` runs without loading quad
+    from .quad import ArcsineRule
 
 __all__ = [
     "BallPoint",
@@ -108,24 +117,83 @@ def oh_norm_direct(x) -> float:
 
 
 def _phi(xs: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k x_k^* B x_k (completely positive, so PSD output for PSD B).
+    """sum_k x_k^* B_r x_k for each B_r of an (R, m, m) stack (completely positive,
+    so PSD output for PSD B_r).
 
-    Two GEMMs, O(n m^3): the stacked x_k^* rows times the stacked B x_k.
+    Two GEMMs per B_r, O(n m^3): the stacked x_k^* rows times the stacked B_r x_k.
     """
     n, m, _ = xs.shape
-    return xs.conj().reshape(n * m, m).T @ (b @ xs).reshape(n * m, m)
+    return xs.conj().reshape(n * m, m).T @ (b[:, None] @ xs).reshape(len(b), n * m, m)
 
 
 def _phi_adj(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k x_k A x_k^*, as two GEMMs like :func:`_phi`."""
+    """sum_k x_k A_r x_k^* for each A_r of an (R, m, m) stack, as two GEMMs like :func:`_phi`."""
     n, m, _ = xs.shape
-    return (xs @ a).transpose(1, 0, 2).reshape(m, n * m) @ xs.conj().transpose(0, 2, 1).reshape(n * m, m)
+    rows = (xs @ a[:, None]).transpose(0, 2, 1, 3).reshape(len(a), m, n * m)
+    return rows @ xs.conj().transpose(0, 2, 1).reshape(n * m, m)
+
+
+def _fro(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice of an (R, m, m) stack.
+
+    Bit for bit np.linalg.norm(slice, "fro"), which sums the real and the
+    imaginary parts by one dot product each: here each (1, m^2) @ (m^2, 1)
+    product is that same dot product.
+    """
+    r, m, _ = stack.shape
+    flat = stack.reshape(r, 1, m * m)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
 # a restart stops once an iteration raises its value by less than
 # VARIATIONAL_TOL relative (and converged is False after VARIATIONAL_MAX_ITER)
 VARIATIONAL_TOL = 1e-10
 VARIATIONAL_MAX_ITER = 500
+# restarts iterate in stacks of at most this many bytes: each holds its GEMM
+# operands (about 2 n m^2 complex entries) and its objective trace
+STACK_BYTES = 2**22
+
+
+def _ascend(xs: np.ndarray, b: np.ndarray) -> list:
+    """Alternating maximisation from each start B_r of an (R, m, m) stack.
+
+    The restarts iterate as one stack, and each leaves it once its stop rule
+    fires, so it keeps the iterates it would have alone.  Returns, per
+    restart, (value, A, B, converged, iterations, objective trace).
+    """
+    restarts, m, _ = b.shape
+    a = np.repeat(np.eye(m, dtype=complex)[None] / np.sqrt(m), restarts, axis=0)
+    value = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    iterations = np.full(restarts, VARIATIONAL_MAX_ITER)
+    # step-major, so the pages written are those of the steps taken
+    trace = np.empty((2 * VARIATIONAL_MAX_ITER, restarts))
+    trace_len = np.zeros(restarts, dtype=int)
+    active = np.arange(restarts)
+    for it in range(1, VARIATIONAL_MAX_ITER + 1):
+        mten = _phi(xs, b[active])
+        nm = _fro(mten)
+        # M = 0 ends a restart at value 0, with A and B as they were
+        zero = nm == 0.0
+        done = active[zero]
+        value[done], converged[done], iterations[done] = 0.0, True, it
+        live, mten, nm = active[~zero], mten[~zero], nm[~zero]
+        a_live = mten / nm[:, None, None]
+        nten = _phi_adj(xs, a_live)
+        nn = _fro(nten)
+        a[live], b[live] = a_live, nten / nn[:, None, None]
+        trace[2 * it - 2, live], trace[2 * it - 1, live] = nm, nn
+        trace_len[live] = 2 * it
+        stop = (nn - value[live] < VARIATIONAL_TOL * np.maximum(nn, 1e-300)) & (it >= 2)
+        value[live] = nn
+        done = live[stop]
+        converged[done], iterations[done] = True, it
+        active = live[~stop]
+        if not active.size:
+            break
+    return [(value[r], a[r], b[r], bool(converged[r]), int(iterations[r]), trace[: trace_len[r], r])
+            for r in range(restarts)]
 
 
 def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResult:
@@ -133,7 +201,9 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
 
     Restart 0 starts from B = I/sqrt(m); the remaining restarts use random
     Wishart matrices normalised in Schatten-2, with generators drawn from a
-    seeded stream.  The best restart wins, ties broken by lowest index.
+    seeded stream.  The restarts iterate in stacks of at most ``STACK_BYTES``
+    (all of them at once for small tuples).  The best restart wins, ties
+    broken by lowest index.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -142,44 +212,25 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     # per-restart derived seeds keep results independent of execution order
     seeds = np.random.SeedSequence(seed).spawn(restarts)
 
+    def start(r):
+        if r == 0:
+            return np.eye(m, dtype=complex) / np.sqrt(m)
+        rng = np.random.default_rng(seeds[r])
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        b = g @ g.conj().T
+        return b / np.linalg.norm(b, "fro")
+
+    stack = max(1, STACK_BYTES // (32 * n * m * m + 16 * VARIATIONAL_MAX_ITER))
     best_val = -1.0
     best = None
     restart_values = []
-    for r in range(restarts):
-        if r == 0:
-            b = np.eye(m, dtype=complex) / np.sqrt(m)
-        else:
-            rng = np.random.default_rng(seeds[r])
-            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            b = g @ g.conj().T
-            b /= np.linalg.norm(b, "fro")
-        a = np.eye(m, dtype=complex) / np.sqrt(m)
-        trace = []
-        value = 0.0
-        converged = False
-        it = 0
-        for it in range(1, VARIATIONAL_MAX_ITER + 1):
-            mten = _phi(xs, b)
-            nm = np.linalg.norm(mten, "fro")
-            if nm == 0.0:
-                value = 0.0
-                converged = True
-                break
-            a = mten / nm
-            trace.append(nm)
-            nten = _phi_adj(xs, a)
-            nn = np.linalg.norm(nten, "fro")
-            b = nten / nn
-            trace.append(nn)
-            if nn - value < VARIATIONAL_TOL * max(nn, 1e-300) and it >= 2:
-                value = nn
-                converged = True
-                break
-            value = nn
-        restart_values.append(float(np.sqrt(max(value, 0.0))))
-        if value > best_val:
-            best_val = value
-            best = (a, b, converged, it, np.asarray(trace))
+    for lo in range(0, restarts, stack):
+        starts = np.array([start(r) for r in range(lo, min(lo + stack, restarts))])
+        for value, *state in _ascend(xs, starts):
+            restart_values.append(float(np.sqrt(max(value, 0.0))))
+            if value > best_val:
+                best_val = value
+                best = state
 
     a, b, converged, iterations, trace = best
     a, b = hermitian_part(a), hermitian_part(b)
@@ -189,7 +240,7 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
         converged=converged,
         iterations=iterations,
         restart_values=tuple(restart_values),
-        objective_trace=trace,
+        objective_trace=trace.copy(),
     )
 
 

@@ -8,10 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ohlab import cli, freeprob, tensorlog
+from ohlab import cli, freeprob, ohspace, tensorlog
 from ohlab.cli import main
 from ohlab.numlin import BoundViolation
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
+
+
+ALL_MODULES = ("cli", "freeprob", "geomean", "kfunc", "numlin", "ohspace", "quad", "report", "tensorlog")
 
 
 def run_cli(args, tmp_path=None):
@@ -497,6 +500,15 @@ class TestPw:
                      id="bracket-n-not-an-integer"),
         pytest.param(["sumspace", "--t-sweep", "1,x"], "--t-sweep values must be numbers, got 'x'",
                      id="sumspace-t-not-a-number"),
+        # these printed kfunc's own text, after the two-term norms had run
+        pytest.param(["sumspace", "--t-sweep", "1,nan"], "--t-sweep values must be finite and > 0, got nan",
+                     id="sumspace-t-nan"),
+        pytest.param(["sumspace", "--t-sweep", "1,inf"], "--t-sweep values must be finite and > 0, got inf",
+                     id="sumspace-t-inf"),
+        pytest.param(["sumspace", "--t-sweep", "1,-1"], "--t-sweep values must be finite and > 0, got -1.0",
+                     id="sumspace-t-negative"),
+        pytest.param(["sumspace", "--t-sweep", "0"], "--t-sweep values must be finite and > 0, got 0.0",
+                     id="sumspace-t-zero"),
         pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
         # this one exited 0 and echoed -5 in each row
         pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
@@ -569,24 +581,54 @@ class TestColdStart:
         assert err.count(b"\n") == 1 and err.startswith(b"ohlab fock: 2 rows in ")
 
     def test_package_import_loads_cli(self):
-        # the benchmark tracer imports ohlab, then reads sys.modules["ohlab.cli"]
-        proc = subprocess.run([sys.executable, "-c", "import sys, ohlab; print('ohlab.cli' in sys.modules)"],
+        # the benchmark tracer imports ohlab, then reads every layer, cli
+        # included, from sys.modules
+        proc = subprocess.run([sys.executable, "-c", "import sys, ohlab; print(sorted(m for m in sys.modules "
+                               "if m.startswith('ohlab.')))"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == repr([f"ohlab.{m}" for m in ALL_MODULES]) + "\n"
+
+    @pytest.mark.parametrize("argv, modules", [
+        pytest.param(["pw", "--dim", "2", "--trials", "1", "--nodes", "64"], {"geomean", "quad", "freeprob"},
+                     id="pw"),
+        pytest.param(["ohnorm", "--n", "2", "--m", "2", "--trials", "1", "--restarts", "2"], {"ohspace"},
+                     id="ohnorm"),
+        pytest.param(["basis", "--n", "2", "--nodes", "64", "--vectors", "2"], {"ohspace", "quad"}, id="basis"),
+        pytest.param(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1"], {"kfunc", "ohspace", "quad"},
+                     id="sumspace"),
+        pytest.param(["bracket", "--n-list", "8"], {"tensorlog", "quad"}, id="bracket"),
+        pytest.param(["free", "--dim", "8", "--summands", "2", "--trials", "1"], {"freeprob"}, id="free"),
+        pytest.param(["fock", "--cutoff", "4", "--kmax", "2"], {"freeprob"}, id="fock"),
+        pytest.param(["report"], set(), id="report"),
+    ])
+    def test_module_run_loads_only_its_modules(self, argv, modules, tmp_path):
+        # beside main's numlin and report, a cold command loads what its runner
+        # imports and what those import: geomean draws through freeprob, and
+        # tensorlog reads quad's masses
+        if argv == ["report"]:
+            path = tmp_path / "bracket.json"
+            path.write_text(Report("bracket", {}, [{"n": 8}]).to_json(), encoding="utf-8")
+            argv = argv + [str(path), str(path)]
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ohlab.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n"
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {m for m in loaded if m.startswith("ohlab")} == {"ohlab"} | {
+            f"ohlab.{m}" for m in modules | {"numlin", "report"}}
 
 
 class TestOhnormSeeds:
     def test_trial_streams_differ_across_adjacent_seeds(self, monkeypatch, capsys):
         # trial t of seed s must not reuse the restart stream of trial t-1 of seed s+1
         used = []
-        real = cli.ohspace.oh_norm_variational
+        real = ohspace.oh_norm_variational
 
         def spy(xs, restarts, seed):
             used.append(seed)
             return real(xs, restarts=restarts, seed=seed)
 
-        monkeypatch.setattr(cli.ohspace, "oh_norm_variational", spy)
+        monkeypatch.setattr(ohspace, "oh_norm_variational", spy)
         for seed in (5, 6):
             assert main(["ohnorm", "--n", "2", "--m", "2", "--trials", "2", "--restarts", "2", "--seed", str(seed)]) == 0
         capsys.readouterr()

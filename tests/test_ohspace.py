@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ohlab import ohspace
 from ohlab.kfunc import WeightedGrid, l2sum1_norm
-from ohlab.ohspace import fn_scalar_norm, oh_norm_direct, oh_norm_variational
+from ohlab.numlin import hermitian_part
+from ohlab.ohspace import VARIATIONAL_MAX_ITER, VARIATIONAL_TOL, fn_scalar_norm, oh_norm_direct, oh_norm_variational
 from ohlab.quad import ArcsineRule, arcsine_rule
 
 RULE = arcsine_rule(4096)
@@ -129,6 +131,104 @@ class TestVariational:
         xs = np.eye(2, dtype=complex)[None]
         with pytest.raises(ValueError):
             oh_norm_variational(xs, restarts=0)
+
+
+def looped_variational(xs, restarts, seed):
+    """The alternating maximisation one restart at a time, with 2-D products
+    and np.linalg.norm: (value, a, b, converged, iterations, restart_values, trace)."""
+    n, m, _ = xs.shape
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    best_val, best, restart_values = -1.0, None, []
+    for r in range(restarts):
+        if r == 0:
+            b = np.eye(m, dtype=complex) / np.sqrt(m)
+        else:
+            rng = np.random.default_rng(seeds[r])
+            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            b = g @ g.conj().T
+            b /= np.linalg.norm(b, "fro")
+        a = np.eye(m, dtype=complex) / np.sqrt(m)
+        trace, value, converged, it = [], 0.0, False, 0
+        for it in range(1, VARIATIONAL_MAX_ITER + 1):
+            mten = xs.conj().reshape(n * m, m).T @ (b @ xs).reshape(n * m, m)
+            nm = np.linalg.norm(mten, "fro")
+            if nm == 0.0:
+                value, converged = 0.0, True
+                break
+            a = mten / nm
+            trace.append(nm)
+            nten = (xs @ a).transpose(1, 0, 2).reshape(m, n * m) @ xs.conj().transpose(0, 2, 1).reshape(n * m, m)
+            nn = np.linalg.norm(nten, "fro")
+            b = nten / nn
+            trace.append(nn)
+            if nn - value < VARIATIONAL_TOL * max(nn, 1e-300) and it >= 2:
+                value, converged = nn, True
+                break
+            value = nn
+        restart_values.append(float(np.sqrt(max(value, 0.0))))
+        if value > best_val:
+            best_val, best = value, (a, b, converged, it, np.asarray(trace))
+    a, b, converged, iterations, trace = best
+    return (float(np.sqrt(max(best_val, 0.0))), hermitian_part(a), hermitian_part(b), converged, iterations,
+            tuple(restart_values), trace)
+
+
+class TestStackedRestarts:
+    """The restarts iterate as one stack; each must keep, bit for bit, the
+    iterates of the loop that runs it alone."""
+
+    @staticmethod
+    def assert_same(xs, restarts, seed):
+        value, a, b, converged, iterations, restart_values, trace = looped_variational(xs, restarts, seed)
+        res = oh_norm_variational(xs, restarts=restarts, seed=seed)
+        assert res.value == value
+        assert res.converged is converged and res.iterations == iterations
+        assert res.restart_values == restart_values
+        assert np.array_equal(res.argmax.a_pos, a) and np.array_equal(res.argmax.b_pos, b)
+        assert np.array_equal(res.objective_trace, trace)
+        return res
+
+    @pytest.mark.parametrize("n,m,restarts", [(1, 1, 3), (4, 4, 8), (3, 7, 5), (7, 3, 1), (2, 12, 6), (16, 2, 9)])
+    def test_matches_the_looped_oracle(self, n, m, restarts):
+        rng = np.random.default_rng(100 * n + m)
+        for seed in range(4):
+            self.assert_same(random_tuple(rng, n, m), restarts, seed)
+
+    def test_restarts_leave_the_stack_once_they_stop(self, monkeypatch):
+        xs = random_tuple(np.random.default_rng(8), 4, 5)
+        sizes = []
+        real = ohspace._phi
+        monkeypatch.setattr(ohspace, "_phi", lambda xs, b: sizes.append(len(b)) or real(xs, b))
+        self.assert_same(xs, 8, 3)
+        assert sizes[0] == 8 and sizes == sorted(sizes, reverse=True) and len(set(sizes)) > 2
+
+    def test_zero_tuple(self):
+        # M = 0 at the first step: every restart stops at value 0 with its start
+        res = self.assert_same(np.zeros((2, 3, 3), dtype=complex), 4, 0)
+        assert res.value == 0.0 and res.iterations == 1 and res.restart_values == (0.0,) * 4
+        assert res.objective_trace.shape == (0,)
+
+    @pytest.mark.parametrize("stack_bytes", [ohspace.STACK_BYTES, 1])
+    def test_ties_go_to_the_lowest_restart(self, monkeypatch, stack_bytes):
+        # for x = (I) every start B is a maximiser: all six values are exactly
+        # 1 and restart 0's B = I/sqrt(2) wins, in one stack or six
+        monkeypatch.setattr(ohspace, "STACK_BYTES", stack_bytes)
+        res = self.assert_same(np.eye(2, dtype=complex)[None], 6, 0)
+        assert res.restart_values == (1.0,) * 6
+        assert np.allclose(res.argmax.a_pos, np.eye(2) / np.sqrt(2), rtol=0.0, atol=1e-15)
+
+    def test_split_stacks_change_nothing(self, monkeypatch):
+        # a tuple too large for one stack iterates its restarts in several
+        xs = random_tuple(np.random.default_rng(9), 3, 4)
+        whole = oh_norm_variational(xs, restarts=7, seed=2)
+        monkeypatch.setattr(ohspace, "STACK_BYTES", 3 * (32 * 3 * 16 + 16 * VARIATIONAL_MAX_ITER))
+        split = self.assert_same(xs, 7, 2)
+        assert split.restart_values == whole.restart_values and split.value == whole.value
+
+    @pytest.mark.parametrize("r,m", [(1, 1), (5, 4), (3, 60)])
+    def test_slice_norms_match_linalg_norm(self, r, m):
+        stack = random_tuple(np.random.default_rng(r * m), r, m)
+        assert np.array_equal(ohspace._fro(stack), [np.linalg.norm(s, "fro") for s in stack])
 
 
 class TestScalarBasisNorm:

@@ -1,11 +1,12 @@
-"""Structural guards: one interval type, one verdict path, one JSON emitter
-and one Q-forming path.
+"""Structural guards: one interval type, one verdict path, one JSON emitter,
+one Q-forming path and a CLI that imports its computing modules lazily.
 
 ``Bounded``, ``BoundViolation`` and ``ROUNDING`` are defined in ``numlin``
 only, and only ``numlin`` raises ``BoundViolation``; every other module
 states its inequalities through ``numlin.violation`` and ``numlin.require``.
 Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
 ``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
+``cli`` imports only ``numlin`` and ``report`` of ohlab at module level.
 """
 
 import ast
@@ -107,3 +108,29 @@ def test_one_q_forming_path():
 def test_numpy_exposes_zungqr():
     # every free and pw run draws through it: a numpy without it fails here
     assert callable(getattr(lapack_lite, "zungqr", None))
+
+
+def eager_ohlab_imports(tree) -> set:
+    """ohlab submodules a module imports when it is imported, outside any function body."""
+    names, nodes = set(), list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = "ohlab." * (node.level == 1) + (node.module or "")
+            if module.strip(".") == "ohlab":
+                names |= {a.name for a in node.names}
+            elif module.startswith("ohlab."):
+                names.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ohlab.")}
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_cli_imports_computing_modules_lazily():
+    # a cold `python -m ohlab.cli <command>` loads only the modules its
+    # runner imports; main itself needs numlin's verdicts and report's types
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert eager_ohlab_imports(tree) == {"numlin", "report"}
