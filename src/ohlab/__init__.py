@@ -2,12 +2,12 @@
 
 Submodules:
 
-* ``quad``      -- arcsine-measure quadrature and exact interval masses
+* ``quad``      -- arcsine-measure quadrature
 * ``numlin``    -- certified positive matrices, commuting square roots, the interval type and verdicts
 * ``geomean``   -- Pusz-Woronowicz primal/dual square-root formulas
 * ``ohspace``   -- matrix-tuple norms (spectral oracle and alternating maximisation)
 * ``kfunc``     -- two- and three-term sum-space norms on weighted grids
-* ``tensorlog`` -- certified logarithmic tensor-norm brackets
+* ``tensorlog`` -- certified logarithmic tensor-norm brackets and exact interval masses
 * ``freeprob``  -- random-matrix and Fock-space freeness checks
 * ``cli``       -- seeded experiment runner with machine-readable reports
 """

@@ -16,11 +16,12 @@ immutable str, int, float or None, and ``report``'s ``paths`` (``nargs="+"``)
 is a new list on each parse.  ``RUNNERS`` is looked up at call time, so it can
 still be patched.
 
-At module level this file imports only numpy, ``numlin`` and ``report``, which
-``main`` needs, and each runner imports the modules it runs.  Under
-``python -m ohlab.cli`` the package imports no submodule either, so a cold
-command loads only the modules its runner imports and theirs: ``ohnorm``
-loads ``ohspace`` and no other computing module.
+At module level this file imports only ``numlin`` and ``report``, which
+``main`` needs, and each runner imports the modules it runs, numpy included.
+Under ``python -m ohlab.cli`` the package imports no submodule either, so a
+cold command loads only the modules its runner imports and theirs: ``ohnorm``
+loads ``ohspace`` and no other computing module, and ``bracket`` and
+``report``, which compute in ``math`` and merge JSON, never load numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from .numlin import BoundViolation, violation
 from .report import MergeError, Report, report_from_dict, report_merge
@@ -189,6 +188,8 @@ def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
 
 
 def run_pw(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import geomean, quad
 
     check_counts(args, trials=None, dim=MAX_PW_DIM, nodes=None)
@@ -230,6 +231,8 @@ def run_pw(args) -> tuple[Report, list]:
 
 
 def run_ohnorm(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import ohspace
 
     check_counts(args, trials=None, n=None, m=MAX_OHNORM_M, restarts=None)
@@ -266,6 +269,8 @@ def run_ohnorm(args) -> tuple[Report, list]:
 
 
 def run_basis(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import ohspace, quad
 
     check_counts(args, n=MAX_BASIS_N, vectors=None, nodes=MAX_NODES)
@@ -287,12 +292,18 @@ def run_basis(args) -> tuple[Report, list]:
 
 
 def run_sumspace(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import kfunc, ohspace, quad
 
     t_values = parse_list(args.t_sweep, "--t-sweep", float, "numbers")
     bad = [t for t in t_values if not (math.isfinite(t) and t > 0.0)]
     if bad:
         raise ValueError(f"--t-sweep values must be finite and > 0, got {bad[0]}")
+    # each value's norm is checked against the one before it, which holds only in increasing t
+    drops = [(a, b) for a, b in zip(t_values, t_values[1:]) if b < a]
+    if drops:
+        raise ValueError(f"--t-sweep values must be nondecreasing, got {drops[0][1]} after {drops[0][0]}")
     check_counts(args, points=MAX_SUMSPACE_POINTS, nodes=MAX_NODES)
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
@@ -351,6 +362,8 @@ def run_bracket(args) -> tuple[Report, list]:
 
 
 def run_free(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import freeprob
 
     check_counts(args, trials=None, summands=None, dim=MAX_FREE_DIM)
@@ -398,6 +411,8 @@ def run_free(args) -> tuple[Report, list]:
 
 
 def run_fock(args) -> tuple[Report, list]:
+    import numpy as np
+
     from . import freeprob
 
     check_counts(args, kmax=MAX_FOCK_KMAX)
@@ -469,7 +484,10 @@ def main(argv=None) -> int:
     except MergeError as exc:
         print(f"merge error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    # numpy's LinAlgError subclasses ValueError, so it is named before it; the
+    # tuple is built only when an exception gets this far, and with numpy not
+    # loaded (bracket, report) no LinAlgError can have been raised
+    except (RuntimeError, getattr(sys.modules.get("numpy.linalg"), "LinAlgError", RuntimeError)) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

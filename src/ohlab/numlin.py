@@ -12,14 +12,21 @@ and functions of it (``PositiveMatrix.func``: the square roots of
 ``sqrt_commuting`` and ``geomean.pw_dual``) from the stored spectrum.
 
 All values are immutable after construction and every operation is pure.
+
+The verdicts and the interval type are pure ``math``: numpy is imported inside
+the four functions that handle a matrix (``as_matrix``, ``opnorm``,
+``PositiveMatrix.__init__`` and ``sqrt_commuting``), so a command that checks
+only scalar inequalities, such as ``bracket``, never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import sys
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads when a matrix is first handled
+    import numpy as np
 
 __all__ = [
     "ROUNDING",
@@ -42,7 +49,7 @@ COMMUTE_TOL = 1e-8      # ||AB-BA|| <= tol * ||A|| ||B||
 
 # c eps per unit of term magnitude: the rounding bound on a closed form summed
 # from a handful of terms (tensorlog) and on a computed derivative (kfunc)
-ROUNDING = 64 * float(np.finfo(float).eps)
+ROUNDING = 64 * sys.float_info.epsilon
 
 
 class BoundViolation(RuntimeError):
@@ -88,6 +95,8 @@ def require(claim: str, lhs: float, rhs: float, slack: float = 0.0, **params) ->
 
 def as_matrix(x) -> np.ndarray:
     """Coerce to a square complex 2-D array with finite entries."""
+    import numpy as np
+
     if isinstance(x, PositiveMatrix):
         return x.mat
     a = np.asarray(x, dtype=complex)
@@ -107,6 +116,8 @@ def hermitian_part(a) -> np.ndarray:
 
 def opnorm(a) -> float:
     """Operator (spectral) norm."""
+    import numpy as np
+
     a = as_matrix(a)
     return float(np.linalg.norm(a, 2))
 
@@ -126,6 +137,8 @@ class PositiveMatrix:
     __slots__ = ("mat", "dim", "eig", "min_eig", "strictly_positive")
 
     def __init__(self, entries):
+        import numpy as np
+
         a = as_matrix(entries)
         if np.max(np.abs(a - a.conj().T)) > HERM_TOL * np.max(np.abs(a)):
             raise ValueError("matrix is not Hermitian within tolerance")
@@ -192,5 +205,7 @@ def sqrt_commuting(a, b) -> PositiveMatrix:
     spectrum: no common eigenbasis is needed, so close eigenvalues of A are
     never merged.  The pair is certified by ``commuting_pair``.
     """
+    import numpy as np
+
     pa, pb = commuting_pair(a, b)
     return PositiveMatrix(hermitian_part(pa.func(np.sqrt) @ pb.func(np.sqrt)))

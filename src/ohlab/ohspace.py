@@ -203,7 +203,8 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     Wishart matrices normalised in Schatten-2, with generators drawn from a
     seeded stream.  The restarts iterate in stacks of at most ``STACK_BYTES``
     (all of them at once for small tuples).  The best restart wins, ties
-    broken by lowest index.
+    broken by lowest index; a restart whose objective is not finite never
+    wins, and RuntimeError is raised when no restart's is.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -228,9 +229,12 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
         starts = np.array([start(r) for r in range(lo, min(lo + stack, restarts))])
         for value, *state in _ascend(xs, starts):
             restart_values.append(float(np.sqrt(max(value, 0.0))))
-            if value > best_val:
+            if np.isfinite(value) and value > best_val:
                 best_val = value
                 best = state
+    if best is None:
+        # finite entries whose products overflow leave every objective NaN or inf
+        raise RuntimeError(f"no restart of {restarts} gave a finite objective")
 
     a, b, converged, iterations, trace = best
     a, b = hermitian_part(a), hermitian_part(b)

@@ -8,13 +8,13 @@ Chebyshev weight on [-1,1], so Gauss-Chebyshev nodes of the first kind
 integrate polynomials of degree <= 2N-1 against mu exactly and absorb the
 endpoint singularities of the weight.
 
-Exact closed forms for the nu1/nu2 interval masses are provided for the
-corner estimates that quadrature cannot resolve.
+The exact nu1/nu2 interval masses of the bracket's corner strips are closed
+forms in ``math`` and live in ``tensorlog``, their one user, so that the
+bracket path loads neither this module nor numpy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +24,6 @@ __all__ = [
     "Grid2D",
     "arcsine_rule",
     "integrate_mu",
-    "nu1_mass",
-    "nu2_mass",
 ]
 
 
@@ -103,22 +101,3 @@ def integrate_mu(f, rule: ArcsineRule) -> float:
         bad = rule.nodes[~np.isfinite(vals)][0]
         raise ValueError(f"integrand is not finite at node t={bad!r}")
     return float(np.sum(vals * rule.weights))
-
-
-def nu1_mass(a: float, b: float) -> float:
-    """Exact nu1-mass of [a,b]: integral of 1/t dmu, with nu1([a,1]) = (2/pi) sqrt((1-a)/a)."""
-    if not 0.0 <= a <= b <= 1.0:
-        raise ValueError("need 0 <= a <= b <= 1")
-    if a == 0.0:
-        return math.inf
-
-    def tail(x):
-        return 0.0 if x == 1.0 else math.sqrt((1.0 - x) / x)
-
-    return 2.0 / math.pi * (tail(a) - tail(b))
-
-
-def nu2_mass(a: float, b: float) -> float:
-    """Exact nu2-mass of [a,b]: integral of 1/(1-t) dmu (mirror image of nu1)."""
-    return nu1_mass(1.0 - b, 1.0 - a)
-

@@ -28,7 +28,8 @@ slots, where 1_R has norm min_theta F(theta)^{1/2} for the convex F(theta) =
 int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R and mu x mu are symmetric
 under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the minimum is
 F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one strips,
-charged in the trace-class slots by exact 1-D interval masses.  With
+charged in the trace-class slots by exact 1-D interval masses of nu1 =
+t^{-1} mu and nu2 = (1-t)^{-1} mu (``nu1_mass``, ``nu2_mass``).  With
 delta = 1/(e^2 n^2) the total is at most 18 sqrt(1 + ln n) ||a||_2.
 
 Closed forms.  Under t = (1 - cos alpha)/2, s = (1 - cos beta)/2 the measure
@@ -58,6 +59,10 @@ by arithmetic: the completely-1-summing norm of the identity lies in
 [lower/18, 6 upper] (below n = 7, where the witness route does not apply, its
 floor is banach_c sqrt(n)), and by trace duality the projection constant lies
 in [fac/psc_c, min(gamma_c fac, n/pi1_lo)] with fac = sqrt(n/(1 + ln n)).
+
+Every bracket is a closed form in ``math``: numpy is imported only where an
+array is handled (``WitnessQuadruple.v`` and ``diag_upper_bound`` given a
+coefficient matrix), so a cold ``bracket`` command never loads it.
 """
 
 from __future__ import annotations
@@ -65,12 +70,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .numlin import ROUNDING, Bounded, require
-from .quad import nu1_mass, nu2_mass
+
+if TYPE_CHECKING:  # an annotation only: the closed forms run without numpy
+    import numpy as np
 
 __all__ = [
     "WitnessQuadruple",
@@ -88,6 +93,8 @@ __all__ = [
     "witness_validate",
     "diag_upper_bound",
     "bracket_report",
+    "nu1_mass",
+    "nu2_mass",
 ]
 
 
@@ -190,6 +197,8 @@ class WitnessQuadruple:
 
     def v(self, t, s):
         """Common ratio value on I, zero outside; scalars keep their type (mpmath too)."""
+        import numpy as np
+
         t, s = np.asarray(t), np.asarray(s)
         return np.where(self.indicator(t, s), 1.0 / (t * s + (1.0 - t) * (1.0 - s)), 0.0)[()]
 
@@ -271,6 +280,24 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     return value, q
 
 
+def nu1_mass(a: float, b: float) -> float:
+    """Exact nu1-mass of [a,b]: integral of 1/t dmu, with nu1([a,1]) = (2/pi) sqrt((1-a)/a)."""
+    if not 0.0 <= a <= b <= 1.0:
+        raise ValueError("need 0 <= a <= b <= 1")
+    if a == 0.0:
+        return math.inf
+
+    def tail(x):
+        return 0.0 if x == 1.0 else math.sqrt((1.0 - x) / x)
+
+    return 2.0 / math.pi * (tail(a) - tail(b))
+
+
+def nu2_mass(a: float, b: float) -> float:
+    """Exact nu2-mass of [a,b]: integral of 1/(1-t) dmu (mirror image of nu1)."""
+    return nu1_mass(1.0 - b, 1.0 - a)
+
+
 @dataclass(frozen=True)
 class UpperBoundParts:
     value: float            # certified total (rectangle part + corner part)
@@ -306,6 +333,8 @@ def diag_upper_bound(
         fro = math.sqrt(n)
         nuc = float(n)
     else:
+        import numpy as np
+
         a = np.asarray(a, dtype=complex)
         if a.shape != (n, n):
             raise ValueError(f"coefficient matrix must be {n} x {n}")

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ohlab import cli, freeprob, ohspace, tensorlog
+from ohlab import cli, freeprob, kfunc, ohspace, tensorlog
 from ohlab.cli import main
 from ohlab.numlin import BoundViolation
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
@@ -509,6 +509,12 @@ class TestPw:
                      id="sumspace-t-negative"),
         pytest.param(["sumspace", "--t-sweep", "0"], "--t-sweep values must be finite and > 0, got 0.0",
                      id="sumspace-t-zero"),
+        # these exited 1 with a false bound violation: the norm is nondecreasing
+        # in t, and each value was checked against the one given before it
+        pytest.param(["sumspace", "--t-sweep", "100,1"], "--t-sweep values must be nondecreasing, got 1.0 after 100.0",
+                     id="sumspace-t-decreasing"),
+        pytest.param(["sumspace", "--t-sweep", "0.1,1,1,0.5"],
+                     "--t-sweep values must be nondecreasing, got 0.5 after 1.0", id="sumspace-t-drop-after-tie"),
         pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
         # this one exited 0 and echoed -5 in each row
         pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
@@ -536,6 +542,16 @@ class TestPw:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and flag in err
+
+    def test_t_sweep_order_checked_before_any_norm(self, monkeypatch, capsys):
+        monkeypatch.setattr(kfunc, "l2sum2_norm", lambda *args: pytest.fail("a norm ran"))
+        assert main(["sumspace", "--points", "4", "--nodes", "16", "--t-sweep", "100,1"]) == 2
+        assert "--t-sweep" in capsys.readouterr().err
+
+    def test_t_sweep_accepts_equal_values(self, capsys):
+        assert main(["sumspace", "--points", "4", "--nodes", "16", "--t-sweep", "1,1"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["t"] for r in rows] == [1.0, 1.0] and rows[0]["ik_t"] == rows[1]["ik_t"]
 
     def test_cond_below_one_rejected(self, capsys):
         assert main(["pw", "--dim", "2", "--trials", "1", "--cond", "0.5"]) == 2
@@ -596,15 +612,15 @@ class TestColdStart:
         pytest.param(["basis", "--n", "2", "--nodes", "64", "--vectors", "2"], {"ohspace", "quad"}, id="basis"),
         pytest.param(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1"], {"kfunc", "ohspace", "quad"},
                      id="sumspace"),
-        pytest.param(["bracket", "--n-list", "8"], {"tensorlog", "quad"}, id="bracket"),
+        pytest.param(["bracket", "--n-list", "8"], {"tensorlog"}, id="bracket"),
         pytest.param(["free", "--dim", "8", "--summands", "2", "--trials", "1"], {"freeprob"}, id="free"),
         pytest.param(["fock", "--cutoff", "4", "--kmax", "2"], {"freeprob"}, id="fock"),
         pytest.param(["report"], set(), id="report"),
     ])
     def test_module_run_loads_only_its_modules(self, argv, modules, tmp_path):
         # beside main's numlin and report, a cold command loads what its runner
-        # imports and what those import: geomean draws through freeprob, and
-        # tensorlog reads quad's masses
+        # imports and what those import: geomean draws through freeprob.
+        # bracket's closed forms and report's merge load no numpy either
         if argv == ["report"]:
             path = tmp_path / "bracket.json"
             path.write_text(Report("bracket", {}, [{"n": 8}]).to_json(), encoding="utf-8")
@@ -616,6 +632,7 @@ class TestColdStart:
                   if line.startswith("import time:")}
         assert {m for m in loaded if m.startswith("ohlab")} == {"ohlab"} | {
             f"ohlab.{m}" for m in modules | {"numlin", "report"}}
+        assert ("numpy" in loaded) == (argv[0] not in ("bracket", "report"))
 
 
 class TestOhnormSeeds:

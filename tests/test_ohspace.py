@@ -127,6 +127,13 @@ class TestVariational:
         res = oh_norm_variational(np.zeros((2, 3, 3), dtype=complex))
         assert res.value == 0.0
 
+    def test_overflowing_tuple_raises_numerical_failure(self):
+        # finite entries whose products overflow: every restart's objective is
+        # NaN, and no restart was chosen (a TypeError from unpacking None)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="no restart of 8 gave a finite objective"):
+            oh_norm_variational(np.full((1, 2, 2), 1e200 + 0j))
+
     def test_invalid_parameters(self):
         xs = np.eye(2, dtype=complex)[None]
         with pytest.raises(ValueError):

@@ -7,8 +7,6 @@ from ohlab.quad import (
     Grid2D,
     arcsine_rule,
     integrate_mu,
-    nu1_mass,
-    nu2_mass,
 )
 
 
@@ -122,24 +120,3 @@ class TestExactMasses:
         r = arcsine_rule(4096)
         for x in (0.01, 0.25, 0.5, 0.9):
             assert integrate_mu(np.where(r.nodes <= x, 1.0, 0.0), r) == pytest.approx(mu_cdf(x), abs=1.0 / 4096)
-
-    def test_nu_masses_against_quadrature(self):
-        r = arcsine_rule(4096)
-        t = r.nodes
-        for a, b in [(0.1, 0.5), (0.25, 0.9), (0.02, 0.3)]:
-            ind = (t >= a) & (t <= b)
-            q1 = integrate_mu(np.where(ind, 1.0 / t, 0.0), r)
-            q2 = integrate_mu(np.where(ind, 1.0 / (1.0 - t), 0.0), r)
-            assert nu1_mass(a, b) == pytest.approx(q1, rel=1e-3)
-            assert nu2_mass(a, b) == pytest.approx(q2, rel=1e-3)
-
-    def test_nu2_small_interval_closed_form(self):
-        delta = 1e-3
-        exact = 2.0 / math.pi * math.sqrt(delta / (1.0 - delta))
-        assert nu2_mass(0.0, delta) == pytest.approx(exact, rel=1e-14)
-        # within the cruder analytic ceiling used by the corner estimates
-        assert math.sqrt(nu2_mass(0.0, delta)) <= 2.0**1.25 * delta**0.25 / math.sqrt(math.pi)
-
-    def test_nu1_tail(self):
-        assert nu1_mass(0.5, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
-        assert math.isinf(nu1_mass(0.0, 0.5))

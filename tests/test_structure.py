@@ -6,7 +6,8 @@ only, and only ``numlin`` raises ``BoundViolation``; every other module
 states its inequalities through ``numlin.violation`` and ``numlin.require``.
 Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
 ``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
-``cli`` imports only ``numlin`` and ``report`` of ohlab at module level.
+``cli`` imports only ``numlin`` and ``report`` of ohlab at module level, and
+none of ``cli``, ``numlin``, ``report`` and ``tensorlog`` imports numpy there.
 """
 
 import ast
@@ -110,22 +111,46 @@ def test_numpy_exposes_zungqr():
     assert callable(getattr(lapack_lite, "zungqr", None))
 
 
-def eager_ohlab_imports(tree) -> set:
-    """ohlab submodules a module imports when it is imported, outside any function body."""
-    names, nodes = set(), list(tree.body)
+def eager_imports(tree) -> list:
+    """Import statements that run when a module is imported: outside any
+    function body and any ``if TYPE_CHECKING:`` block."""
+    found, nodes = [], list(tree.body)
     while nodes:
         node = nodes.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            nodes.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def eager_ohlab_imports(tree) -> set:
+    """ohlab submodules a module imports when it is imported."""
+    names = set()
+    for node in eager_imports(tree):
         if isinstance(node, ast.ImportFrom):
             module = "ohlab." * (node.level == 1) + (node.module or "")
             if module.strip(".") == "ohlab":
                 names |= {a.name for a in node.names}
             elif module.startswith("ohlab."):
                 names.add(module.split(".")[1])
-        elif isinstance(node, ast.Import):
+        else:
             names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ohlab.")}
-        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def eager_packages(tree) -> set:
+    """Top-level packages, ohlab's relative imports aside, a module imports when it is imported."""
+    names = set()
+    for node in eager_imports(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif not node.level:
+            names.add(node.module.split(".")[0])
     return names
 
 
@@ -134,3 +159,13 @@ def test_cli_imports_computing_modules_lazily():
     # runner imports; main itself needs numlin's verdicts and report's types
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert eager_ohlab_imports(tree) == {"numlin", "report"}
+
+
+def test_bracket_and_report_paths_import_numpy_lazily():
+    # a cold `bracket` loads cli, numlin, report and tensorlog, and a cold
+    # `report` the first three: none of them may import numpy when it loads
+    for module in ("cli", "numlin", "report", "tensorlog"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        assert "numpy" not in eager_packages(tree), module
+    # the guard sees an eager import where the other modules have one
+    assert "numpy" in eager_packages(ast.parse((SRC / "quad.py").read_text(encoding="utf-8")))

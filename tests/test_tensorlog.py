@@ -15,6 +15,8 @@ from ohlab.tensorlog import (
     bracket_report,
     diag_upper_bound,
     hk_sq,
+    nu1_mass,
+    nu2_mass,
     pairing,
     r_integral,
     ti2,
@@ -42,6 +44,31 @@ class TestConstants:
         with pytest.raises(AttributeError):
             CONSTANTS.lower_c = 1.0
         assert CONSTANTS.lower_c == tensorlog.CONSTANT_TABLE[0][1]
+
+
+class TestExactMasses:
+    """The nu1/nu2 interval masses of the upper route's corner strips."""
+
+    def test_nu_masses_against_quadrature(self):
+        r = quad.arcsine_rule(4096)
+        t = r.nodes
+        for a, b in [(0.1, 0.5), (0.25, 0.9), (0.02, 0.3)]:
+            ind = (t >= a) & (t <= b)
+            q1 = quad.integrate_mu(np.where(ind, 1.0 / t, 0.0), r)
+            q2 = quad.integrate_mu(np.where(ind, 1.0 / (1.0 - t), 0.0), r)
+            assert nu1_mass(a, b) == pytest.approx(q1, rel=1e-3)
+            assert nu2_mass(a, b) == pytest.approx(q2, rel=1e-3)
+
+    def test_nu2_small_interval_closed_form(self):
+        delta = 1e-3
+        exact = 2.0 / math.pi * math.sqrt(delta / (1.0 - delta))
+        assert nu2_mass(0.0, delta) == pytest.approx(exact, rel=1e-14)
+        # within the cruder analytic ceiling used by the corner estimates
+        assert math.sqrt(nu2_mass(0.0, delta)) <= 2.0**1.25 * delta**0.25 / math.sqrt(math.pi)
+
+    def test_nu1_tail(self):
+        assert nu1_mass(0.5, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
+        assert math.isinf(nu1_mass(0.0, 0.5))
 
 
 class TestWitness:
