@@ -12,10 +12,10 @@ import math
 import numpy as np
 
 from ohlab.freeprob import (
+    CLTResult,
     TruncatedFock,
     catalan_numbers,
     fock_semicircular_moments,
-    free_clt_check,
     free_family,
     semicircle_diag,
     voiculescu_check,
@@ -39,18 +39,20 @@ def main():
     moments = fock_semicircular_moments(8, 5)
     print(f"  even vacuum moments {moments}")
     print(f"  Catalan numbers     {catalan_numbers(5)}")
-    fock = TruncatedFock(letter_dim=2, cutoff=5)
-    a = fock.semicircular(letter=0)
-    p1 = fock.letter_start_projection(0)
-    eye = np.eye(fock.dim)
-    defect = np.max(np.abs((eye - p1) @ a @ (eye - p1)))
+    defect = TruncatedFock(letter_dim=2, cutoff=5).compression_defect(0)
     print(f"  off-diagonal compression of a mean-zero letter: {defect:.1e}")
 
     print("\nfree central limit (normalised sums of rotated sign spectra):")
     signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
-    res = free_clt_check(16, dim, trials=5, seed=2, spectrum=signs)
+    families = [free_family([signs] * n, dim, seed=s) for s in np.random.SeedSequence(2).spawn(5)]
+    res = CLTResult.from_families(families)
     print(f"  moments k=1..4: {[f'{m:.4f}' for m in res.moments]}")
     print(f"  semicircle targets:      {res.targets}")
+    # free cumulants add, so n members give 2 + kappa_4 / (n kappa_2^2), with
+    # kappa_2 = m_2 and kappa_4 = m_4 - 2 m_2^2 of the centred spectrum
+    centred = signs - signs.mean()
+    m2, m4 = np.mean(centred**2), np.mean(centred**4)
+    print(f"  exact fourth moment at n={n}: {2.0 + (m4 - 2.0 * m2**2) / (n * m2**2):.4f}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Two models of free independence are used side by side:
 * an exact one -- creation operators on a truncated full Fock space, where
   the standard semicircular element s = l + l* has Catalan even moments and
   the off-diagonal compression identity (1-P_i) pi_i(a) (1-P_i) = 0 holds as
-  an exact matrix identity;
+  an exact matrix identity (:meth:`TruncatedFock.compression_defect`);
 
 * an asymptotic one -- independent Haar rotations U diag(a) U^H of
   trace-centred real spectra a, which are free only in the large-dimension
@@ -42,8 +42,12 @@ inequality for a family (a_i) reads
 and its trace-norm converse gives  || sum_i a_i ||_1 <= sum_i ||a_i||_1  and
 || sum_i a_i ||_1 <= (sum_i tau(a_i^* a_i))^{1/2}  (plus the adjoint twin).
 
-The semicircle quantiles of the rotated base are roots of the closed-form
-CDF, found by :func:`brentq`, a port of scipy's Brent root finder.
+The free central limit moments are read from the spectra of the trial
+families a run already built (:meth:`CLTResult.from_families`), so no trial
+is drawn twice.  The semicircle quantiles of the rotated base are roots of
+the closed-form CDF, found by :func:`brentq`, a port of scipy's Brent root
+finder.  The reference routes the tests compare against (a family summed
+from explicit member matrices, the vacuum vector) live under ``tests/``.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ __all__ = [
     "catalan_numbers",
     "CLTResult",
     "clt_moments",
-    "free_clt_check",
 ]
 
 
@@ -251,26 +254,6 @@ class FreeFamily:
     second_moments: tuple
     unitarity_residual: float | None = None
 
-    @classmethod
-    def from_members(cls, members) -> "FreeFamily":
-        """The direct route, the reference for :func:`free_family`: each
-        member's spectrum from its own ``eigvalsh``, the sum added in member
-        order.  ValueError unless the members are square of one dimension,
-        Hermitian and trace-centred to 1e-12 of their largest entries."""
-        members = tuple(members)
-        dim = len(members[0]) if members else 0
-        if not members or any(a.shape != (dim, dim) for a in members):
-            raise ValueError("need a nonempty family of square members of one dimension")
-        for a in members:
-            scale = float(np.max(np.abs(a)))
-            if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
-                raise ValueError("members must be Hermitian")
-            if abs(np.mean(np.diagonal(a))) > 1e-12 * max(scale, 1.0):
-                raise ValueError("members must be trace-centred")
-        spectra = tuple(np.abs(np.linalg.eigvalsh(a)) for a in members)
-        moments = tuple(float(np.vdot(a, a).real) / dim for a in members)
-        return cls(np.linalg.eigvalsh(sum(members[1:], members[0].copy())), spectra, moments)
-
 
 def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
     """A finite real spectrum of length dim minus its mean; ValueError otherwise
@@ -419,11 +402,6 @@ class TruncatedFock:
         self.index = {w: i for i, w in enumerate(words)}
         self.dim = len(words)
 
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[0] = 1.0
-        return v
-
     def creation(self, letter: int) -> np.ndarray:
         if not 0 <= letter < self.letter_dim:
             raise ValueError("letter out of range")
@@ -441,6 +419,13 @@ class TruncatedFock:
     def semicircular(self, letter: int = 0) -> np.ndarray:
         l = self.creation(letter)
         return l + l.T
+
+    def compression_defect(self, letter: int) -> float:
+        """max |(1 - P_i)(l_i + l_i^*)(1 - P_i)| over the entries, P_i the
+        :meth:`letter_start_projection`: zero, as l_i prepends letter i, so
+        (1 - P_i) l_i = 0 = l_i^* (1 - P_i)."""
+        q = np.eye(self.dim) - self.letter_start_projection(letter)
+        return float(np.max(np.abs(q @ self.semicircular(letter) @ q)))
 
 
 def catalan_numbers(k_max: int):
@@ -485,8 +470,15 @@ class CLTResult:
     deviations: tuple        # moments - targets
 
     @classmethod
-    def from_moments(cls, moments) -> "CLTResult":
-        moments = tuple(float(m) for m in moments)
+    def from_families(cls, families) -> "CLTResult":
+        """:func:`clt_moments` of each family of a sequence, summed in its
+        order and divided by its length; ValueError for an empty one."""
+        if not families:
+            raise ValueError("need at least one family")
+        acc = np.zeros(4)
+        for fam in families:
+            acc += clt_moments(fam)
+        moments = tuple(float(m) for m in acc / len(families))
         devs = tuple(m - t for m, t in zip(moments, SEMICIRCLE_MOMENTS))
         return cls(moments=moments, targets=SEMICIRCLE_MOMENTS, deviations=devs)
 
@@ -503,34 +495,3 @@ def clt_moments(fam: FreeFamily) -> np.ndarray:
         raise ValueError("every member is zero after centring: the CLT sum has no variance to normalise by")
     s = fam.eigenvalues / math.sqrt(var)
     return np.array([np.mean(s**k) for k in range(1, 5)])
-
-
-def free_clt_check(
-    n: int,
-    dim: int,
-    trials: int = 20,
-    seed: int = 0,
-    spectrum: np.ndarray | None = None,
-) -> CLTResult:
-    """Moments of S = n^{-1/2} sum a_i for rotated, centred, variance-one a_i.
-
-    ``spectrum`` defaults to the semicircle quantiles; any real spectrum is
-    centred before rotation and variance-normalised by :func:`clt_moments`
-    after; ValueError unless n >= 1 and trials >= 1.  As in
-    :func:`free_family`, the first member stays diagonal and the other n - 1
-    are rotated, which leaves the law of S unchanged.  Trial t draws its
-    unitaries from child t of ``SeedSequence(seed).spawn``, so it rotates
-    the spectrum exactly as trial t of ``ohlab free`` with the same seed
-    does.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if spectrum is None:
-        spectrum = semicircle_diag(dim)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    acc = np.zeros(4)
-    for t in range(trials):
-        acc += clt_moments(free_family([spectrum] * n, dim, seed=seeds[t]))
-    return CLTResult.from_moments(acc / trials)

@@ -43,6 +43,7 @@ mean is not 1/2 to within rounding is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -95,25 +96,34 @@ class VariationalResult:
     objective_trace: np.ndarray = field(repr=False)
 
 
-def _tuple_array(x) -> np.ndarray:
-    """x as a tuple of n >= 1 finite complex m x m matrices, an (n, m, m) array."""
+def _scaled_tuple(x) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e) for a tuple x of n >= 1 finite complex m x m matrices, an
+    (n, m, m) array, with e the frexp exponent of its largest real or
+    imaginary part (not of |x_ij|, which can overflow).  The scaling is exact
+    and the norm homogeneous, so scaling the result back by 2^e changes no
+    bit where the products stay in the normal range, and keeps them there."""
     a = np.asarray(x, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected shape (n, m, m), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("tuple entries must be finite")
-    return a
+    e = math.frexp(float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))))[1]
+    scaled = np.empty_like(a)
+    np.ldexp(a.real, -e, out=scaled.real)
+    np.ldexp(a.imag, -e, out=scaled.imag)
+    return scaled, e
 
 
 def oh_norm_direct(x) -> float:
     """Largest singular value of sum_k conj(x_k) (x) x_k, square-rooted.
 
-    Entry ((i,j),(p,q)) is sum_k conj(x_k[i,p]) x_k[j,q]: one GEMM, axes reordered."""
-    xs = _tuple_array(x)
+    Entry ((i,j),(p,q)) is sum_k conj(x_k[i,p]) x_k[j,q]: one GEMM, axes
+    reordered, on the tuple scaled by :func:`_scaled_tuple`."""
+    xs, e = _scaled_tuple(x)
     n, m, _ = xs.shape
     flat = xs.reshape(n, m * m)
     big = (flat.conj().T @ flat).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    return float(np.sqrt(opnorm(big)))
+    return math.ldexp(float(np.sqrt(opnorm(big))), e)
 
 
 def _phi(xs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,12 +213,13 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     Wishart matrices normalised in Schatten-2, with generators drawn from a
     seeded stream.  The restarts iterate in stacks of at most ``STACK_BYTES``
     (all of them at once for small tuples).  The best restart wins, ties
-    broken by lowest index; a restart whose objective is not finite never
-    wins, and RuntimeError is raised when no restart's is.
+    broken by lowest index.  The restarts run on the tuple scaled by
+    :func:`_scaled_tuple`, where every objective is finite, and the value,
+    ``restart_values`` and ``objective_trace`` are scaled back exactly.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    xs = _tuple_array(x)
+    xs, e = _scaled_tuple(x)
     n, m, _ = xs.shape
     # per-restart derived seeds keep results independent of execution order
     seeds = np.random.SeedSequence(seed).spawn(restarts)
@@ -228,23 +239,22 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     for lo in range(0, restarts, stack):
         starts = np.array([start(r) for r in range(lo, min(lo + stack, restarts))])
         for value, *state in _ascend(xs, starts):
-            restart_values.append(float(np.sqrt(max(value, 0.0))))
-            if np.isfinite(value) and value > best_val:
+            restart_values.append(math.ldexp(float(np.sqrt(max(value, 0.0))), e))
+            if value > best_val:
                 best_val = value
                 best = state
-    if best is None:
-        # finite entries whose products overflow leave every objective NaN or inf
-        raise RuntimeError(f"no restart of {restarts} gave a finite objective")
 
     a, b, converged, iterations, trace = best
     a, b = hermitian_part(a), hermitian_part(b)
+    with np.errstate(over="ignore"):  # an entry beyond the float range reads inf
+        trace = np.ldexp(trace, 2 * e)
     return VariationalResult(
-        value=float(np.sqrt(max(best_val, 0.0))),
+        value=math.ldexp(float(np.sqrt(max(best_val, 0.0))), e),
         argmax=BallPoint(a_pos=a, b_pos=b),
         converged=converged,
         iterations=iterations,
         restart_values=tuple(restart_values),
-        objective_trace=trace.copy(),
+        objective_trace=trace,
     )
 
 

@@ -6,7 +6,9 @@ materialised as separate rules: callers fold the densities 1/t and 1/(1-t)
 into the integrands.  Under t = (1+x)/2 the measure mu becomes the
 Chebyshev weight on [-1,1], so Gauss-Chebyshev nodes of the first kind
 integrate polynomials of degree <= 2N-1 against mu exactly and absorb the
-endpoint singularities of the weight.
+endpoint singularities of the weight.  Callers integrate by summing their
+integrand's node values against ``weights``; the module holds the rule and
+its 2-D product, nothing that integrates.
 
 The exact nu1/nu2 interval masses of the bracket's corner strips are closed
 forms in ``math`` and live in ``tensorlog``, their one user, so that the
@@ -23,7 +25,6 @@ __all__ = [
     "ArcsineRule",
     "Grid2D",
     "arcsine_rule",
-    "integrate_mu",
 ]
 
 
@@ -79,25 +80,3 @@ def arcsine_rule(n_nodes: int) -> ArcsineRule:
     nodes = 0.5 * (1.0 + np.cos((2 * j - 1) * np.pi / (2 * n_nodes)))
     weights = np.full(n_nodes, 1.0 / n_nodes)
     return ArcsineRule(n_nodes, nodes, weights)
-
-
-def _values_at_nodes(f, nodes: np.ndarray) -> np.ndarray:
-    vals = f(nodes) if callable(f) else np.asarray(f)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError(f"integrand values have shape {vals.shape}, expected {nodes.shape}")
-    return vals
-
-
-def integrate_mu(f, rule: ArcsineRule) -> float:
-    """Integrate f against mu.  f is a vectorised callable or a node array.
-
-    Singular densities (1/t, 1/(1-t), ...) are the caller's responsibility:
-    compose them into f.  Summation is numpy's pairwise reduction, so the
-    result is deterministic at fixed N.
-    """
-    vals = _values_at_nodes(f, rule.nodes)
-    if not np.all(np.isfinite(vals)):
-        bad = rule.nodes[~np.isfinite(vals)][0]
-        raise ValueError(f"integrand is not finite at node t={bad!r}")
-    return float(np.sum(vals * rule.weights))

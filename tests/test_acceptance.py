@@ -26,13 +26,14 @@ from ohlab.freeprob import (
 from ohlab.geomean import dual_witness_validate, pw_dual, pw_oracle, pw_primal, random_commuting_pair
 from ohlab.kfunc import WeightedGrid, l2sum1_norm, l2sum2_norm
 from ohlab.ohspace import fn_scalar_norm, oh_norm_direct, oh_norm_variational
-from ohlab.quad import arcsine_rule, integrate_mu
+from ohlab.quad import arcsine_rule
 from ohlab.tensorlog import (
     CONSTANTS,
     bracket_report,
     witness_build,
     witness_validate,
 )
+from reference import integrate_mu
 
 
 def verdict(criterion, ok, detail):

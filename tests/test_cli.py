@@ -370,15 +370,18 @@ class TestParserReuse:
 class TestFree:
     @pytest.mark.parametrize("trials", [2, 6])
     def test_clt_moments_come_from_the_trial_families(self, trials, capsys):
-        # trial t of `free` and of free_clt_check rotate by the same unitaries
+        # the first min(T, 5) trial families, rebuilt from children 0.. of the
+        # seed's spawn, and their moments averaged by numpy's mean
         dim, n, seed = 48, 4, 31
         code, doc = run_in_process(
             ["free", "--dim", str(dim), "--summands", str(n), "--trials", str(trials), "--seed", str(seed)], capsys
         )
         assert code == 0
-        ref = freeprob.free_clt_check(n, dim, trials=min(trials, 5), seed=seed)
-        assert np.max(np.abs(np.array(doc["params"]["clt_moments"]) - ref.moments)) <= 1e-12
-        assert np.max(np.abs(np.array(doc["params"]["clt_deviations"]) - ref.deviations)) <= 1e-12
+        spectrum = freeprob.semicircle_diag(dim)
+        seeds = np.random.SeedSequence(seed).spawn(trials)[:5]
+        ref = np.mean([freeprob.clt_moments(freeprob.free_family([spectrum] * n, dim, seed=s)) for s in seeds], axis=0)
+        assert np.max(np.abs(np.array(doc["params"]["clt_moments"]) - ref)) <= 1e-12
+        assert np.max(np.abs(np.array(doc["params"]["clt_deviations"]) - (ref - [0.0, 1.0, 0.0, 2.0]))) <= 1e-12
 
     def test_unitarity_residual_in_every_row(self, capsys):
         dim = 32
@@ -516,6 +519,13 @@ class TestPw:
         pytest.param(["sumspace", "--t-sweep", "0.1,1,1,0.5"],
                      "--t-sweep values must be nondecreasing, got 0.5 after 1.0", id="sumspace-t-drop-after-tie"),
         pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
+        # numpy's SeedSequence rejected these with "expected non-negative
+        # integer", and bracket and report echoed the seed
+        *[pytest.param([*argv, "--seed", "-1"], "--seed must be >= 0, got -1", id=f"{argv[0]}-seed-negative")
+          for argv in (["pw", "--dim", "2", "--trials", "1", "--nodes", "16"], ["ohnorm", "--trials", "1"],
+                       ["basis", "--vectors", "1", "--nodes", "16"], ["sumspace", "--points", "4", "--nodes", "16"],
+                       ["bracket", "--n-list", "8"], ["free", "--dim", "8", "--trials", "1"],
+                       ["fock", "--cutoff", "4", "--kmax", "2"], ["report", "missing.json"])],
         # this one exited 0 and echoed -5 in each row
         pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
         # memory ceilings, checked before any work
@@ -557,6 +567,11 @@ class TestPw:
         assert main(["pw", "--dim", "2", "--trials", "1", "--cond", "0.5"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "cond must be >= 1" in err
+
+    def test_seed_checked_before_any_runner(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli.RUNNERS, "bracket", lambda args: pytest.fail("the runner ran"))
+        assert main(["bracket", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 COLD_START = """

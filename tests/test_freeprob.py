@@ -10,12 +10,12 @@ from scipy.optimize import brentq as scipy_brentq
 from ohlab import freeprob
 from ohlab.freeprob import (
     UNITARITY_SLACK,
+    CLTResult,
     FreeFamily,
     TruncatedFock,
     catalan_numbers,
     clt_moments,
     fock_semicircular_moments,
-    free_clt_check,
     free_family,
     haar_unitary,
     semicircle_diag,
@@ -23,6 +23,7 @@ from ohlab.freeprob import (
     voiculescu_check,
     voiculescu_converse_check,
 )
+from reference import family_from_members, vacuum
 
 
 # test-only oracles: nothing in the library calls them
@@ -350,17 +351,17 @@ class TestFreeFamily:
         with pytest.raises(ValueError, match="nonempty"):
             free_family([], 8, seed=0)
         with pytest.raises(ValueError, match="nonempty"):
-            FreeFamily.from_members(())
+            family_from_members(())
 
     def test_uncentred_rejected(self):
         with pytest.raises(ValueError, match="centred"):
-            FreeFamily.from_members((np.eye(8, dtype=complex),))
+            family_from_members((np.eye(8, dtype=complex),))
 
     def test_non_hermitian_member_rejected(self):
         a = ginibre(8, np.random.default_rng(6))
         a -= np.trace(a) / 8 * np.eye(8)
         with pytest.raises(ValueError, match="Hermitian"):
-            FreeFamily.from_members((a + a.conj().T, a))
+            family_from_members((a + a.conj().T, a))
 
     def test_rotation_of_a_hermitian_base(self, monkeypatch):
         # for G = V diag(lam) V^H the second member free_family([lam, lam])
@@ -420,7 +421,7 @@ class TestKnownSpectra:
         bases = [gue_spectrum(dim, rng) for _ in range(n)]
         rotated = free_family(bases, dim, seed=23)
         members = rotated_members(bases, dim, seed=23)
-        direct = FreeFamily.from_members(members)
+        direct = family_from_members(members)
         assert direct.unitarity_residual is None
         # values as the eigensolve-per-member code computed them
         total = np.sum(members, axis=0)
@@ -533,7 +534,7 @@ class TestStreaming:
         bases = self.bases("gue", dim)
         members = rotated_members(bases, dim, seed=44)
         fam, (total,) = solved(lambda: free_family(bases, dim, seed=44), monkeypatch)
-        direct, seen = solved(lambda: FreeFamily.from_members(members), monkeypatch)
+        direct, seen = solved(lambda: family_from_members(members), monkeypatch)
         assert np.array_equal(np.tril(seen[-1]), np.tril(total))
         assert np.array_equal(direct.eigenvalues, fam.eigenvalues)
         assert direct.second_moments == pytest.approx(fam.second_moments, rel=1e-14)
@@ -573,7 +574,7 @@ class TestHermitianSum:
     def test_direct_family_solves_each_member_and_the_sum(self, monkeypatch):
         dim = 24
         members = rotated_members([gue_spectrum(dim, np.random.default_rng(29))] * 2, dim, seed=30)
-        _, seen = solved(lambda: FreeFamily.from_members(members), monkeypatch)
+        _, seen = solved(lambda: family_from_members(members), monkeypatch)
         # each member once, for its own spectrum, then the sum
         assert len(seen) == 3 and seen[0] is members[0] and seen[1] is members[1]
         assert np.array_equal(seen[2], summed_in_order(members))
@@ -624,13 +625,13 @@ class TestVoiculescu:
         # by a Haar factor: lhs is its norm, so the margin is 2 tau(a^2)^{1/2}
         spectrum = gue_spectrum(64, np.random.default_rng(7))
         _, a = rotated_members([spectrum] * 2, 64, seed=8)
-        for fam in (free_family([spectrum], 64, seed=8), FreeFamily.from_members([a])):
+        for fam in (free_family([spectrum], 64, seed=8), family_from_members([a])):
             res = voiculescu_check(fam)
             assert res.margin == pytest.approx(2 * math.sqrt(np.vdot(a, a).real / 64), rel=1e-12)
             assert res.margin >= 0
 
     def test_zero_family(self):
-        fam = FreeFamily.from_members((np.zeros((8, 8), dtype=complex),) * 3)
+        fam = family_from_members((np.zeros((8, 8), dtype=complex),) * 3)
         res = voiculescu_check(fam)
         assert (res.lhs, res.rhs, res.margin) == (0.0, 0.0, 0.0)
 
@@ -660,7 +661,7 @@ class TestConverse:
         assert trace_norm(a) <= math.sqrt(np.vdot(a, a).real / 48) + 1e-12
 
     def test_zero_family(self):
-        fam = FreeFamily.from_members((np.zeros((6, 6), dtype=complex),) * 2)
+        fam = family_from_members((np.zeros((6, 6), dtype=complex),) * 2)
         c = voiculescu_converse_check(fam)
         assert c.triangle == c.column == c.row == 0.0
 
@@ -689,7 +690,7 @@ class TestFock:
     def test_odd_moments_vanish(self):
         fock = TruncatedFock(letter_dim=1, cutoff=7)
         s = fock.semicircular()
-        omega = fock.vacuum()
+        omega = vacuum(fock)
         for k in (1, 3, 5):
             assert abs(omega @ np.linalg.matrix_power(s, k) @ omega) == 0.0
 
@@ -702,7 +703,7 @@ class TestFock:
         # (at most binom(60, 30) < 2^63 here) is exact
         fock = TruncatedFock(letter_dim=1, cutoff=cutoff)
         s = fock.semicircular().astype(np.int64)
-        vec = fock.vacuum().astype(np.int64)
+        vec = vacuum(fock).astype(np.int64)
         dense = []
         for _ in range(k_max):
             vec = s @ (s @ vec)
@@ -735,22 +736,41 @@ class TestFock:
         comp = (np.eye(fock.dim) - p1) @ a @ (np.eye(fock.dim) - p1)
         assert np.max(np.abs(comp)) <= 1e-12
 
+    @pytest.mark.parametrize("letter", [0, 1])
+    def test_compression_defect_is_the_compressed_letter(self, letter):
+        # the one producer the CLI and the demo read, against the products by hand
+        fock = TruncatedFock(letter_dim=2, cutoff=5)
+        q = np.eye(fock.dim) - fock.letter_start_projection(letter)
+        comp = q @ fock.semicircular(letter) @ q
+        assert fock.compression_defect(letter) == float(np.max(np.abs(comp))) == 0.0
+        with pytest.raises(ValueError, match="letter"):
+            fock.compression_defect(2)
+
     def test_vacuum_mean_zero(self):
         fock = TruncatedFock(letter_dim=2, cutoff=4)
         a = fock.semicircular(letter=1)
-        omega = fock.vacuum()
+        omega = vacuum(fock)
         assert omega @ a @ omega == 0.0
+
+
+def clt(n: int, dim: int, trials: int, seed: int, spectrum=None) -> CLTResult:
+    """CLT moments of ``trials`` families of n copies of the spectrum (the
+    semicircle quantiles by default), trial t rotated by child t of
+    ``SeedSequence(seed).spawn``, as trial t of ``ohlab free`` is."""
+    spectrum = semicircle_diag(dim) if spectrum is None else spectrum
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    return CLTResult.from_families([free_family([spectrum] * n, dim, seed=s) for s in seeds])
 
 
 class TestCLT:
     def test_single_summand_variance(self):
         # one summand stays in its own frame, unrotated: variance 1 to
         # rounding (sums with rotated summands: test_semicircular_moments)
-        res = free_clt_check(1, 128, trials=3, seed=0)
+        res = clt(1, 128, trials=3, seed=0)
         assert res.moments[1] == pytest.approx(1.0, rel=1e-12)
 
     def test_semicircular_moments(self):
-        res = free_clt_check(8, 256, trials=5, seed=1)
+        res = clt(8, 256, trials=5, seed=1)
         assert res.moments[1] == pytest.approx(1.0, rel=0.02)
         assert res.moments[3] == pytest.approx(2.0, rel=0.05)
         assert abs(res.moments[0]) < 0.02 and abs(res.moments[2]) < 0.05
@@ -758,7 +778,7 @@ class TestCLT:
     def test_non_semicircular_base_converges(self):
         dim = 128
         signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
-        res = free_clt_check(16, dim, trials=5, seed=2, spectrum=signs)
+        res = clt(16, dim, trials=5, seed=2, spectrum=signs)
         # free convolution of +-1 masses: fourth moment 2 - 1/n
         assert res.moments[3] == pytest.approx(2.0 - 1.0 / 16.0, abs=0.08)
 
@@ -782,14 +802,25 @@ class TestCLT:
         fam = FreeFamily(np.array([-2.0, -1.0, 1.0, 2.0]), (np.ones(4),), (2.5,))
         assert np.allclose(clt_moments(fam), [0.0, 1.0, 0.0, 8.5 / 6.25], rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_no_trials_rejected(self, trials):
-        with pytest.raises(ValueError, match="trials"):
-            free_clt_check(2, 8, trials=trials)
+    def test_no_families_rejected(self):
+        with pytest.raises(ValueError, match="at least one family"):
+            CLTResult.from_families([])
+
+    def test_families_are_summed_in_order(self):
+        # the sum in the order given, divided by the count: the arithmetic
+        # `free` used when it accumulated the moments in its trial loop
+        fams = [free_family([semicircle_diag(32)] * 3, 32, seed=s) for s in np.random.SeedSequence(4).spawn(3)]
+        acc = np.zeros(4)
+        for fam in fams:
+            acc += clt_moments(fam)
+        res = CLTResult.from_families(fams)
+        assert res.moments == tuple(float(m) for m in acc / 3)
+        assert res.targets == (0.0, 1.0, 0.0, 2.0)
+        assert res.deviations == tuple(m - t for m, t in zip(res.moments, res.targets))
 
     def test_determinism(self):
-        a = free_clt_check(4, 64, trials=2, seed=3)
-        b = free_clt_check(4, 64, trials=2, seed=3)
+        a = clt(4, 64, trials=2, seed=3)
+        b = clt(4, 64, trials=2, seed=3)
         assert a.moments == b.moments
 
 

@@ -127,12 +127,26 @@ class TestVariational:
         res = oh_norm_variational(np.zeros((2, 3, 3), dtype=complex))
         assert res.value == 0.0
 
-    def test_overflowing_tuple_raises_numerical_failure(self):
-        # finite entries whose products overflow: every restart's objective is
-        # NaN, and no restart was chosen (a TypeError from unpacking None)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(RuntimeError, match="no restart of 8 gave a finite objective"):
-            oh_norm_variational(np.full((1, 2, 2), 1e200 + 0j))
+    def test_both_routes_reach_the_float_range(self):
+        # ||s J||_oh = 2s for the all-ones 2 x 2 J; unscaled, the variational
+        # route returned 0.0 at 1e77 and 1e-160, raised RuntimeError at 1e80
+        # and above, and at 1e-80 a ValueError (A outside the unit ball)
+        for s in (1e-160, 1e-80, 1e77, 1e80, 1e100, 1e200, 1e300):
+            xs = np.full((1, 2, 2), s + 0j)
+            res = oh_norm_variational(xs)
+            assert oh_norm_direct(xs) == pytest.approx(2 * s, rel=1e-14), s
+            assert res.value == pytest.approx(2 * s, rel=1e-14), s
+            assert all(v == pytest.approx(2 * s, rel=1e-14) for v in res.restart_values), s
+
+    def test_scaling_keeps_the_bits(self):
+        # dividing by a power of two is exact, so a tuple and its 2^k multiple
+        # give the same iterates, scaled
+        xs = np.random.default_rng(3).standard_normal((3, 4, 4)) + 0j
+        a, b = oh_norm_variational(xs, restarts=3, seed=4), oh_norm_variational(xs * 2.0**-40, restarts=3, seed=4)
+        assert b.value == a.value * 2.0**-40 and b.restart_values == tuple(v * 2.0**-40 for v in a.restart_values)
+        assert np.array_equal(b.objective_trace, a.objective_trace * 2.0**-80)
+        assert np.array_equal(b.argmax.a_pos, a.argmax.a_pos)
+        assert oh_norm_direct(xs * 2.0**-40) == oh_norm_direct(xs) * 2.0**-40
 
     def test_invalid_parameters(self):
         xs = np.eye(2, dtype=complex)[None]
