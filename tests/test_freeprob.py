@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from ohlab import freeprob
+from ohlab import cli, freeprob
 from ohlab.freeprob import (
     UNITARITY_SLACK,
     CLTResult,
@@ -801,6 +801,14 @@ class TestCLT:
         # a record made from a spectrum alone: S = lambda / sqrt(2.5)
         fam = FreeFamily(np.array([-2.0, -1.0, 1.0, 2.0]), (np.ones(4),), (2.5,))
         assert np.allclose(clt_moments(fam), [0.0, 1.0, 0.0, 8.5 / 6.25], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # `free` averages the CLT moments of its trial families: it refuses
+        # a run of no trials before it draws a family
+        args = cli.build_parser().parse_args(["free", "--dim", "8", "--summands", "2", "--trials", str(trials)])
+        with pytest.raises(ValueError, match="--trials must be >= 1"):
+            cli.run_free(args)
 
     def test_no_families_rejected(self):
         with pytest.raises(ValueError, match="at least one family"):
