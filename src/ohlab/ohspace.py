@@ -114,6 +114,16 @@ def _scaled_tuple(x) -> tuple[np.ndarray, int]:
     return scaled, e
 
 
+def _unscaled(root: float, e: int) -> float:
+    """root 2^e, the norm of a tuple whose copy divided by 2^e
+    (:func:`_scaled_tuple`) has norm root; RuntimeError where it lies beyond
+    the float range."""
+    try:
+        return math.ldexp(root, e)
+    except OverflowError:
+        raise RuntimeError(f"the norm {root!r} * 2^{e} exceeds the float range") from None
+
+
 def oh_norm_direct(x) -> float:
     """Largest singular value of sum_k conj(x_k) (x) x_k, square-rooted.
 
@@ -123,7 +133,7 @@ def oh_norm_direct(x) -> float:
     n, m, _ = xs.shape
     flat = xs.reshape(n, m * m)
     big = (flat.conj().T @ flat).reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    return math.ldexp(float(np.sqrt(opnorm(big))), e)
+    return _unscaled(float(np.sqrt(opnorm(big))), e)
 
 
 def _phi(xs: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,7 +249,7 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     for lo in range(0, restarts, stack):
         starts = np.array([start(r) for r in range(lo, min(lo + stack, restarts))])
         for value, *state in _ascend(xs, starts):
-            restart_values.append(math.ldexp(float(np.sqrt(max(value, 0.0))), e))
+            restart_values.append(_unscaled(float(np.sqrt(max(value, 0.0))), e))
             if value > best_val:
                 best_val = value
                 best = state
@@ -249,7 +259,7 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     with np.errstate(over="ignore"):  # an entry beyond the float range reads inf
         trace = np.ldexp(trace, 2 * e)
     return VariationalResult(
-        value=math.ldexp(float(np.sqrt(max(best_val, 0.0))), e),
+        value=_unscaled(float(np.sqrt(max(best_val, 0.0))), e),
         argmax=BallPoint(a_pos=a, b_pos=b),
         converged=converged,
         iterations=iterations,

@@ -10,9 +10,8 @@ endpoint singularities of the weight.  Callers integrate by summing their
 integrand's node values against ``weights``; the module holds the rule and
 its 2-D product, nothing that integrates.
 
-The exact nu1/nu2 interval masses of the bracket's corner strips are closed
-forms in ``math`` and live in ``tensorlog``, their one user, so that the
-bracket path loads neither this module nor numpy.
+The bracket needs no rule: its corner strips' nu1/nu2 masses are closed
+forms in ``tensorlog``.
 """
 
 from __future__ import annotations

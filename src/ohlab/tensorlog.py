@@ -22,15 +22,15 @@ The analytic estimates certified in ``witness_validate``:
 trace-class constraints are discharged).  A violation raises hard, through
 ``numlin.require``, naming delta and n.
 
-Upper route: a (x) 1 = a1 + a2.  a1 lives on a region R of four rectangles
-avoiding the corners (0,1) and (1,0), in the +_1 sum of the Hilbertian
-slots, where 1_R has norm min_theta F(theta)^{1/2} for the convex F(theta) =
-int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R and mu x mu are symmetric
-under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the minimum is
-F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one strips,
-charged in the trace-class slots by exact 1-D interval masses of nu1 =
-t^{-1} mu and nu2 = (1-t)^{-1} mu (``nu1_mass``, ``nu2_mass``).  With
-delta = 1/(e^2 n^2) the total is at most 18 sqrt(1 + ln n) ||a||_2.
+Upper route: a (x) 1 = a1 + a2 for a = I_n.  a1 lives on a region R of four
+rectangles avoiding the corners (0,1) and (1,0), in the +_1 sum of the
+Hilbertian slots, where 1_R has norm min_theta F(theta)^{1/2} for the convex
+F(theta) = int_R 1/(theta ts + (1-theta)(1-t)(1-s)).  R and mu x mu are
+symmetric under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the minimum
+is F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one strips,
+charged in the trace-class slots by 1-D interval masses of nu1 = t^{-1} mu
+and nu2 = (1-t)^{-1} mu.  With delta = 1/(e^2 n^2) the total is at most
+18 sqrt(1 + ln n) ||a||_2 = 18 sqrt(n (1 + ln n)).
 
 Closed forms.  Under t = (1 - cos alpha)/2, s = (1 - cos beta)/2 the measure
 mu x mu becomes d alpha d beta / pi^2 and v = 2 / (1 + cos alpha cos beta).
@@ -44,6 +44,14 @@ With u = sqrt(delta/(1-delta)) = tan(alpha_delta/2) and Catalan's constant G:
     int_R v                       = (8/pi^2) [(pi/2) ln(1/u) + 2 Ti2(u) - G]
     ||h||^2 = (1-u) [(1+u)(pi/2 - 2 atan u) - (1-u)] / pi^2,  ||k||^2 = ||h||^2 / u^2
 
+and nu1([a,1]) = (2/pi) sqrt((1-a)/a) gives the strip masses
+
+    nu2([0,delta]) = nu1([1-delta,1]) = (2/pi) u,   nu1([1/2,1]) = 2/pi,
+    nu2([delta,1/2]) = (2/pi) (1-u),
+
+so the four strips, each charged sqrt of its two masses, cost
+n (4/pi) sqrt(u) (1 + sqrt(1-u)), with no difference 1 - (1 - delta) formed.
+
 For u <= 1/2 (delta <= 1/5; a larger delta raises ValueError) Ti2(u) is the
 alternating series sum_{k<25} (-1)^k u^(2k+1)/(2k+1)^2, off by less than its
 first omitted term, u^51/51^2 <= 1.7e-19.  Each value carries that bound plus
@@ -52,7 +60,8 @@ an outward slack of c eps times the magnitudes of the terms it sums
 included (libm's log and atan are within one ulp), so c = 64
 (``numlin.ROUNDING``) also covers the final scaling.  Lower, upper and every
 check take the safe end of each enclosure, each check clears its analytic
-bound by c eps |bound|, and the corner strips get 1 + c eps.
+bound by c eps |bound|, and the corner part, a few roundings from u, gets
+1 + c eps.
 
 ``bracket_report`` computes the two brackets once per n and derives the rest
 by arithmetic: the completely-1-summing norm of the identity lies in
@@ -60,9 +69,8 @@ by arithmetic: the completely-1-summing norm of the identity lies in
 floor is banach_c sqrt(n)), and by trace duality the projection constant lies
 in [fac/psc_c, min(gamma_c fac, n/pi1_lo)] with fac = sqrt(n/(1 + ln n)).
 
-Every bracket is a closed form in ``math``: numpy is imported only where an
-array is handled (``WitnessQuadruple.v`` and ``diag_upper_bound`` given a
-coefficient matrix), so a cold ``bracket`` command never loads it.
+Every bracket is a closed form in ``math``, so a cold ``bracket`` command
+never loads numpy.
 """
 
 from __future__ import annotations
@@ -70,12 +78,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .numlin import ROUNDING, Bounded, require
-
-if TYPE_CHECKING:  # an annotation only: the closed forms run without numpy
-    import numpy as np
 
 __all__ = [
     "WitnessQuadruple",
@@ -93,8 +98,6 @@ __all__ = [
     "witness_validate",
     "diag_upper_bound",
     "bracket_report",
-    "nu1_mass",
-    "nu2_mass",
 ]
 
 
@@ -180,7 +183,8 @@ class WitnessQuadruple:
     The common factor v(t,s) = 1/(ts + (1-t)(1-s)) restricted to
     I = [delta, 1/2] x [1/2, 1-delta] makes the four ratio constraints hold
     identically; ``scale`` divides all four components for feasibility.
-    These pointwise definitions are what the closed forms integrate.
+    The closed forms integrate it; its pointwise form, which the tests
+    compare them against, is ``witness_v`` in ``tests/reference.py``.
     """
 
     delta: float
@@ -191,28 +195,6 @@ class WitnessQuadruple:
             raise ValueError(f"delta={self.delta} outside (0, 1/2)")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
-
-    def indicator(self, t, s):
-        return (t >= self.delta) & (t <= 0.5) & (s >= 0.5) & (s <= 1.0 - self.delta)
-
-    def v(self, t, s):
-        """Common ratio value on I, zero outside; scalars keep their type (mpmath too)."""
-        import numpy as np
-
-        t, s = np.asarray(t), np.asarray(s)
-        return np.where(self.indicator(t, s), 1.0 / (t * s + (1.0 - t) * (1.0 - s)), 0.0)[()]
-
-    def f(self, t, s):
-        return t * s * self.v(t, s)
-
-    def g(self, t, s):
-        return (1.0 - t) * (1.0 - s) * self.v(t, s)
-
-    def h(self, t, s):
-        return t * (1.0 - s) * self.v(t, s)
-
-    def k(self, t, s):
-        return (1.0 - t) * s * self.v(t, s)
 
 
 def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
@@ -280,24 +262,6 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     return value, q
 
 
-def nu1_mass(a: float, b: float) -> float:
-    """Exact nu1-mass of [a,b]: integral of 1/t dmu, with nu1([a,1]) = (2/pi) sqrt((1-a)/a)."""
-    if not 0.0 <= a <= b <= 1.0:
-        raise ValueError("need 0 <= a <= b <= 1")
-    if a == 0.0:
-        return math.inf
-
-    def tail(x):
-        return 0.0 if x == 1.0 else math.sqrt((1.0 - x) / x)
-
-    return 2.0 / math.pi * (tail(a) - tail(b))
-
-
-def nu2_mass(a: float, b: float) -> float:
-    """Exact nu2-mass of [a,b]: integral of 1/(1-t) dmu (mirror image of nu1)."""
-    return nu1_mass(1.0 - b, 1.0 - a)
-
-
 @dataclass(frozen=True)
 class UpperBoundParts:
     value: float            # certified total (rectangle part + corner part)
@@ -308,18 +272,13 @@ class UpperBoundParts:
     delta: float
 
 
-def diag_upper_bound(
-    n: int,
-    a: np.ndarray | None = None,
-    delta: float | None = None,
-) -> UpperBoundParts:
-    """Upper bracket for sum a_ij f_i (x) f_j via the corner decomposition.
+def diag_upper_bound(n: int, delta: float | None = None) -> UpperBoundParts:
+    """Upper bracket for sum_i f_i (x) f_i (a = I_n) via the corner decomposition.
 
-    ``a`` defaults to the n x n identity (the diagonal case).  The rectangle
-    part is the +_1 sum norm over R (densities 1/(ts) and 1/((1-t)(1-s))) at
-    the optimal theta = 1/2, sqrt(2 int_R v) with int_R v at the upper end of
-    its enclosure; the four corner strips are rank-one products charged by
-    exact interval masses of nu1 and nu2.
+    The rectangle part is the +_1 sum norm over R (densities 1/(ts) and
+    1/((1-t)(1-s))) at the optimal theta = 1/2, ||a||_2 sqrt(2 int_R v) with
+    int_R v at the upper end of its enclosure; the four corner strips are
+    rank-one products charged by their nu1 and nu2 masses, closed forms in u.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -329,34 +288,22 @@ def diag_upper_bound(
         if delta < sys.float_info.min:
             raise ValueError(f"n={n} too large: delta = 1/(e^2 n^2) is not a positive normal float")
     region = r_integral(delta)
-    if a is None:
-        fro = math.sqrt(n)
-        nuc = float(n)
-    else:
-        import numpy as np
-
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (n, n):
-            raise ValueError(f"coefficient matrix must be {n} x {n}")
-        fro = float(np.linalg.norm(a, "fro"))
-        nuc = float(np.sum(np.linalg.svd(a, compute_uv=False)))
-    if fro == 0.0:
-        return UpperBoundParts(0.0, 0.0, 0.0, 0.0, 0.0, delta)
+    fro = math.sqrt(n)  # ||I_n||_2; its nuclear norm is n
 
     # F(1/2) = 2 int_R v is the minimum of the convex, symmetric F(theta)
     rectangle_part = fro * math.sqrt(2.0 * region.hi)
 
     # corner strips: [0,d]x[1/2,1] and [1/2,1]x[0,d] sit in the mixed slots
-    # with masses nu2([0,d]) * nu1([1/2,1]); the thin strips [d,1/2]x[1-d,1]
-    # and [1-d,1]x[d,1/2] contribute nu2([d,1/2]) * nu1([1-d,1]).
-    strip_a = math.sqrt(nu2_mass(0.0, delta) * nu1_mass(0.5, 1.0))
-    strip_b = math.sqrt(nu2_mass(delta, 0.5) * nu1_mass(1.0 - delta, 1.0))
-    corner_part = nuc * 2.0 * (strip_a + strip_b) * (1.0 + ROUNDING)
+    # with masses nu2([0,d]) nu1([1/2,1]) = (2/pi)^2 u; the thin strips
+    # [d,1/2]x[1-d,1] and [1-d,1]x[d,1/2] with nu2([d,1/2]) nu1([1-d,1]) =
+    # (2/pi)^2 (1-u) u.  Each of the four costs n sqrt(its masses' product).
+    u = _u(delta)
+    corner_part = 4.0 / math.pi * n * math.sqrt(u) * (1.0 + math.sqrt(1.0 - u)) * (1.0 + ROUNDING)
 
     # the same split with the proved constants instead of numerics
     analytic_rect = (4.0 * math.sqrt(2.0)
                      + 8.0 * math.sqrt(2.0) / math.pi * math.sqrt(-math.log(delta))) * fro
-    analytic_corner = 4.0 * 2.0 ** (13.0 / 4.0) / math.pi * delta**0.25 * nuc
+    analytic_corner = 4.0 * 2.0 ** (13.0 / 4.0) / math.pi * delta**0.25 * n
     log_ceiling = CONSTANTS.upper_c * math.sqrt(1.0 + math.log(n)) * fro
 
     return UpperBoundParts(

@@ -5,7 +5,9 @@
   the direct way, from explicit member matrices, for ``free_family`` to
   match;
 * :func:`integrate_mu` sums an integrand against an arcsine rule;
-* :func:`vacuum` is the vacuum vector of a truncated Fock space.
+* :func:`vacuum` is the vacuum vector of a truncated Fock space;
+* :func:`witness_v` and :func:`witness_quadruple` are the bracket's
+  rectangle witness pointwise, which ``tensorlog``'s closed forms integrate.
 """
 
 import numpy as np
@@ -61,3 +63,18 @@ def vacuum(fock: TruncatedFock) -> np.ndarray:
     v = np.zeros(fock.dim)
     v[0] = 1.0
     return v
+
+
+def witness_v(delta, t, s):
+    """v(t,s) = 1/(ts + (1-t)(1-s)) on I = [delta, 1/2] x [1/2, 1-delta] and zero
+    outside, the common ratio value of the rectangle witness of
+    :class:`ohlab.tensorlog.WitnessQuadruple`; scalars keep their type (mpmath too)."""
+    t, s = np.asarray(t), np.asarray(s)
+    inside = (t >= delta) & (t <= 0.5) & (s >= 0.5) & (s <= 1.0 - delta)
+    return np.where(inside, 1.0 / (t * s + (1.0 - t) * (1.0 - s)), 0.0)[()]
+
+
+def witness_quadruple(delta, t, s):
+    """The unscaled witness (f, g, h, k) = (ts, (1-t)(1-s), t(1-s), (1-t)s) v at (t, s)."""
+    v = witness_v(delta, t, s)
+    return t * s * v, (1.0 - t) * (1.0 - s) * v, t * (1.0 - s) * v, (1.0 - t) * s * v

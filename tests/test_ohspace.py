@@ -138,6 +138,15 @@ class TestVariational:
             assert res.value == pytest.approx(2 * s, rel=1e-14), s
             assert all(v == pytest.approx(2 * s, rel=1e-14) for v in res.restart_values), s
 
+    def test_a_norm_beyond_the_float_range_is_a_numerical_failure(self):
+        # ||s J||_oh = 2s = 3.4e308 at s = 1.7e308: both routes raised
+        # OverflowError from math.ldexp, which no CLI exit code maps; a
+        # RuntimeError is the numerical failure that exits 3
+        xs = np.full((1, 2, 2), 1.7e308 + 0j)
+        for route in (oh_norm_direct, oh_norm_variational):
+            with pytest.raises(RuntimeError, match="exceeds the float range"):
+                route(xs)
+
     def test_scaling_keeps_the_bits(self):
         # dividing by a power of two is exact, so a tuple and its 2^k multiple
         # give the same iterates, scaled

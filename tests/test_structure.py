@@ -8,7 +8,8 @@ states its inequalities through ``numlin.violation`` and ``numlin.require``.
 Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
 ``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
 ``cli`` imports only ``numlin`` and ``report`` of ohlab at module level, and
-none of ``cli``, ``numlin``, ``report`` and ``tensorlog`` imports numpy there.
+none of ``cli``, ``numlin``, ``report`` and ``tensorlog`` imports numpy there;
+``tensorlog`` imports it nowhere.
 Every public name and public method is referenced from ``src/ohlab``, a demo
 or the package's script entry point.
 """
@@ -147,10 +148,15 @@ def eager_ohlab_imports(tree) -> set:
     return names
 
 
-def eager_packages(tree) -> set:
-    """Top-level packages, ohlab's relative imports aside, a module imports when it is imported."""
+def all_imports(tree) -> list:
+    """Every import statement of a module: eager, inside a function or for an annotation."""
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def packages(imports) -> set:
+    """Top-level packages, ohlab's relative imports aside, that import statements load."""
     names = set()
-    for node in eager_imports(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             names |= {a.name.split(".")[0] for a in node.names}
         elif not node.level:
@@ -165,14 +171,22 @@ def test_cli_imports_computing_modules_lazily():
     assert eager_ohlab_imports(tree) == {"numlin", "report"}
 
 
+def parsed(module: str):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def test_bracket_and_report_paths_import_numpy_lazily():
     # a cold `bracket` loads cli, numlin, report and tensorlog, and a cold
     # `report` the first three: none of them may import numpy when it loads
     for module in ("cli", "numlin", "report", "tensorlog"):
-        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-        assert "numpy" not in eager_packages(tree), module
-    # the guard sees an eager import where the other modules have one
-    assert "numpy" in eager_packages(ast.parse((SRC / "quad.py").read_text(encoding="utf-8")))
+        assert "numpy" not in packages(eager_imports(parsed(module))), module
+    # the brackets are closed forms in math: tensorlog imports numpy nowhere,
+    # not inside a function and not for an annotation
+    assert "numpy" not in packages(all_imports(parsed("tensorlog")))
+    # the guard sees an eager import where the other modules have one, and a
+    # deferred one where numlin has them
+    assert "numpy" in packages(eager_imports(parsed("quad")))
+    assert "numpy" in packages(all_imports(parsed("numlin")))
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,32 +210,37 @@ def public_definitions(tree) -> list:
 
 
 def referenced_names(tree) -> list:
-    """(line, name) of each ``ast.Name``, ``ast.Attribute`` and imported name."""
+    """(line, name, is_attribute) of each ``ast.Name``, ``ast.Attribute`` and imported name."""
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.lineno, node.id))
+            refs.append((node.lineno, node.id, False))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.lineno, node.attr))
+            refs.append((node.lineno, node.attr, True))
         elif isinstance(node, ast.alias):
-            refs.append((node.lineno, node.name.split(".")[-1]))
+            refs.append((node.lineno, node.name.split(".")[-1], False))
     return refs
 
 
 def unreached(src: Path, demos: Path, pyproject: Path) -> set:
     """Public names of the modules in src that nothing in src, in demos or in
-    pyproject's entry points references outside their own definition."""
+    pyproject's entry points references outside their own definition.  A
+    method is reached only as an attribute (``x.name``): a bare name of the
+    same spelling is some other variable."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py")) + sorted(demos.glob("*.py"))}
-    refs = [(path, line, name) for path, tree in trees.items() for line, name in referenced_names(tree)]
+    refs = [(path, *ref) for path, tree in trees.items() for ref in referenced_names(tree)]
     # an entry point such as `ohlab = "ohlab.cli:main"` names the script's function
-    refs += [(pyproject, 0, name) for name in re.findall(r'"ohlab\.\w+:(\w+)"', pyproject.read_text(encoding="utf-8"))]
+    refs += [(pyproject, 0, name, False)
+             for name in re.findall(r'"ohlab\.\w+:(\w+)"', pyproject.read_text(encoding="utf-8"))]
     missing = set()
     for path, tree in trees.items():
         if path.parent != src:
             continue
         for qualified, name, node in public_definitions(tree):
-            if not any(n == name and not (p == path and node.lineno <= line <= node.end_lineno) for p, line, n in refs):
+            method = "." in qualified
+            if not any(n == name and (attr or not method) and not (p == path and node.lineno <= line <= node.end_lineno)
+                       for p, line, n, attr in refs):
                 missing.add(f"{path.stem}.{qualified}")
     return missing
 
@@ -235,10 +254,13 @@ def test_every_public_name_is_reached():
 def test_reachability_guard_sees_a_test_only_method(tmp_path):
     src = tmp_path / "pkg"
     src.mkdir()
+    # `used` refers only to itself, `helper` only calls itself, and the one
+    # `f` outside A.f is a local variable of main
     (src / "m.py").write_text(
         "class A:\n    def used(self):\n        return self.used\n\n    def run(self):\n        return 1\n\n"
-        "def helper():\n    return helper()\n\n\ndef main():\n    return A().run()\n",
+        "    def f(self):\n        return 2\n\n"
+        "def helper():\n    return helper()\n\n\ndef main():\n    f = A().run()\n    return f\n",
         encoding="utf-8",
     )
     (tmp_path / "pyproject.toml").write_text('[project.scripts]\npkg = "ohlab.m:main"\n', encoding="utf-8")
-    assert unreached(src, tmp_path / "demos", tmp_path / "pyproject.toml") == {"m.A.used", "m.helper"}
+    assert unreached(src, tmp_path / "demos", tmp_path / "pyproject.toml") == {"m.A.used", "m.A.f", "m.helper"}
