@@ -34,7 +34,7 @@ import os
 import sys
 import time
 
-from .numlin import BoundViolation, violation
+from .numlin import EPS_PD, BoundViolation, violation
 from .report import MergeError, Report, report_from_dict, report_merge
 
 __all__ = ["main", "build_parser"]
@@ -197,6 +197,11 @@ def run_pw(args) -> tuple[Report, list]:
         raise ValueError(f"--nodes {args.nodes} x --dim {args.dim} exceeds {MAX_PW_NODES_DIM}")
     check_finite(args.tol, "--tol", nonnegative=True)
     check_finite(args.cond, "--cond")
+    # a factor's eigenvalues spread over a ratio of up to --cond, and it is
+    # strictly positive only if the least exceeds EPS_PD times the largest:
+    # past 1/EPS_PD the draw, not the input, would decide the exit
+    if args.cond > 1.0 / EPS_PD:
+        raise ValueError(f"--cond must be <= 1/EPS_PD = {1.0 / EPS_PD:g}, got {args.cond}")
     rule = quad.arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -367,6 +372,9 @@ def run_free(args) -> tuple[Report, list]:
     from . import freeprob
 
     check_counts(args, trials=None, summands=None, dim=MAX_FREE_DIM)
+    if args.dim < 2:
+        raise ValueError(f"--dim must be >= 2, got {args.dim}: a one-point spectrum is zero after centring, "
+                         "so the sum has no variance")
     check_finite(args.slack, "--slack", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     spectrum = freeprob.semicircle_diag(args.dim)

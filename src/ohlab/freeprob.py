@@ -48,16 +48,23 @@ is drawn twice.  The semicircle quantiles of the rotated base are roots of
 the closed-form CDF, found by :func:`brentq`, a port of scipy's Brent root
 finder.  The reference routes the tests compare against (a family summed
 from explicit member matrices, the vacuum vector) live under ``tests/``.
+
+numpy is imported inside each function that handles an array, and
+``numpy.linalg.lapack_lite`` inside :func:`_reflector_q`, not when the
+module loads: :func:`brentq`, the Catalan numbers and the Fock moments are
+pure ``math``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.linalg import lapack_lite
+if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
+    import numpy as np
 
 __all__ = [
     "haar_unitary",
@@ -89,6 +96,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     the reflectors, and so Haar, with no factorisation.  A reflector reads
     only the direction of its column, so the normals are not scaled.  LAPACK's
     ``zungqr`` forms Q (:func:`_reflector_q`); U is in Fortran order."""
+    import numpy as np
+
     if dim < 1:
         raise ValueError("dim must be >= 1")
     a = np.empty((dim, dim), dtype=complex)  # row j holds column j's reflector
@@ -116,6 +125,9 @@ def _reflector_q(a: np.ndarray):
     implicit), so one ``zungqr`` call forms Q = H_1 ... H_dim by the blocked
     WY method (LAPACK Users' Guide, 3rd ed., 1999) and reads nothing on or
     above the diagonal; RuntimeError if it reports a nonzero info."""
+    import numpy as np
+    from numpy.linalg import lapack_lite
+
     n = len(a)
     tau = np.zeros(n, dtype=complex)
     phases = np.empty(n, dtype=complex)
@@ -156,7 +168,7 @@ def brentq(f, a, b, xtol=2e-12, maxiter=100):
     a same-sign bracket or a NaN value, RuntimeError after ``maxiter``
     iterations.
     """
-    rtol = 4.0 * np.finfo(float).eps
+    rtol = 4.0 * sys.float_info.epsilon
 
     def value(x):
         fx = float(f(x))
@@ -208,6 +220,8 @@ def brentq(f, a, b, xtol=2e-12, maxiter=100):
 def semicircle_diag(dim: int) -> np.ndarray:
     """Semicircle-law quantiles (variance 1, norm <= 2), ascending: the real
     spectrum of the free path's base."""
+    import numpy as np
+
     if dim < 1:
         raise ValueError("dim must be >= 1")
     qs = (np.arange(1, dim + 1) - 0.5) / dim
@@ -226,6 +240,8 @@ UNITARITY_SLACK = 16.0
 def unitarity_residual(u: np.ndarray) -> float:
     """max |U^H U - I| over the entries.  The Gram is Hermitian, so only its
     upper block-triangle is formed, one ``_BLOCK``-row panel at a time."""
+    import numpy as np
+
     worst = 0.0
     for k in range(0, len(u), _BLOCK):
         g = u[:, k:k + _BLOCK].conj().T @ u[:, k:]  # rows k..k+b of U^H U, columns k..
@@ -258,6 +274,8 @@ class FreeFamily:
 def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
     """A finite real spectrum of length dim minus its mean; ValueError otherwise
     (a complex one is not cast, which would drop its imaginary part)."""
+    import numpy as np
+
     s = np.asarray(spectrum)
     if s.shape != (dim,):
         raise ValueError(f"spectrum has shape {s.shape}, expected ({dim},)")
@@ -291,6 +309,8 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     ``UNITARITY_SLACK * dim * eps`` raises RuntimeError.  A one-member family
     draws no factor, and its ``unitarity_residual`` is None.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     bound = UNITARITY_SLACK * dim * np.finfo(float).eps
     spectra = list(spectra)  # keeps every spectrum alive, so no id is reused
@@ -344,6 +364,8 @@ def voiculescu_check(fam: FreeFamily) -> VoiculescuResult:
 
     ``row_term`` equals ``col_term``: tau(a a^*) = tau(a^* a) by traciality.
     """
+    import numpy as np
+
     lhs = float(np.max(np.abs(fam.eigenvalues)))
     max_norm = max(float(np.max(sv)) for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
@@ -368,6 +390,8 @@ class ConverseMargins:
 def voiculescu_converse_check(fam: FreeFamily) -> ConverseMargins:
     """Trace-norm converse; the row fields equal the column fields by
     traciality and are kept for the report schema."""
+    import numpy as np
+
     dim = len(fam.eigenvalues)
     l1 = float(np.sum(np.abs(fam.eigenvalues))) / dim
     tri = sum(float(np.sum(sv)) / dim for sv in fam.spectra)
@@ -403,6 +427,8 @@ class TruncatedFock:
         self.dim = len(words)
 
     def creation(self, letter: int) -> np.ndarray:
+        import numpy as np
+
         if not 0 <= letter < self.letter_dim:
             raise ValueError("letter out of range")
         m = np.zeros((self.dim, self.dim))
@@ -413,6 +439,8 @@ class TruncatedFock:
 
     def letter_start_projection(self, letter: int) -> np.ndarray:
         """Projection onto words whose first letter is ``letter``."""
+        import numpy as np
+
         d = np.array([1.0 if w and w[0] == letter else 0.0 for w in self.words])
         return np.diag(d)
 
@@ -424,6 +452,8 @@ class TruncatedFock:
         """max |(1 - P_i)(l_i + l_i^*)(1 - P_i)| over the entries, P_i the
         :meth:`letter_start_projection`: zero, as l_i prepends letter i, so
         (1 - P_i) l_i = 0 = l_i^* (1 - P_i)."""
+        import numpy as np
+
         q = np.eye(self.dim) - self.letter_start_projection(letter)
         return float(np.max(np.abs(q @ self.semicircular(letter) @ q)))
 
@@ -473,6 +503,8 @@ class CLTResult:
     def from_families(cls, families) -> "CLTResult":
         """:func:`clt_moments` of each family of a sequence, summed in its
         order and divided by its length; ValueError for an empty one."""
+        import numpy as np
+
         if not families:
             raise ValueError("need at least one family")
         acc = np.zeros(4)
@@ -490,6 +522,8 @@ def clt_moments(fam: FreeFamily) -> np.ndarray:
     variance.  The sum is Hermitian with eigenvalues lambda, so
     tau(S^k) = mean(lambda^k) / var^{k/2}: no matrix is formed.
     """
+    import numpy as np
+
     var = sum(fam.second_moments)
     if var == 0.0:
         raise ValueError("every member is zero after centring: the CLT sum has no variance to normalise by")

@@ -28,18 +28,23 @@ node needs an inverse of its own.
 
 Both formulas are discretised on the same ArcsineRule so that primal/dual
 agreement isolates algebra bugs from quadrature error.
+
+numpy is imported inside each function that handles an array, not when the
+module loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .freeprob import haar_unitary
 from .numlin import PositiveMatrix, commuting_pair, hermitian_part, sqrt_commuting
 from .quad import ArcsineRule
+
+if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
+    import numpy as np
 
 __all__ = [
     "PWProblem",
@@ -82,6 +87,8 @@ class PWProblem:
         keeps the small lam to a relative accuracy that eigh of C^H C loses.
         Read-only; computed once per problem, whatever the rule.
         """
+        import numpy as np
+
         r = np.linalg.cholesky(self.B.mat)
         c = np.linalg.solve(np.linalg.cholesky(self.A.mat), r)
         _, sv, vh = np.linalg.svd(c)
@@ -104,6 +111,8 @@ class DualWitness:
 
 
 def _check_vector(x, dim: int) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(x, dtype=complex).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"vector has shape {v.shape}, expected ({dim},)")
@@ -118,6 +127,8 @@ def _resolvent_weights(lam: np.ndarray, rule: ArcsineRule) -> np.ndarray:
 
 def pw_primal(p: PWProblem, x, rule: ArcsineRule) -> float:
     """Quadrature of the pointwise parallel-sum integrand (x, W(t)^{-1} x) at x."""
+    import numpy as np
+
     v = _check_vector(x, p.dim)
     lam, xs = p.pencil
     coeff = np.abs(xs.conj().T @ v) ** 2
@@ -130,6 +141,8 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     Returns (value, witness) where value equals ((AB)^{1/2} y, y) up to
     quadrature error and the witness realises it.
     """
+    import numpy as np
+
     v = _check_vector(y, p.dim)
     lam, xs = p.pencil
     res = _resolvent_weights(lam, rule)
@@ -156,6 +169,8 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
     the residual max_t ||A f(t)/t - B g(t)/(1-t)|| is zero by construction and
     reported as a sanity figure.
     """
+    import numpy as np
+
     h = np.asarray(w.h_values, dtype=complex)
     if h.ndim != 2 or h.shape != (rule.n_nodes, p.dim):
         raise ValueError(f"witness has shape {h.shape}, expected ({rule.n_nodes}, {p.dim})")
@@ -174,6 +189,8 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
 
 def pw_oracle(p: PWProblem, x) -> float:
     """Direct ((AB)^{1/2} x, x) with (AB)^{1/2} = A^{1/2} B^{1/2} (``sqrt_commuting``)."""
+    import numpy as np
+
     v = _check_vector(x, p.dim)
     root = sqrt_commuting(p.A, p.B)
     return float(np.vdot(v, root.mat @ v).real)
@@ -185,6 +202,8 @@ def random_commuting_pair(dim: int, rng: np.random.Generator, cond: float = 100.
     Eigenvalues are log-uniform with condition number at most ``cond`` for
     each factor.
     """
+    import numpy as np
+
     if not cond >= 1.0:
         raise ValueError(f"cond must be >= 1, got {cond}")
     q = haar_unitary(dim, rng)

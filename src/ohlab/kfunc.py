@@ -26,7 +26,9 @@ with densities 1/d1 and 1/d2.
 
 Both outer objectives are convex with closed-form derivatives, and
 :func:`minimize_scalar` solves F' = 0 by safeguarded Newton-bisection, so
-this module needs numpy only.
+this module needs numpy only.  numpy is imported inside each function that
+handles an array, not when the module loads; :func:`minimize_scalar` is pure
+``math``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numlin import ROUNDING, require
+
+if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
+    import numpy as np
 
 __all__ = [
     "WeightedGrid",
@@ -108,6 +112,8 @@ class WeightedGrid:
     h: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("base_weights", "g", "h"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
@@ -132,6 +138,8 @@ class ThreeTermSpec:
     base_weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if not (np.isfinite(self.t_param) and self.t_param > 0.0):
             raise ValueError("t_param must be finite and > 0")
         for name in ("d", "base_weights"):
@@ -144,6 +152,8 @@ class ThreeTermSpec:
 
 
 def _values(k, n: int) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(k, dtype=complex).reshape(-1)
     if v.shape != (n,):
         raise ValueError(f"function values have shape {v.shape}, expected ({n},)")
@@ -157,12 +167,16 @@ def _weighted_l2(absk: np.ndarray, weights, denom=1.0) -> float:
     in [1/2, 1) and then scaled by 2^e.  Power-of-two scaling is exact, so no
     square under- or overflows, and where the unscaled squares are normal
     numbers the result has the bits of the unscaled sum."""
+    import numpy as np
+
     e = int(np.frexp(np.max(absk))[1])
     return math.ldexp(float(np.sqrt(np.sum(weights * np.ldexp(absk, -e) ** 2 / denom))), e)
 
 
 def l2sum2_norm(k, w: WeightedGrid) -> float:
     """Exact norm in L2(g nu) +_2 L2(h nu)."""
+    import numpy as np
+
     v = _values(k, w.points)
     return _weighted_l2(np.abs(v), w.base_weights, 1.0 / w.g + 1.0 / w.h)
 
@@ -171,6 +185,8 @@ def l2sum1_norm(k, w: WeightedGrid) -> float:
     """Norm in L2(g nu) +_1 L2(h nu): sqrt of the minimum over [0, 1] of the
     convex F(theta) = sum w |k|^2 / D, D = theta/g + (1-theta)/h, with
     F' = -sum w |k|^2 (1/g - 1/h) / D^2 and F'' = 2 sum w |k|^2 (1/g - 1/h)^2 / D^3."""
+    import numpy as np
+
     absk = np.abs(_values(k, w.points))
     if not absk.any():
         return 0.0
@@ -209,6 +225,8 @@ def ik_t_parts(x, spec: ThreeTermSpec):
     value is the exact objective of the decomposition recovered at the optimal
     sigma (never above the surrogate), so the returned (x1, x2, x3) attain it.
     """
+    import numpy as np
+
     v = _values(x, spec.d.size)
     absx = np.abs(v)
     w = spec.base_weights
@@ -251,6 +269,8 @@ def ik_t_norm(x, spec: ThreeTermSpec) -> float:
 
 def two_term_k_norm(x, spec: ThreeTermSpec) -> float:
     """K-norm with the L1 slot disabled: ||x / sqrt(d)||_{L2(nu)}."""
+    import numpy as np
+
     return _weighted_l2(np.abs(_values(x, spec.d.size)), spec.base_weights, spec.d)
 
 
@@ -261,6 +281,8 @@ def k_d1d2_norm(k, d1, d2, base_weights) -> float:
     (e.g. densities evaluated at the nodes of an arcsine rule, with the rule
     weights as base).
     """
+    import numpy as np
+
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
     w = WeightedGrid(base_weights=np.asarray(base_weights, dtype=float), g=1.0 / d1, h=1.0 / d2)

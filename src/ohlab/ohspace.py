@@ -39,6 +39,9 @@ nodes are symmetric under t -> 1-t).  A convex function is least where its
 derivative vanishes, so the minimum is F(1/2) = 2 sum_j w_j with no search,
 and the norm is ||a||_2 sqrt(2 sum_j w_j) = sqrt(2) ||a||_2.  A rule whose
 mean is not 1/2 to within rounding is rejected.
+
+numpy is imported inside each function that handles an array, not when the
+module loads.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .numlin import hermitian_part, opnorm
 
-if TYPE_CHECKING:  # an annotation only: `ohnorm` runs without loading quad
+if TYPE_CHECKING:  # annotations only: numpy loads when an array is first
+    # handled, and `ohnorm` runs without loading quad
+    import numpy as np
+
     from .quad import ArcsineRule
 
 __all__ = [
@@ -77,6 +81,8 @@ class BallPoint:
     min_eig_b: float = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
+
         for name, mat in (("a", self.a_pos), ("b", self.b_pos)):
             if np.linalg.norm(mat, "fro") > 1.0 + 1e-12:
                 raise ValueError(f"{name}_pos lies outside the Schatten-2 unit ball")
@@ -102,6 +108,8 @@ def _scaled_tuple(x) -> tuple[np.ndarray, int]:
     imaginary part (not of |x_ij|, which can overflow).  The scaling is exact
     and the norm homogeneous, so scaling the result back by 2^e changes no
     bit where the products stay in the normal range, and keeps them there."""
+    import numpy as np
+
     a = np.asarray(x, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected shape (n, m, m), got {a.shape}")
@@ -129,6 +137,8 @@ def oh_norm_direct(x) -> float:
 
     Entry ((i,j),(p,q)) is sum_k conj(x_k[i,p]) x_k[j,q]: one GEMM, axes
     reordered, on the tuple scaled by :func:`_scaled_tuple`."""
+    import numpy as np
+
     xs, e = _scaled_tuple(x)
     n, m, _ = xs.shape
     flat = xs.reshape(n, m * m)
@@ -160,6 +170,8 @@ def _fro(stack: np.ndarray) -> np.ndarray:
     imaginary parts by one dot product each: here each (1, m^2) @ (m^2, 1)
     product is that same dot product.
     """
+    import numpy as np
+
     r, m, _ = stack.shape
     flat = stack.reshape(r, 1, m * m)
     re, im = flat.real, flat.imag
@@ -182,6 +194,8 @@ def _ascend(xs: np.ndarray, b: np.ndarray) -> list:
     fires, so it keeps the iterates it would have alone.  Returns, per
     restart, (value, A, B, converged, iterations, objective trace).
     """
+    import numpy as np
+
     restarts, m, _ = b.shape
     a = np.repeat(np.eye(m, dtype=complex)[None] / np.sqrt(m), restarts, axis=0)
     value = np.zeros(restarts)
@@ -227,6 +241,8 @@ def oh_norm_variational(x, restarts: int = 8, seed: int = 0) -> VariationalResul
     :func:`_scaled_tuple`, where every objective is finite, and the value,
     ``restart_values`` and ``objective_trace`` are scaled back exactly.
     """
+    import numpy as np
+
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     xs, e = _scaled_tuple(x)
@@ -280,6 +296,8 @@ def fn_scalar_norm(a, rule: ArcsineRule) -> float:
     the +_1 sum norm of the constant function 1 with densities 1/t, 1/(1-t).
     Its ratio search is solved at theta = 1/2 (see the module docstring).
     """
+    import numpy as np
+
     t, w = rule.nodes, rule.weights
     # F'(1/2) = -4 * sum w (2t - 1), zero when the rule's mean is 1/2; each
     # term of the sum rounds by at most about eps

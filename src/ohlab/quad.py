@@ -12,13 +12,19 @@ its 2-D product, nothing that integrates.
 
 The bracket needs no rule: its corner strips' nu1/nu2 masses are closed
 forms in ``tensorlog``.
+
+numpy is imported inside the three functions that handle an array
+(``ArcsineRule.__post_init__``, ``Grid2D.meshes`` and ``arcsine_rule``), so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
+    import numpy as np
 
 __all__ = [
     "ArcsineRule",
@@ -36,6 +42,8 @@ class ArcsineRule:
     weights: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if self.n_nodes < 1:
             raise ValueError("rule needs at least one node")
         if self.nodes.shape != (self.n_nodes,) or self.weights.shape != (self.n_nodes,):
@@ -60,6 +68,8 @@ class Grid2D:
 
     def meshes(self):
         """Meshgrids (T, S) of nodes and the matching weight matrix W."""
+        import numpy as np
+
         t = self.rule_t.nodes
         s = self.rule_s.nodes
         T, S = np.meshgrid(t, s, indexing="ij")
@@ -73,6 +83,8 @@ def arcsine_rule(n_nodes: int) -> ArcsineRule:
     Nodes t_j = (1 + cos((2j-1) pi / (2N))) / 2 with uniform weights 1/N.
     The node set is symmetric under t -> 1-t.
     """
+    import numpy as np
+
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     j = np.arange(1, n_nodes + 1)

@@ -30,7 +30,8 @@ symmetric under (t,s) -> (1-t,1-s), so F(theta) = F(1-theta) and the minimum
 is F(1/2) = 2 int_R v.  The corner remainder a2 is four rank-one strips,
 charged in the trace-class slots by 1-D interval masses of nu1 = t^{-1} mu
 and nu2 = (1-t)^{-1} mu.  With delta = 1/(e^2 n^2) the total is at most
-18 sqrt(1 + ln n) ||a||_2 = 18 sqrt(n (1 + ln n)).
+18 sqrt(1 + ln n) ||a||_2 = 18 sqrt(n (1 + ln n)), the paper's upper
+constant, which ``diag_upper_bound`` checks through ``numlin.require``.
 
 Closed forms.  Under t = (1 - cos alpha)/2, s = (1 - cos beta)/2 the measure
 mu x mu becomes d alpha d beta / pi^2 and v = 2 / (1 + cos alpha cos beta).
@@ -267,8 +268,7 @@ class UpperBoundParts:
     value: float            # certified total (rectangle part + corner part)
     rectangle_part: float
     corner_part: float
-    analytic_value: float   # same split estimated with the proved constants
-    log_ceiling: float      # upper_c * sqrt(1+ln n) * ||a||_2
+    log_ceiling: float      # upper_c * sqrt(1+ln n) * ||a||_2, which value must clear
     delta: float
 
 
@@ -299,18 +299,17 @@ def diag_upper_bound(n: int, delta: float | None = None) -> UpperBoundParts:
     # (2/pi)^2 (1-u) u.  Each of the four costs n sqrt(its masses' product).
     u = _u(delta)
     corner_part = 4.0 / math.pi * n * math.sqrt(u) * (1.0 + math.sqrt(1.0 - u)) * (1.0 + ROUNDING)
+    value = rectangle_part + corner_part
 
-    # the same split with the proved constants instead of numerics
-    analytic_rect = (4.0 * math.sqrt(2.0)
-                     + 8.0 * math.sqrt(2.0) / math.pi * math.sqrt(-math.log(delta))) * fro
-    analytic_corner = 4.0 * 2.0 ** (13.0 / 4.0) / math.pi * delta**0.25 * n
+    # the paper's upper constant: the bracket must clear it by ROUNDING |ceiling|
     log_ceiling = CONSTANTS.upper_c * math.sqrt(1.0 + math.log(n)) * fro
+    require("upper <= upper_c sqrt(1 + ln n) ||a||_2", value, log_ceiling, -ROUNDING * log_ceiling,
+            n=n, delta=delta)
 
     return UpperBoundParts(
-        value=rectangle_part + corner_part,
+        value=value,
         rectangle_part=rectangle_part,
         corner_part=corner_part,
-        analytic_value=analytic_rect + analytic_corner,
         log_ceiling=log_ceiling,
         delta=delta,
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -8,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ohlab import cli, freeprob, kfunc, ohspace, tensorlog
+from ohlab import cli, freeprob, geomean, kfunc, ohspace, tensorlog
 from ohlab.cli import main
-from ohlab.numlin import BoundViolation
+from ohlab.numlin import EPS_PD, BoundViolation
 from ohlab.report import MergeError, Report, flatten_row, report_from_dict, report_merge
 
 
@@ -429,6 +430,18 @@ class TestFree:
         out, err = capsys.readouterr()
         assert out == "" and "--dim must be >= 1" in err
 
+    @pytest.mark.parametrize("summands", [1, 3])
+    def test_one_point_spectrum_rejected(self, summands, capsys, monkeypatch):
+        # a one-point spectrum is zero after centring, whatever --summands:
+        # a config error naming --dim, before the base is built
+        def no_base(dim):
+            raise AssertionError("the base was built before --dim was checked")
+
+        monkeypatch.setattr(freeprob, "semicircle_diag", no_base)
+        assert main(["free", "--dim", "1", "--summands", str(summands), "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--dim must be >= 2, got 1" in err
+
     def test_one_summand_draws_no_factor(self, capsys):
         # the one member stays in its own frame, so no Haar factor is drawn
         # and the row reports a null residual
@@ -568,6 +581,29 @@ class TestPw:
         out, err = capsys.readouterr()
         assert out == "" and "cond must be >= 1" in err
 
+    @pytest.mark.parametrize("cond", ["1e16", "1e20", "1e100", "1e300"])
+    def test_cond_above_strict_positivity_rejected(self, cond, capsys):
+        # these exited 2 with "A/B must be strictly positive" or, at 1e300,
+        # "matrix has non-finite entries" after overflow warnings, which name no flag
+        assert main(["pw", "--dim", "2", "--trials", "3", "--cond", cond]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --cond must be <= 1/EPS_PD = {1 / EPS_PD:g}, got {float(cond)}\n"
+
+    def test_cond_ceiling_is_one_over_eps_pd(self, capsys, monkeypatch):
+        # the ceiling is numlin's strict-positivity threshold, checked before any draw
+        class Drawn(Exception):
+            pass
+
+        def draw(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(geomean, "random_commuting_pair", draw)
+        ceiling = 1.0 / EPS_PD
+        assert main(["pw", "--dim", "2", "--trials", "1", "--cond", repr(math.nextafter(ceiling, math.inf))]) == 2
+        assert "--cond must be <= 1/EPS_PD" in capsys.readouterr().err
+        with pytest.raises(Drawn):
+            main(["pw", "--dim", "2", "--trials", "1", "--cond", repr(ceiling)])
+
     def test_seed_checked_before_any_runner(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.RUNNERS, "bracket", lambda args: pytest.fail("the runner ran"))
         assert main(["bracket", "--seed", "-1"]) == 2
@@ -593,6 +629,29 @@ print(json.dumps({"codes": codes, "scipy_loaded": "scipy" in sys.modules}))
 """
 
 
+# each command at a small size, and the ohlab modules its runner loads
+COMMAND_MODULES = [
+    pytest.param(["pw", "--dim", "2", "--trials", "1", "--nodes", "64"], {"geomean", "quad", "freeprob"}, id="pw"),
+    pytest.param(["ohnorm", "--n", "2", "--m", "2", "--trials", "1", "--restarts", "2"], {"ohspace"}, id="ohnorm"),
+    pytest.param(["basis", "--n", "2", "--nodes", "64", "--vectors", "2"], {"ohspace", "quad"}, id="basis"),
+    pytest.param(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1"], {"kfunc", "ohspace", "quad"},
+                 id="sumspace"),
+    pytest.param(["bracket", "--n-list", "8"], {"tensorlog"}, id="bracket"),
+    pytest.param(["free", "--dim", "8", "--summands", "2", "--trials", "1"], {"freeprob"}, id="free"),
+    pytest.param(["fock", "--cutoff", "4", "--kmax", "2"], {"freeprob"}, id="fock"),
+    pytest.param(["report"], set(), id="report"),
+]
+
+
+def with_report_inputs(argv, tmp_path):
+    """argv, with two copies of one small bracket report for ``report`` to merge."""
+    if argv != ["report"]:
+        return argv
+    path = tmp_path / "bracket.json"
+    path.write_text(Report("bracket", {}, [{"n": 8}]).to_json(), encoding="utf-8")
+    return argv + [str(path), str(path)]
+
+
 class TestColdStart:
     def test_no_command_loads_scipy(self, tmp_path):
         # numpy is the only runtime dependency: free's semicircle quantiles run
@@ -613,33 +672,20 @@ class TestColdStart:
 
     def test_package_import_loads_cli(self):
         # the benchmark tracer imports ohlab, then reads every layer, cli
-        # included, from sys.modules
-        proc = subprocess.run([sys.executable, "-c", "import sys, ohlab; print(sorted(m for m in sys.modules "
-                               "if m.startswith('ohlab.')))"], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == repr([f"ohlab.{m}" for m in ALL_MODULES]) + "\n"
+        # included, from sys.modules; neither that nor building the parser
+        # loads numpy, which each layer imports where it first handles an array
+        for code in ("import ohlab", "import ohlab.cli; ohlab.cli.build_parser()"):
+            proc = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(sorted(m for m in sys.modules "
+                                   "if m.startswith('ohlab.')), 'numpy' in sys.modules)"], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"{[f'ohlab.{m}' for m in ALL_MODULES]!r} False\n", code
 
-    @pytest.mark.parametrize("argv, modules", [
-        pytest.param(["pw", "--dim", "2", "--trials", "1", "--nodes", "64"], {"geomean", "quad", "freeprob"},
-                     id="pw"),
-        pytest.param(["ohnorm", "--n", "2", "--m", "2", "--trials", "1", "--restarts", "2"], {"ohspace"},
-                     id="ohnorm"),
-        pytest.param(["basis", "--n", "2", "--nodes", "64", "--vectors", "2"], {"ohspace", "quad"}, id="basis"),
-        pytest.param(["sumspace", "--points", "4", "--nodes", "64", "--t-sweep", "1"], {"kfunc", "ohspace", "quad"},
-                     id="sumspace"),
-        pytest.param(["bracket", "--n-list", "8"], {"tensorlog"}, id="bracket"),
-        pytest.param(["free", "--dim", "8", "--summands", "2", "--trials", "1"], {"freeprob"}, id="free"),
-        pytest.param(["fock", "--cutoff", "4", "--kmax", "2"], {"freeprob"}, id="fock"),
-        pytest.param(["report"], set(), id="report"),
-    ])
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
     def test_module_run_loads_only_its_modules(self, argv, modules, tmp_path):
         # beside main's numlin and report, a cold command loads what its runner
         # imports and what those import: geomean draws through freeprob.
         # bracket's closed forms and report's merge load no numpy either
-        if argv == ["report"]:
-            path = tmp_path / "bracket.json"
-            path.write_text(Report("bracket", {}, [{"n": 8}]).to_json(), encoding="utf-8")
-            argv = argv + [str(path), str(path)]
+        argv = with_report_inputs(argv, tmp_path)
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ohlab.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -648,6 +694,17 @@ class TestColdStart:
         assert {m for m in loaded if m.startswith("ohlab")} == {"ohlab"} | {
             f"ohlab.{m}" for m in modules | {"numlin", "report"}}
         assert ("numpy" in loaded) == (argv[0] not in ("bracket", "report"))
+
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
+    def test_script_run_loads_numpy_only_for_array_commands(self, argv, modules, tmp_path):
+        # the installed `ohlab` script imports the package, and so all nine
+        # modules, then calls main: only the six array commands load numpy
+        argv = with_report_inputs(argv, tmp_path)
+        code = ("import json, sys\nfrom ohlab.cli import main\ncode = main(sys.argv[1:])\n"
+                "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, argv[0] not in ("bracket", "report")]
 
 
 class TestOhnormSeeds:

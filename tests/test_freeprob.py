@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from scipy.optimize import brentq as scipy_brentq
 
 from ohlab import cli, freeprob
@@ -254,14 +255,13 @@ class TestHaar:
 
     def test_lapack_failure_is_a_runtime_error(self, monkeypatch):
         # a nonzero info from zungqr is a numerical failure (exit 3), never a
-        # factor
-        class FailingLapack:
-            @staticmethod
-            def zungqr(m, n, k, a, lda, tau, work, lwork, info):
-                work[0] = n
-                return {"zungqr_": 0, "info": -5}
+        # factor; _reflector_q imports lapack_lite when it runs, so the patch
+        # goes on numpy's module
+        def failing_zungqr(m, n, k, a, lda, tau, work, lwork, info):
+            work[0] = n
+            return {"zungqr_": 0, "info": -5}
 
-        monkeypatch.setattr(freeprob, "lapack_lite", FailingLapack)
+        monkeypatch.setattr(lapack_lite, "zungqr", failing_zungqr)
         with pytest.raises(RuntimeError, match="zungqr failed with info -5"):
             haar_unitary(8, np.random.default_rng(0))
 
@@ -813,6 +813,12 @@ class TestCLT:
     def test_no_families_rejected(self):
         with pytest.raises(ValueError, match="at least one family"):
             CLTResult.from_families([])
+
+    def test_zero_centred_family_rejected(self):
+        # constant spectra are zero after centring, so the CLT sum has no
+        # variance to normalise by (`free` rejects --dim 1 before drawing)
+        with pytest.raises(ValueError, match="no variance"):
+            clt_moments(free_family([np.ones(4)] * 2, 4))
 
     def test_families_are_summed_in_order(self):
         # the sum in the order given, divided by the count: the arithmetic

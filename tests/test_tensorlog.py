@@ -234,10 +234,14 @@ class TestUpperBound:
         for n in (1, 4, 8, 64):
             parts = diag_upper_bound(n)
             assert parts.value <= parts.log_ceiling
-            if n >= 2:
-                # the crude-constant route overshoots the 18-ceiling by 0.5%
-                # at n = 1 (constant rounding); from n = 2 on it fits
-                assert parts.analytic_value <= parts.log_ceiling + 1e-12
+            assert parts.log_ceiling == pytest.approx(CONSTANTS.upper_c * math.sqrt(n * (1 + math.log(n))), rel=1e-15)
+
+    def test_upper_above_the_paper_constant_raises(self, monkeypatch):
+        # the upper sits at about a tenth of 18 sqrt(1 + ln n) ||a||_2; with
+        # a constant of 1 the ceiling is below it, and the check names n
+        monkeypatch.setattr(tensorlog, "CONSTANTS", CONSTANTS._replace(upper_c=1.0))
+        with pytest.raises(BoundViolation, match=r"upper <= upper_c sqrt\(1 \+ ln n\) \|\|a\|\|_2 fails at n=8"):
+            diag_upper_bound(8)
 
     def test_orders_against_lower(self):
         lo = diag_lower_bound(8)
