@@ -33,7 +33,8 @@ __all__ = [
 # cli.py as __main__, whose runners import what they run: importing cli here too
 # would run it twice (runpy warns), and the rest would only slow a cold start.
 # Every other import loads every submodule (the benchmark tracer reads them all
-# from sys.modules after `import ohlab`), but not numpy: like numlin, each
-# submodule imports it inside the functions that handle an array.
+# from sys.modules after `import ohlab`), so each is kept cheap to load: like
+# numlin, each imports numpy inside the functions that handle an array, and
+# its records are NamedTuples, which, unlike dataclasses, exec no generated code.
 if sys.argv[:1] != ["-m"]:
     from . import cli, freeprob, geomean, kfunc, numlin, ohspace, quad, report, tensorlog

@@ -59,9 +59,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
     import numpy as np
@@ -252,8 +251,7 @@ def unitarity_residual(u: np.ndarray) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class FreeFamily:
+class FreeFamily(NamedTuple):
     """What the checks read of a centred Hermitian family: spectra, no matrix.
 
     ``eigenvalues`` is the signed spectrum of the Hermitian member sum, from
@@ -349,8 +347,7 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     )
 
 
-@dataclass(frozen=True)
-class VoiculescuResult:
+class VoiculescuResult(NamedTuple):
     lhs: float
     rhs: float
     margin: float
@@ -375,8 +372,7 @@ def voiculescu_check(fam: FreeFamily) -> VoiculescuResult:
     )
 
 
-@dataclass(frozen=True)
-class ConverseMargins:
+class ConverseMargins(NamedTuple):
     """Margins of the three trace-norm inequalities (nonnegative when free)."""
 
     triangle: float      # sum_i ||a_i||_1        - ||sum a_i||_1
@@ -493,8 +489,7 @@ def fock_semicircular_moments(cutoff: int, k_max: int):
 SEMICIRCLE_MOMENTS = (0.0, 1.0, 0.0, 2.0)
 
 
-@dataclass(frozen=True)
-class CLTResult:
+class CLTResult(NamedTuple):
     moments: tuple           # tau(S^k) for k = 1..4, trial-averaged
     targets: tuple           # semicircle moments (0, 1, 0, 2)
     deviations: tuple        # moments - targets

@@ -35,9 +35,7 @@ module loads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .freeprob import haar_unitary
 from .numlin import PositiveMatrix, commuting_pair, hermitian_part, sqrt_commuting
@@ -57,12 +55,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PWProblem:
-    """A commuting, strictly positive pair (A, B)."""
+class PWProblem(NamedTuple("PWProblem", [("A", PositiveMatrix), ("B", PositiveMatrix),
+                                           ("pencil", "tuple[np.ndarray, np.ndarray]")])):
+    """A commuting, strictly positive pair (A, B).
 
-    A: PositiveMatrix
-    B: PositiveMatrix
+    ``pencil`` is (lam, X) with
+    (t A^{-1} + (1-t) B^{-1})^{-1} = X diag(1/(t lam + 1 - t)) X^H.
+    From the Cholesky factors B = R R^H and A = S S^H: L = R^{-H} gives
+    B^{-1} = L L^H, and L^{-1} A^{-1} L^{-H} = R^H A^{-1} R = C^H C with
+    C = S^{-1} R.  The SVD C = U diag(sqrt(lam)) V^H gives lam and V, and
+    X = L^{-H} V = R V.  Neither A^{-1} nor B^{-1} is formed, and the SVD
+    keeps the small lam to a relative accuracy that eigh of C^H C loses.
+    Read-only; computed once, when the problem is built, whatever the rule.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, A, B):
+        import numpy as np
+
+        r = np.linalg.cholesky(B.mat)
+        c = np.linalg.solve(np.linalg.cholesky(A.mat), r)
+        _, sv, vh = np.linalg.svd(c)
+        lam, x = sv**2, r @ vh.conj().T
+        lam.flags.writeable = False
+        x.flags.writeable = False
+        return super().__new__(cls, A, B, (lam, x))
 
     @classmethod
     def build(cls, a, b) -> "PWProblem":
@@ -76,30 +94,8 @@ class PWProblem:
     def dim(self) -> int:
         return self.A.dim
 
-    @cached_property
-    def pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, X) with (t A^{-1} + (1-t) B^{-1})^{-1} = X diag(1/(t lam + 1 - t)) X^H.
 
-        From the Cholesky factors B = R R^H and A = S S^H: L = R^{-H} gives
-        B^{-1} = L L^H, and L^{-1} A^{-1} L^{-H} = R^H A^{-1} R = C^H C with
-        C = S^{-1} R.  The SVD C = U diag(sqrt(lam)) V^H gives lam and V, and
-        X = L^{-H} V = R V.  Neither A^{-1} nor B^{-1} is formed, and the SVD
-        keeps the small lam to a relative accuracy that eigh of C^H C loses.
-        Read-only; computed once per problem, whatever the rule.
-        """
-        import numpy as np
-
-        r = np.linalg.cholesky(self.B.mat)
-        c = np.linalg.solve(np.linalg.cholesky(self.A.mat), r)
-        _, sv, vh = np.linalg.svd(c)
-        lam, x = sv**2, r @ vh.conj().T
-        lam.flags.writeable = False
-        x.flags.writeable = False
-        return lam, x
-
-
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(NamedTuple):
     """Closed-form dual minimiser, stored through the common ratio value h.
 
     The pair (f, g) is recovered as f(t) = t A^{-1} h(t),

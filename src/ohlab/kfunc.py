@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .numlin import ROUNDING, require
 
@@ -103,52 +102,50 @@ def minimize_scalar(dfun, bounds) -> ScalarMinimum:
     return ScalarMinimum(lo if -d_lo <= d_hi else hi, nfev)
 
 
-@dataclass(frozen=True)
-class WeightedGrid:
+class WeightedGrid(NamedTuple("WeightedGrid", [("base_weights", "np.ndarray"), ("g", "np.ndarray"),
+                                                 ("h", "np.ndarray")])):
     """Base weights nu and two positive densities g, h on a finite point set."""
 
-    base_weights: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, base_weights, g, h):
         import numpy as np
 
+        self = super().__new__(cls, *(np.asarray(a, dtype=float) for a in (base_weights, g, h)))
         for name in ("base_weights", "g", "h"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
             if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not (self.base_weights.shape == self.g.shape == self.h.shape):
             raise ValueError("base_weights, g, h must share one shape")
+        return self
 
     @property
     def points(self) -> int:
         return self.base_weights.size
 
 
-@dataclass(frozen=True)
-class ThreeTermSpec:
+class ThreeTermSpec(NamedTuple("ThreeTermSpec", [("t_param", float), ("d", "np.ndarray"),
+                                                   ("base_weights", "np.ndarray")])):
     """Parameter t, pointwise density d and base weights for ik_t_norm."""
 
-    t_param: float
-    d: np.ndarray
-    base_weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, t_param, d, base_weights):
         import numpy as np
 
+        self = super().__new__(cls, t_param, np.asarray(d, dtype=float), np.asarray(base_weights, dtype=float))
         if not (np.isfinite(self.t_param) and self.t_param > 0.0):
             raise ValueError("t_param must be finite and > 0")
         for name in ("d", "base_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
             if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
                 raise ValueError(f"{name} must be finite and strictly positive")
         if self.d.shape != self.base_weights.shape:
             raise ValueError("d and base_weights must share one shape")
+        return self
 
 
 def _values(k, n: int) -> np.ndarray:

@@ -47,8 +47,7 @@ module loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .numlin import hermitian_part, opnorm
 
@@ -67,39 +66,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BallPoint:
+class BallPoint(NamedTuple("BallPoint", [("a_pos", "np.ndarray"), ("b_pos", "np.ndarray"),
+                                           ("min_eig_a", float), ("min_eig_b", float)])):
     """PSD pair (A, B) in the Schatten-2 unit ball.
 
     ``min_eig_a`` and ``min_eig_b`` are the least eigenvalues of the
     Hermitian parts, kept from the PSD check.
     """
 
-    a_pos: np.ndarray
-    b_pos: np.ndarray
-    min_eig_a: float = field(init=False)
-    min_eig_b: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a_pos, b_pos):
         import numpy as np
 
-        for name, mat in (("a", self.a_pos), ("b", self.b_pos)):
+        mins = []
+        for name, mat in (("a", a_pos), ("b", b_pos)):
             if np.linalg.norm(mat, "fro") > 1.0 + 1e-12:
                 raise ValueError(f"{name}_pos lies outside the Schatten-2 unit ball")
             least = float(np.min(np.linalg.eigvalsh(hermitian_part(mat))))
             if least < -1e-10:
                 raise ValueError(f"{name}_pos is not PSD")
-            object.__setattr__(self, f"min_eig_{name}", least)
+            mins.append(least)
+        return super().__new__(cls, a_pos, b_pos, *mins)
 
 
-@dataclass(frozen=True)
-class VariationalResult:
+class VariationalResult(NamedTuple):
     value: float
     argmax: BallPoint
     converged: bool
     iterations: int
     restart_values: tuple
-    objective_trace: np.ndarray = field(repr=False)
+    objective_trace: np.ndarray
 
 
 def _scaled_tuple(x) -> tuple[np.ndarray, int]:

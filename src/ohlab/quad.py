@@ -14,14 +14,13 @@ The bracket needs no rule: its corner strips' nu1/nu2 masses are closed
 forms in ``tensorlog``.
 
 numpy is imported inside the three functions that handle an array
-(``ArcsineRule.__post_init__``, ``Grid2D.meshes`` and ``arcsine_rule``), so
+(``ArcsineRule.__new__``, ``Grid2D.meshes`` and ``arcsine_rule``), so
 importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
     import numpy as np
@@ -33,17 +32,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ArcsineRule:
+class ArcsineRule(NamedTuple("ArcsineRule", [("n_nodes", int), ("nodes", "np.ndarray"),
+                                               ("weights", "np.ndarray")])):
     """Nodes and weights integrating against mu(dt) = dt/(pi sqrt(t(1-t)))."""
 
-    n_nodes: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
         import numpy as np
 
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_nodes < 1:
             raise ValueError("rule needs at least one node")
         if self.nodes.shape != (self.n_nodes,) or self.weights.shape != (self.n_nodes,):
@@ -52,19 +50,20 @@ class ArcsineRule:
             raise ValueError("nodes must lie strictly inside (0,1)")
         if abs(self.weights.sum() - 1.0) > 1e-14:
             raise ValueError("weights must sum to 1 (probability measure)")
+        return self
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(NamedTuple("Grid2D", [("rule_t", ArcsineRule), ("rule_s", ArcsineRule)])):
     """Product rule for mu x mu on [0,1]^2."""
 
-    rule_t: ArcsineRule
-    rule_s: ArcsineRule
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         total = self.rule_t.weights.sum() * self.rule_s.weights.sum()
         if abs(total - 1.0) > 1e-13:
             raise ValueError("product weights must sum to 1")
+        return self
 
     def meshes(self):
         """Meshgrids (T, S) of nodes and the matching weight matrix W."""

@@ -14,12 +14,10 @@ encodes exactly the same numeric values as the JSON.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 __all__ = ["Report", "MergeError", "report_merge", "flatten_row"]
 
@@ -30,12 +28,11 @@ class MergeError(ValueError):
     """Incompatible reports offered for merging."""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     experiment: str
     params: dict
     rows: list
-    constants: list = field(default_factory=list)
+    constants: list | tuple = ()
     version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
@@ -56,6 +53,9 @@ class Report:
         return "".join(out)
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         flat = [flatten_row(r) for r in self.rows]
         keys = sorted({k for r in flat for k in r})
         buf = io.StringIO()

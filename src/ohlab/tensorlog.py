@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .numlin import ROUNDING, Bounded, require
@@ -177,8 +176,7 @@ def hk_sq(delta: float) -> tuple[Bounded, Bounded]:
             Bounded.from_terms(terms, factor=(1.0 - u) / (math.pi * u) ** 2))
 
 
-@dataclass(frozen=True)
-class WitnessQuadruple:
+class WitnessQuadruple(NamedTuple("WitnessQuadruple", [("delta", float), ("scale", float)])):
     """Analytic rectangle witness (f, g, h, k) = (ts, (1-t)(1-s), t(1-s), (1-t)s) * v.
 
     The common factor v(t,s) = 1/(ts + (1-t)(1-s)) restricted to
@@ -188,14 +186,15 @@ class WitnessQuadruple:
     compare them against, is ``witness_v`` in ``tests/reference.py``.
     """
 
-    delta: float
-    scale: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta={self.delta} outside (0, 1/2)")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
+        return self
 
 
 def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
@@ -208,8 +207,7 @@ def witness_build(n: int, delta: float | None = None) -> WitnessQuadruple:
     return WitnessQuadruple(delta=delta, scale=scale)
 
 
-@dataclass(frozen=True)
-class WitnessNorms:
+class WitnessNorms(NamedTuple):
     """Unscaled witness integrals as enclosures, and their analytic bounds."""
 
     pairing: Bounded        # int_I v d(mu x mu), which is also ||f||^2 + ||g||^2
@@ -263,8 +261,7 @@ def _lower_route(n: int) -> tuple[float, WitnessQuadruple]:
     return value, q
 
 
-@dataclass(frozen=True)
-class UpperBoundParts:
+class UpperBoundParts(NamedTuple):
     value: float            # certified total (rectangle part + corner part)
     rectangle_part: float
     corner_part: float
@@ -315,21 +312,23 @@ def diag_upper_bound(n: int, delta: float | None = None) -> UpperBoundParts:
     )
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    n: int
-    lower: float
-    upper: float
-    pi1_lo: float
-    pi1_hi: float
-    pi1_lo_method: str
-    lambda_lo: float
-    lambda_hi: float
-    delta_lower: float | None   # None below n = 7, where no witness is built
-    delta_upper: float
-    upper_parts: UpperBoundParts = field(repr=False)
+class BracketReport(NamedTuple("BracketReport", [
+    ("n", int),
+    ("lower", float),
+    ("upper", float),
+    ("pi1_lo", float),
+    ("pi1_hi", float),
+    ("pi1_lo_method", str),
+    ("lambda_lo", float),
+    ("lambda_hi", float),
+    ("delta_lower", float | None),   # None below n = 7, where no witness is built
+    ("delta_upper", float),
+    ("upper_parts", UpperBoundParts),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         at = {"n": self.n, "delta_lower": self.delta_lower, "delta_upper": self.delta_upper}
         require("lower <= upper", self.lower, self.upper, **at)
         require("lambda_cb.lo <= lambda_cb.hi", self.lambda_lo, self.lambda_hi, **at)
@@ -337,6 +336,7 @@ class BracketReport:
         # identity of an n-dimensional space has pi1 <= n
         require("1 <= lambda_cb.hi", 1.0, self.lambda_hi, **at)
         require("pi1.lo <= n", self.pi1_lo, self.n, **at)
+        return self
 
     def row(self) -> dict:
         return {

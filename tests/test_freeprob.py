@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -114,8 +113,8 @@ def solved(build, monkeypatch, poison=False) -> tuple:
 
 def held_arrays(fam: FreeFamily):
     """Every array a FreeFamily holds, those in its tuples included."""
-    for f in dataclasses.fields(fam):
-        value = getattr(fam, f.name)
+    for name in fam._fields:
+        value = getattr(fam, name)
         yield from value if isinstance(value, tuple) else (value,)
 
 
@@ -441,7 +440,7 @@ class TestKnownSpectra:
         assert trace_norm(total) == pytest.approx(l1, rel=1e-12)
         # the known-spectra route agrees with the eigensolve route
         for a, b in zip((voi, conv), (voiculescu_check(rotated), voiculescu_converse_check(rotated))):
-            for x, y in zip(vars(a).values(), vars(b).values()):
+            for x, y in zip(a, b):
                 assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
 
     def test_sum_is_built_once(self, monkeypatch):

@@ -10,7 +10,9 @@ Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
 ``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
 ``cli`` imports only ``numlin`` and ``report`` of ohlab at module level.  No
 module imports numpy there: each imports it inside the functions that handle
-an array, and ``tensorlog`` imports it nowhere.
+an array, and ``tensorlog`` imports it nowhere.  No module uses
+``dataclasses`` or ``functools.cached_property``: every record is a
+``NamedTuple``.
 Every public name and public method is referenced from ``src/ohlab``, a demo
 or the package's script entry point.
 """
@@ -19,9 +21,12 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
 from numpy.linalg import lapack_lite
 
 import ohlab
+from ohlab import freeprob, geomean, kfunc, ohspace, quad, report, tensorlog
 
 SRC = Path(ohlab.__file__).resolve().parent
 SHARED = {"Bounded", "BoundViolation", "ROUNDING"}
@@ -192,6 +197,53 @@ def test_no_module_imports_numpy_eagerly():
     assert packages(eager_imports(ast.parse(deferred))) == set()
     assert packages(eager_imports(ast.parse(deferred + eager))) == {"math", "numpy"}
     assert "numpy" in packages(all_imports(parsed("numlin")))
+
+
+def test_records_are_named_tuples():
+    # `import ohlab` defines the records of all nine modules: a dataclass
+    # execs generated methods and loads inspect, a NamedTuple does neither
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "dataclasses" not in packages(all_imports(tree)), path.name
+        assert "cached_property" not in {name for _, name, _ in referenced_names(tree)}, path.name
+
+
+def family():
+    return freeprob.free_family([freeprob.semicircle_diag(4)] * 2, 4, seed=1)
+
+
+# each record type, built as the program builds it, and one of its fields
+RECORDS = {
+    "ArcsineRule": (lambda: quad.arcsine_rule(4), "n_nodes"),
+    "Grid2D": (lambda: quad.Grid2D(quad.arcsine_rule(4), quad.arcsine_rule(2)), "rule_t"),
+    "WeightedGrid": (lambda: kfunc.WeightedGrid([1.0, 2.0], [1.0, 1.0], [2.0, 1.0]), "g"),
+    "ThreeTermSpec": (lambda: kfunc.ThreeTermSpec(1.0, [1.0, 2.0], [0.5, 0.5]), "t_param"),
+    "BallPoint": (lambda: ohspace.BallPoint(np.eye(2) / 2, np.zeros((2, 2))), "min_eig_a"),
+    "VariationalResult": (lambda: ohspace.oh_norm_variational(np.eye(2)[None], restarts=1), "value"),
+    "PWProblem": (lambda: geomean.random_commuting_pair(2, np.random.default_rng(1)), "pencil"),
+    "DualWitness": (lambda: geomean.pw_dual(geomean.random_commuting_pair(2, np.random.default_rng(1)),
+                                            [1.0, 0.0], quad.arcsine_rule(8))[1], "h_values"),
+    "WitnessQuadruple": (lambda: tensorlog.witness_build(8), "delta"),
+    "WitnessNorms": (lambda: tensorlog.witness_validate(tensorlog.witness_build(8)), "pairing"),
+    "UpperBoundParts": (lambda: tensorlog.diag_upper_bound(8), "value"),
+    "BracketReport": (lambda: tensorlog.bracket_report(8), "lower"),
+    "FreeFamily": (family, "eigenvalues"),
+    "VoiculescuResult": (lambda: freeprob.voiculescu_check(family()), "margin"),
+    "ConverseMargins": (lambda: freeprob.voiculescu_converse_check(family()), "triangle"),
+    "CLTResult": (lambda: freeprob.CLTResult.from_families([family()]), "moments"),
+    "Report": (lambda: report.Report("bracket", {}, []), "rows"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable(name):
+    build, field = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    # neither a field nor a new name can be set: subclasses keep __slots__ empty
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
 
 
 ROOT = Path(__file__).resolve().parents[1]
