@@ -7,13 +7,22 @@ to --out or stdout; wall-clock timing goes to stderr so identical seeded
 runs stay byte-identical.  A runner returns its report and one ``numlin.violation``
 per checked inequality; exit 1 prints a ``bound violation:`` line per failure.
 
+A flag's own range (a count's floor and memory ceiling, a finite tolerance,
+a list's values) is checked by its argparse ``type``, and the parser raises
+its errors as ValueError, so every config error exits 2 through ``main``
+with a message naming its flag (``argument --dim: ...``).  Runners check
+only flags against each other: ``--nodes`` x ``--dim``, ``--n`` x ``--m``^2,
+``--cutoff`` >= ``--kmax``.
+
 ``main(argv)`` may be called repeatedly in one process.  It parses with one
 parser per process, built on the first call by :func:`build_parser` (which
 still returns a fresh parser on every call of its own); calls share no other
 state.  Reusing the parser is safe because ``parse_args`` builds a new
 ``Namespace`` on each call and never mutates the parser, every default is an
 immutable str, int, float or None, and ``report``'s ``paths`` (``nargs="+"``)
-is a new list on each parse.  ``RUNNERS`` is looked up at call time, so it can
+and the list flags, whose ``type`` reads their str default, are new lists on
+each parse.  ``main`` returns an exit status for every input; only ``--help``
+raises, as ``SystemExit(0)``.  ``RUNNERS`` is looked up at call time, so it can
 still be patched.
 
 At module level this file imports only ``numlin`` and ``report``, which
@@ -33,6 +42,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from .numlin import EPS_PD, BoundViolation, violation
 from .report import MergeError, Report, report_from_dict, report_merge
@@ -79,66 +89,129 @@ MAX_SUMSPACE_POINTS = 2**21
 FREE_NORM_SLACK = 0.01
 
 
+class _Range(NamedTuple):
+    """An argparse ``type``: one finite ``kind`` value in [lo, hi].  argparse
+    prefixes its error with ``argument --flag:``, so the message names the flag."""
+
+    kind: type
+    lo: float
+    hi: float = math.inf
+
+    def __call__(self, text: str):
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {self.kind.__name__} value: {text!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if not self.lo <= value <= self.hi:
+            bound = f">= {self.lo}" if value < self.lo else f"<= {self.hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+
+def _values(text: str, read) -> list:
+    """A list flag's comma-separated values, each read by ``read``; empty entries are skipped."""
+    values = [read(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
+def _n_list(text: str) -> list:
+    """``--n-list``: integers >= 1, run in the order given."""
+    return _values(text, _Range(int, 1))
+
+
+def _t_sweep(text: str) -> list:
+    """``--t-sweep``: finite numbers > 0, nondecreasing, since each value's
+    norm is checked against the one before it, which holds only in increasing t."""
+    values = _values(text, _Range(float, -math.inf))
+    if min(values) <= 0.0:
+        raise argparse.ArgumentTypeError(f"values must be > 0, got {min(values)}")
+    drops = [(a, b) for a, b in zip(values, values[1:]) if b < a]
+    if drops:
+        raise argparse.ArgumentTypeError(f"values must be nondecreasing, got {drops[0][1]} after {drops[0][0]}")
+    return values
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors (an unknown flag, a missing argument, a value its
+    ``type`` rejects) as ValueError, which ``main`` turns into exit 2 like every
+    other config error.  ``add_subparsers`` makes each subparser of this class."""
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ohlab",
         description="numerical laboratory for operator-Hilbert-space norms",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    count = _Range(int, 1)
+    tol = _Range(float, 0.0)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        # numpy's SeedSequence rejects a negative seed with text that names no flag
+        p.add_argument("--seed", type=_Range(int, 0), default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None)
         return p
 
     p = common(sub.add_parser("pw", help="Pusz-Woronowicz primal/dual vs direct square root"))
-    p.add_argument("--dim", type=int, default=4,
+    p.add_argument("--dim", type=_Range(int, 1, MAX_PW_DIM), default=4,
                    help=f"at most {MAX_PW_DIM} (about 0.33 GB peak RSS there)")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--nodes", type=int, default=4096,
+    p.add_argument("--trials", type=count, default=20)
+    p.add_argument("--nodes", type=count, default=4096,
                    help=f"--nodes x --dim at most {MAX_PW_NODES_DIM} (about 0.3 GB peak RSS there)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--cond", type=float, default=1e3)
+    p.add_argument("--tol", type=tol, default=1e-6)
+    # a factor's eigenvalues spread over a ratio of up to --cond, and it is
+    # strictly positive only if the least exceeds EPS_PD times the largest:
+    # past 1/EPS_PD the draw, not the input, would decide the exit
+    p.add_argument("--cond", type=_Range(float, 1.0, 1.0 / EPS_PD), default=1e3,
+                   help=f"at most 1/EPS_PD = {1.0 / EPS_PD:g}")
 
     p = common(sub.add_parser("ohnorm", help="variational vs direct matrix-tuple norm"))
-    p.add_argument("--n", type=int, default=4,
+    p.add_argument("--n", type=count, default=4,
                    help=f"--n x --m^2 at most {MAX_OHNORM_ENTRIES} (about 0.47 GB peak RSS there at --m 60)")
-    p.add_argument("--m", type=int, default=4,
+    p.add_argument("--m", type=_Range(int, 1, MAX_OHNORM_M), default=4,
                    help=f"at most {MAX_OHNORM_M} (about 0.45 GB peak RSS there)")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--trials", type=count, default=20)
+    p.add_argument("--restarts", type=count, default=8)
+    p.add_argument("--tol", type=tol, default=1e-6)
 
     p = common(sub.add_parser("basis", help="scalar-level basis norms in the quotient model"))
-    p.add_argument("--n", type=int, default=4,
+    p.add_argument("--n", type=_Range(int, 1, MAX_BASIS_N), default=4,
                    help=f"at most {MAX_BASIS_N} (about 0.3 GB peak RSS there, with --nodes at most)")
-    p.add_argument("--nodes", type=int, default=4096,
+    p.add_argument("--nodes", type=_Range(int, 1, MAX_NODES), default=4096,
                    help=f"at most {MAX_NODES} (about 0.3 GB peak RSS there, with --n at most)")
-    p.add_argument("--vectors", type=int, default=20)
+    p.add_argument("--vectors", type=count, default=20)
 
     p = common(sub.add_parser("sumspace", help="two- and three-term sum-space norms"))
-    p.add_argument("--points", type=int, default=16,
+    p.add_argument("--points", type=_Range(int, 1, MAX_SUMSPACE_POINTS), default=16,
                    help=f"at most {MAX_SUMSPACE_POINTS} (about 0.5 GB peak RSS there, with --nodes at most)")
-    p.add_argument("--nodes", type=int, default=4096,
+    p.add_argument("--nodes", type=_Range(int, 1, MAX_NODES), default=4096,
                    help=f"at most {MAX_NODES} (about 0.5 GB peak RSS there, with --points at most)")
-    p.add_argument("--t-sweep", type=str, default="0.01,0.1,1,10,100")
+    p.add_argument("--t-sweep", type=_t_sweep, default="0.01,0.1,1,10,100")
 
     p = common(sub.add_parser("bracket", help="logarithmic tensor-norm brackets"))
-    p.add_argument("--n-list", type=str, default="8,16,32,64")
-    p.add_argument("--grid", type=int, default=DEFAULT_BRACKET_GRID,
+    p.add_argument("--n-list", type=_n_list, default="8,16,32,64")
+    p.add_argument("--grid", type=_Range(int, 1, MAX_BRACKET_GRID), default=DEFAULT_BRACKET_GRID,
                    help=f"no effect (the brackets are closed forms); at most {MAX_BRACKET_GRID}")
 
     p = common(sub.add_parser("free", help="Voiculescu inequality on the rotated matrix model"))
-    p.add_argument("--dim", type=int, default=512,
-                   help=f"at most {MAX_FREE_DIM} (about 0.2 GB peak RSS there, for any --summands)")
-    p.add_argument("--summands", type=int, default=16)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--slack", type=float, default=0.02)
+    p.add_argument("--dim", type=_Range(int, 2, MAX_FREE_DIM), default=512,
+                   help=f"at least 2 (a one-point spectrum is zero after centring, so the sum has no "
+                        f"variance); at most {MAX_FREE_DIM} (about 0.2 GB peak RSS there, for any --summands)")
+    p.add_argument("--summands", type=count, default=16)
+    p.add_argument("--trials", type=count, default=20)
+    p.add_argument("--slack", type=tol, default=0.02)
 
     p = common(sub.add_parser("fock", help="truncated Fock space exact checks"))
     p.add_argument("--cutoff", type=int, default=8, help="at least --kmax")
-    p.add_argument("--kmax", type=int, default=5,
+    p.add_argument("--kmax", type=_Range(int, 1, MAX_FOCK_KMAX), default=5,
                    help=f"at most {MAX_FOCK_KMAX} (larger Catalan numbers are not exact floats)")
 
     p = common(sub.add_parser("report", help="merge compatible reports"))
@@ -158,50 +231,13 @@ def flag_params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "out")}
 
 
-def check_counts(args, **limits) -> None:
-    """Each named count flag must be >= 1, and at most its limit where one is given."""
-    for name, limit in limits.items():
-        value, flag = getattr(args, name), "--" + name.replace("_", "-")
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1")
-        if limit is not None and value > limit:
-            raise ValueError(f"{flag} {value} exceeds {limit}")
-
-
-def parse_list(text: str, flag: str, kind, noun: str) -> list:
-    """A list flag's comma-separated values, each read by ``kind``; ValueError names the flag."""
-    values = []
-    for v in text.split(","):
-        if v:
-            try:
-                values.append(kind(v))
-            except ValueError:
-                raise ValueError(f"{flag} values must be {noun}, got {v!r}") from None
-    if not values:
-        raise ValueError(f"{flag} needs at least one value")
-    return values
-
-
-def check_finite(value: float, flag: str, nonnegative: bool = False) -> None:
-    if not math.isfinite(value) or (nonnegative and value < 0.0):
-        raise ValueError(f"{flag} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
-
-
 def run_pw(args) -> tuple[Report, list]:
     import numpy as np
 
     from . import geomean, quad
 
-    check_counts(args, trials=None, dim=MAX_PW_DIM, nodes=None)
     if args.nodes * args.dim > MAX_PW_NODES_DIM:
         raise ValueError(f"--nodes {args.nodes} x --dim {args.dim} exceeds {MAX_PW_NODES_DIM}")
-    check_finite(args.tol, "--tol", nonnegative=True)
-    check_finite(args.cond, "--cond")
-    # a factor's eigenvalues spread over a ratio of up to --cond, and it is
-    # strictly positive only if the least exceeds EPS_PD times the largest:
-    # past 1/EPS_PD the draw, not the input, would decide the exit
-    if args.cond > 1.0 / EPS_PD:
-        raise ValueError(f"--cond must be <= 1/EPS_PD = {1.0 / EPS_PD:g}, got {args.cond}")
     rule = quad.arcsine_rule(args.nodes)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
@@ -240,10 +276,8 @@ def run_ohnorm(args) -> tuple[Report, list]:
 
     from . import ohspace
 
-    check_counts(args, trials=None, n=None, m=MAX_OHNORM_M, restarts=None)
     if args.n * args.m**2 > MAX_OHNORM_ENTRIES:
         raise ValueError(f"--n {args.n} x --m {args.m}^2 exceeds {MAX_OHNORM_ENTRIES}")
-    check_finite(args.tol, "--tol", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     rows = []
     verdicts = []
@@ -278,7 +312,6 @@ def run_basis(args) -> tuple[Report, list]:
 
     from . import ohspace, quad
 
-    check_counts(args, n=MAX_BASIS_N, vectors=None, nodes=MAX_NODES)
     rule = quad.arcsine_rule(args.nodes)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -301,15 +334,6 @@ def run_sumspace(args) -> tuple[Report, list]:
 
     from . import kfunc, ohspace, quad
 
-    t_values = parse_list(args.t_sweep, "--t-sweep", float, "numbers")
-    bad = [t for t in t_values if not (math.isfinite(t) and t > 0.0)]
-    if bad:
-        raise ValueError(f"--t-sweep values must be finite and > 0, got {bad[0]}")
-    # each value's norm is checked against the one before it, which holds only in increasing t
-    drops = [(a, b) for a, b in zip(t_values, t_values[1:]) if b < a]
-    if drops:
-        raise ValueError(f"--t-sweep values must be nondecreasing, got {drops[0][1]} after {drops[0][0]}")
-    check_counts(args, points=MAX_SUMSPACE_POINTS, nodes=MAX_NODES)
     rng = np.random.default_rng(args.seed)
     base = rng.uniform(0.5, 1.5, size=args.points)
     base /= base.sum()
@@ -330,7 +354,7 @@ def run_sumspace(args) -> tuple[Report, list]:
                 violation("|quotient - basis norm| <= 1e-8", abs(quotient - basis_norm), 1e-8)]
     rows = []
     prev = -math.inf
-    for t in t_values:
+    for t in args.t_sweep:
         spec = kfunc.ThreeTermSpec(t_param=t, d=d, base_weights=base)
         val = kfunc.ik_t_norm(k, spec)
         k_norm = kfunc.two_term_k_norm(k, spec)
@@ -345,7 +369,6 @@ def run_sumspace(args) -> tuple[Report, list]:
         verdicts.append(violation("ik_t nondecreasing in t", prev, val, 1e-10, t=t))
         prev = val
     params = flag_params(args)
-    params["t_sweep"] = t_values
     params["l2sum2"] = two
     params["l2sum1"] = one
     params["quotient_vs_basis_gap"] = quotient - basis_norm
@@ -355,15 +378,9 @@ def run_sumspace(args) -> tuple[Report, list]:
 def run_bracket(args) -> tuple[Report, list]:
     from . import tensorlog
 
-    check_counts(args, grid=MAX_BRACKET_GRID)
-    n_list = parse_list(args.n_list, "--n-list", int, "integers")
-    if min(n_list) < 1:
-        raise ValueError(f"--n-list values must be >= 1, got {min(n_list)}")
     # BracketReport raises BoundViolation on an inverted bracket
-    rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in n_list]
-    params = flag_params(args)
-    params["n_list"] = n_list
-    return Report("bracket", params, rows, constants=tensorlog.provenance()), []
+    rows = [dict(tensorlog.bracket_report(n).row(), grid=args.grid) for n in args.n_list]
+    return Report("bracket", flag_params(args), rows, constants=tensorlog.provenance()), []
 
 
 def run_free(args) -> tuple[Report, list]:
@@ -371,11 +388,6 @@ def run_free(args) -> tuple[Report, list]:
 
     from . import freeprob
 
-    check_counts(args, trials=None, summands=None, dim=MAX_FREE_DIM)
-    if args.dim < 2:
-        raise ValueError(f"--dim must be >= 2, got {args.dim}: a one-point spectrum is zero after centring, "
-                         "so the sum has no variance")
-    check_finite(args.slack, "--slack", nonnegative=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     spectrum = freeprob.semicircle_diag(args.dim)
     rows = []
@@ -418,7 +430,6 @@ def run_free(args) -> tuple[Report, list]:
 def run_fock(args) -> tuple[Report, list]:
     from . import freeprob
 
-    check_counts(args, kmax=MAX_FOCK_KMAX)
     if args.cutoff < args.kmax:
         raise ValueError(f"--cutoff {args.cutoff} is below --kmax {args.kmax}")
     moments = freeprob.fock_semicircular_moments(args.cutoff, args.kmax)
@@ -472,15 +483,10 @@ RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    runner = RUNNERS[args.subcommand]
-    start = time.perf_counter()
     try:
-        # every command takes --seed: numpy rejects a negative one with text
-        # that names no flag, and bracket and report never hand it to numpy
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        report, verdicts = runner(args)
+        args = _parser().parse_args(argv)
+        start = time.perf_counter()
+        report, verdicts = RUNNERS[args.subcommand](args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_ASSERTION

@@ -62,6 +62,8 @@ import sys
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
+from .numlin import as_array
+
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
     import numpy as np
 
@@ -269,22 +271,6 @@ class FreeFamily(NamedTuple):
     unitarity_residual: float | None = None
 
 
-def _centred_spectrum(spectrum, dim: int) -> np.ndarray:
-    """A finite real spectrum of length dim minus its mean; ValueError otherwise
-    (a complex one is not cast, which would drop its imaginary part)."""
-    import numpy as np
-
-    s = np.asarray(spectrum)
-    if s.shape != (dim,):
-        raise ValueError(f"spectrum has shape {s.shape}, expected ({dim},)")
-    if s.dtype.kind not in "biuf":
-        raise ValueError(f"spectrum must be real, got dtype {s.dtype}")
-    s = s.astype(float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("spectrum must be finite")
-    return s - s.mean()
-
-
 def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     """Rotate each centred real spectrum but the first by an independent Haar
     unitary.
@@ -317,7 +303,8 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     known = {}               # id(spectrum) -> (centred spectrum, its singular values, tau(a^2))
     for spectrum in spectra:
         if id(spectrum) not in known:
-            a = _centred_spectrum(spectrum, dim)
+            a = as_array(spectrum, (dim,), "spectrum", real=True)
+            a = a - a.mean()  # not in place: the ingest may return the caller's array
             known[id(spectrum)] = (a, np.abs(a), float(a @ a) / dim)
     total = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(total, known[id(spectra[0])][0])  # member 0, in its own frame

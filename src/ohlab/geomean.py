@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .freeprob import haar_unitary
-from .numlin import PositiveMatrix, commuting_pair, hermitian_part, sqrt_commuting
+from .numlin import PositiveMatrix, as_array, commuting_pair, hermitian_part, sqrt_commuting
 from .quad import ArcsineRule
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
@@ -82,6 +82,10 @@ class PWProblem(NamedTuple("PWProblem", [("A", PositiveMatrix), ("B", PositiveMa
         x.flags.writeable = False
         return super().__new__(cls, A, B, (lam, x))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild the problem from its inputs, as __new__ takes them
+        return self.A, self.B
+
     @classmethod
     def build(cls, a, b) -> "PWProblem":
         pa, pb = commuting_pair(a, b)
@@ -106,15 +110,6 @@ class DualWitness(NamedTuple):
     h_values: np.ndarray     # (n_nodes, dim)
 
 
-def _check_vector(x, dim: int) -> np.ndarray:
-    import numpy as np
-
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    if v.shape != (dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({dim},)")
-    return v
-
-
 def _resolvent_weights(lam: np.ndarray, rule: ArcsineRule) -> np.ndarray:
     """1/(t lam_j + 1 - t) at every node, shape (n_nodes, dim)."""
     t = rule.nodes[:, None]
@@ -125,7 +120,7 @@ def pw_primal(p: PWProblem, x, rule: ArcsineRule) -> float:
     """Quadrature of the pointwise parallel-sum integrand (x, W(t)^{-1} x) at x."""
     import numpy as np
 
-    v = _check_vector(x, p.dim)
+    v = as_array(x, (p.dim,), "vector")
     lam, xs = p.pencil
     coeff = np.abs(xs.conj().T @ v) ** 2
     return float(rule.weights @ (_resolvent_weights(lam, rule) @ coeff))
@@ -139,7 +134,7 @@ def pw_dual(p: PWProblem, y, rule: ArcsineRule):
     """
     import numpy as np
 
-    v = _check_vector(y, p.dim)
+    v = as_array(y, (p.dim,), "vector")
     lam, xs = p.pencil
     res = _resolvent_weights(lam, rule)
     s = (xs * (rule.weights @ res)) @ xs.conj().T          # int W(t)^{-1} dmu
@@ -167,9 +162,7 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
     """
     import numpy as np
 
-    h = np.asarray(w.h_values, dtype=complex)
-    if h.ndim != 2 or h.shape != (rule.n_nodes, p.dim):
-        raise ValueError(f"witness has shape {h.shape}, expected ({rule.n_nodes}, {p.dim})")
+    h = as_array(w.h_values, (rule.n_nodes, p.dim), "witness")
     t = rule.nodes
     # rows of h A^{-T}, h B^{-T} are A^{-1} h(t) = f(t)/t, B^{-1} h(t) = g(t)/(1-t), by the spectra
     ah = h @ p.A.func(np.reciprocal).T
@@ -187,7 +180,7 @@ def pw_oracle(p: PWProblem, x) -> float:
     """Direct ((AB)^{1/2} x, x) with (AB)^{1/2} = A^{1/2} B^{1/2} (``sqrt_commuting``)."""
     import numpy as np
 
-    v = _check_vector(x, p.dim)
+    v = as_array(x, (p.dim,), "vector")
     root = sqrt_commuting(p.A, p.B)
     return float(np.vdot(v, root.mat @ v).real)
 

@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numlin import ROUNDING, require
+from .numlin import ROUNDING, as_array, require
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
     import numpy as np
@@ -109,18 +109,9 @@ class WeightedGrid(NamedTuple("WeightedGrid", [("base_weights", "np.ndarray"), (
     __slots__ = ()
 
     def __new__(cls, base_weights, g, h):
-        import numpy as np
-
-        self = super().__new__(cls, *(np.asarray(a, dtype=float) for a in (base_weights, g, h)))
-        for name in ("base_weights", "g", "h"):
-            arr = getattr(self, name)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-D array")
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-                raise ValueError(f"{name} must be finite and strictly positive")
-        if not (self.base_weights.shape == self.g.shape == self.h.shape):
-            raise ValueError("base_weights, g, h must share one shape")
-        return self
+        base = as_array(base_weights, ("points",), "base_weights", real=True, positive=True)
+        return super().__new__(cls, base, *(as_array(a, base.shape, name, real=True, positive=True)
+                                            for name, a in (("g", g), ("h", h))))
 
     @property
     def points(self) -> int:
@@ -134,29 +125,11 @@ class ThreeTermSpec(NamedTuple("ThreeTermSpec", [("t_param", float), ("d", "np.n
     __slots__ = ()
 
     def __new__(cls, t_param, d, base_weights):
-        import numpy as np
-
-        self = super().__new__(cls, t_param, np.asarray(d, dtype=float), np.asarray(base_weights, dtype=float))
-        if not (np.isfinite(self.t_param) and self.t_param > 0.0):
+        if not (math.isfinite(t_param) and t_param > 0.0):
             raise ValueError("t_param must be finite and > 0")
-        for name in ("d", "base_weights"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-                raise ValueError(f"{name} must be finite and strictly positive")
-        if self.d.shape != self.base_weights.shape:
-            raise ValueError("d and base_weights must share one shape")
-        return self
-
-
-def _values(k, n: int) -> np.ndarray:
-    import numpy as np
-
-    v = np.asarray(k, dtype=complex).reshape(-1)
-    if v.shape != (n,):
-        raise ValueError(f"function values have shape {v.shape}, expected ({n},)")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("function values must be finite")
-    return v
+        d = as_array(d, ("points",), "d", real=True, positive=True)
+        return super().__new__(cls, t_param, d, as_array(base_weights, d.shape, "base_weights", real=True,
+                                                         positive=True))
 
 
 def _weighted_l2(absk: np.ndarray, weights, denom=1.0) -> float:
@@ -174,7 +147,7 @@ def l2sum2_norm(k, w: WeightedGrid) -> float:
     """Exact norm in L2(g nu) +_2 L2(h nu)."""
     import numpy as np
 
-    v = _values(k, w.points)
+    v = as_array(k, (w.points,), "function values")
     return _weighted_l2(np.abs(v), w.base_weights, 1.0 / w.g + 1.0 / w.h)
 
 
@@ -184,7 +157,7 @@ def l2sum1_norm(k, w: WeightedGrid) -> float:
     F' = -sum w |k|^2 (1/g - 1/h) / D^2 and F'' = 2 sum w |k|^2 (1/g - 1/h)^2 / D^3."""
     import numpy as np
 
-    absk = np.abs(_values(k, w.points))
+    absk = np.abs(as_array(k, (w.points,), "function values"))
     if not absk.any():
         return 0.0
     # F in the units of _weighted_l2, 2^{2e}: the minimiser theta is the same
@@ -224,7 +197,7 @@ def ik_t_parts(x, spec: ThreeTermSpec):
     """
     import numpy as np
 
-    v = _values(x, spec.d.size)
+    v = as_array(x, spec.d.shape, "function values")
     absx = np.abs(v)
     w = spec.base_weights
     if not absx.any():
@@ -268,7 +241,7 @@ def two_term_k_norm(x, spec: ThreeTermSpec) -> float:
     """K-norm with the L1 slot disabled: ||x / sqrt(d)||_{L2(nu)}."""
     import numpy as np
 
-    return _weighted_l2(np.abs(_values(x, spec.d.size)), spec.base_weights, spec.d)
+    return _weighted_l2(np.abs(as_array(x, spec.d.shape, "function values")), spec.base_weights, spec.d)
 
 
 def k_d1d2_norm(k, d1, d2, base_weights) -> float:
@@ -278,9 +251,5 @@ def k_d1d2_norm(k, d1, d2, base_weights) -> float:
     (e.g. densities evaluated at the nodes of an arcsine rule, with the rule
     weights as base).
     """
-    import numpy as np
-
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    w = WeightedGrid(base_weights=np.asarray(base_weights, dtype=float), g=1.0 / d1, h=1.0 / d2)
-    return l2sum1_norm(k, w)
+    d1, d2 = (as_array(d, ("points",), name, real=True, positive=True) for name, d in (("d1", d1), ("d2", d2)))
+    return l2sum1_norm(k, WeightedGrid(base_weights, 1.0 / d1, 1.0 / d2))

@@ -14,7 +14,7 @@ and functions of it (``PositiveMatrix.func``: the square roots of
 All values are immutable after construction and every operation is pure.
 
 The verdicts and the interval type are pure ``math``: numpy is imported inside
-the four functions that handle a matrix (``as_matrix``, ``opnorm``,
+the four functions that handle an array (``as_array``, ``opnorm``,
 ``PositiveMatrix.__init__`` and ``sqrt_commuting``), so a command that checks
 only scalar inequalities, such as ``bracket``, never loads it.
 """
@@ -93,20 +93,33 @@ def require(claim: str, lhs: float, rhs: float, slack: float = 0.0, **params) ->
         raise BoundViolation(line)
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a square complex 2-D array with finite entries."""
+def as_array(x, shape, name: str, real: bool = False, positive: bool = False) -> np.ndarray:
+    """The one array ingest: ``x`` as a complex array, or with ``real`` a float
+    one (a complex input is rejected, not cast, which would drop its imaginary
+    part), of ``shape``, with finite entries, all > 0 with ``positive``.  In
+    ``shape`` an int fixes an axis's length, and a str names a length >= 1 that
+    is the same wherever the name recurs.  ValueError names ``name``."""
     import numpy as np
 
-    if isinstance(x, PositiveMatrix):
-        return x.mat
-    a = np.asarray(x, dtype=complex)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = np.asarray(x)
+    if real and a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    a = a.astype(float if real else complex, copy=False)
+    sizes = {}
+    if a.ndim != len(shape) or not all(
+            sizes.setdefault(want, got) == got >= 1 if isinstance(want, str) else want == got
+            for want, got in zip(shape, a.shape)):
+        raise ValueError(f"{name} has shape {a.shape}, expected shape ({', '.join(map(str, shape))})")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{name} must be finite")
+    if positive and not np.all(a > 0.0):
+        raise ValueError(f"{name} must be strictly positive")
     return a
+
+
+def as_matrix(x) -> np.ndarray:
+    """Coerce to a square complex 2-D array with finite entries."""
+    return x.mat if isinstance(x, PositiveMatrix) else as_array(x, ("m", "m"), "matrix")
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -179,6 +192,11 @@ class PositiveMatrix:
 
     def __setattr__(self, *args):
         raise AttributeError("PositiveMatrix is immutable")
+
+    def __reduce__(self):
+        # copy and pickle re-ingest mat (__setattr__ refuses slot-by-slot restores):
+        # bit for bit the same, unless a clamped spectrum's rebuilt mat rounds anew
+        return type(self), (self.mat,)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"

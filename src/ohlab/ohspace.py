@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numlin import hermitian_part, opnorm
+from .numlin import as_array, hermitian_part, opnorm
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first
     # handled, and `ohnorm` runs without loading quad
@@ -89,6 +89,10 @@ class BallPoint(NamedTuple("BallPoint", [("a_pos", "np.ndarray"), ("b_pos", "np.
             mins.append(least)
         return super().__new__(cls, a_pos, b_pos, *mins)
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild the point from its inputs, as __new__ takes them
+        return self.a_pos, self.b_pos
+
 
 class VariationalResult(NamedTuple):
     value: float
@@ -107,11 +111,7 @@ def _scaled_tuple(x) -> tuple[np.ndarray, int]:
     bit where the products stay in the normal range, and keeps them there."""
     import numpy as np
 
-    a = np.asarray(x, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected shape (n, m, m), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("tuple entries must be finite")
+    a = as_array(x, ("n", "m", "m"), "tuple")
     e = math.frexp(float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))))[1]
     scaled = np.empty_like(a)
     np.ldexp(a.real, -e, out=scaled.real)
@@ -301,7 +301,5 @@ def fn_scalar_norm(a, rule: ArcsineRule) -> float:
     if abs(float(np.dot(w, 2.0 * t - 1.0))) > rule.n_nodes * np.finfo(float).eps:
         mean = float(np.dot(w, t) / np.sum(w))
         raise ValueError(f"rule mean {mean:.17g} is not 1/2, so theta = 1/2 is not the minimiser")
-    v = np.asarray(a, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("coefficients must be finite")
+    v = as_array(a, ("n",), "coefficients")
     return float(np.linalg.norm(v)) * float(np.sqrt(2.0 * np.sum(w)))

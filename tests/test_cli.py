@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -317,12 +318,8 @@ def fresh_parser():
 
 
 def outputs(argv, capsys):
-    """(exit code, stdout) of one in-process call; argparse errors exit 2."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
+    """(exit code, stdout) of one in-process call."""
+    return main(argv), capsys.readouterr().out
 
 
 class TestParserReuse:
@@ -428,7 +425,7 @@ class TestFree:
         monkeypatch.setattr(freeprob, "semicircle_diag", no_base)
         assert main(["free", f"--dim={dim}", "--summands", "2", "--trials", "1"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--dim must be >= 1" in err
+        assert out == "" and f"argument --dim: must be >= 2, got {dim}" in err
 
     @pytest.mark.parametrize("summands", [1, 3])
     def test_one_point_spectrum_rejected(self, summands, capsys, monkeypatch):
@@ -440,7 +437,7 @@ class TestFree:
         monkeypatch.setattr(freeprob, "semicircle_diag", no_base)
         assert main(["free", "--dim", "1", "--summands", str(summands), "--trials", "1"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--dim must be >= 2, got 1" in err
+        assert out == "" and "argument --dim: must be >= 2, got 1" in err
 
     def test_one_summand_draws_no_factor(self, capsys):
         # the one member stays in its own frame, so no Haar factor is drawn
@@ -453,7 +450,7 @@ class TestFree:
         # at dim 1 the centred base is 0, so the CLT sum cannot be normalised
         assert main(["free", "--dim", "1", "--summands", "2", "--trials", "1"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "variance" in err
+        assert out == "" and "argument --dim: must be >= 2, got 1" in err
 
 
 class TestPw:
@@ -501,65 +498,65 @@ class TestPw:
         pytest.param(["free", "--dim", "8", "--trials", "1", "--summands=-2"], "--summands", id="free-summands-negative"),
         pytest.param(["free", "--dim", "8", "--trials", "1", "--summands", "0"], "--summands", id="free-summands-0"),
         # these failed with library text that did not name the flag
-        pytest.param(["pw", "--dim", "0", "--trials", "1"], "--dim must be >= 1", id="pw-dim-0"),
-        pytest.param(["pw", "--trials", "1", "--nodes", "0"], "--nodes must be >= 1", id="pw-nodes-0"),
-        pytest.param(["basis", "--vectors", "1", "--nodes", "0"], "--nodes must be >= 1", id="basis-nodes-0"),
-        pytest.param(["sumspace", "--nodes", "0"], "--nodes must be >= 1", id="sumspace-nodes-0"),
-        pytest.param(["sumspace", "--points", "0"], "--points must be >= 1", id="sumspace-points-0"),
-        pytest.param(["ohnorm", "--n", "0", "--trials", "1"], "--n must be >= 1", id="ohnorm-n-0"),
-        pytest.param(["ohnorm", "--m", "0", "--trials", "1"], "--m must be >= 1", id="ohnorm-m-0"),
-        pytest.param(["ohnorm", "--trials", "1", "--restarts", "0"], "--restarts must be >= 1", id="ohnorm-restarts-0"),
-        pytest.param(["bracket", "--n-list", "8,0"], "--n-list values must be >= 1", id="bracket-n-0"),
-        pytest.param(["bracket", "--n-list", "-3"], "--n-list values must be >= 1", id="bracket-n-negative"),
+        pytest.param(["pw", "--dim", "0", "--trials", "1"], "argument --dim: must be >= 1, got 0", id="pw-dim-0"),
+        pytest.param(["pw", "--trials", "1", "--nodes", "0"], "argument --nodes: must be >= 1, got 0", id="pw-nodes-0"),
+        pytest.param(["basis", "--vectors", "1", "--nodes", "0"], "argument --nodes: must be >= 1, got 0", id="basis-nodes-0"),
+        pytest.param(["sumspace", "--nodes", "0"], "argument --nodes: must be >= 1, got 0", id="sumspace-nodes-0"),
+        pytest.param(["sumspace", "--points", "0"], "argument --points: must be >= 1, got 0", id="sumspace-points-0"),
+        pytest.param(["ohnorm", "--n", "0", "--trials", "1"], "argument --n: must be >= 1, got 0", id="ohnorm-n-0"),
+        pytest.param(["ohnorm", "--m", "0", "--trials", "1"], "argument --m: must be >= 1, got 0", id="ohnorm-m-0"),
+        pytest.param(["ohnorm", "--trials", "1", "--restarts", "0"], "argument --restarts: must be >= 1, got 0", id="ohnorm-restarts-0"),
+        pytest.param(["bracket", "--n-list", "8,0"], "argument --n-list: must be >= 1, got 0", id="bracket-n-0"),
+        pytest.param(["bracket", "--n-list", "-3"], "argument --n-list: must be >= 1, got -3", id="bracket-n-negative"),
         # these printed int()'s and float()'s own text, which names no flag
-        pytest.param(["bracket", "--n-list", "8,x"], "--n-list values must be integers, got 'x'",
+        pytest.param(["bracket", "--n-list", "8,x"], "argument --n-list: invalid int value: 'x'",
                      id="bracket-n-not-an-integer"),
-        pytest.param(["sumspace", "--t-sweep", "1,x"], "--t-sweep values must be numbers, got 'x'",
+        pytest.param(["sumspace", "--t-sweep", "1,x"], "argument --t-sweep: invalid float value: 'x'",
                      id="sumspace-t-not-a-number"),
         # these printed kfunc's own text, after the two-term norms had run
-        pytest.param(["sumspace", "--t-sweep", "1,nan"], "--t-sweep values must be finite and > 0, got nan",
+        pytest.param(["sumspace", "--t-sweep", "1,nan"], "argument --t-sweep: must be finite, got nan",
                      id="sumspace-t-nan"),
-        pytest.param(["sumspace", "--t-sweep", "1,inf"], "--t-sweep values must be finite and > 0, got inf",
+        pytest.param(["sumspace", "--t-sweep", "1,inf"], "argument --t-sweep: must be finite, got inf",
                      id="sumspace-t-inf"),
-        pytest.param(["sumspace", "--t-sweep", "1,-1"], "--t-sweep values must be finite and > 0, got -1.0",
+        pytest.param(["sumspace", "--t-sweep", "1,-1"], "argument --t-sweep: values must be > 0, got -1.0",
                      id="sumspace-t-negative"),
-        pytest.param(["sumspace", "--t-sweep", "0"], "--t-sweep values must be finite and > 0, got 0.0",
+        pytest.param(["sumspace", "--t-sweep", "0"], "argument --t-sweep: values must be > 0, got 0.0",
                      id="sumspace-t-zero"),
         # these exited 1 with a false bound violation: the norm is nondecreasing
         # in t, and each value was checked against the one given before it
-        pytest.param(["sumspace", "--t-sweep", "100,1"], "--t-sweep values must be nondecreasing, got 1.0 after 100.0",
+        pytest.param(["sumspace", "--t-sweep", "100,1"], "argument --t-sweep: values must be nondecreasing, got 1.0 after 100.0",
                      id="sumspace-t-decreasing"),
         pytest.param(["sumspace", "--t-sweep", "0.1,1,1,0.5"],
-                     "--t-sweep values must be nondecreasing, got 0.5 after 1.0", id="sumspace-t-drop-after-tie"),
+                     "argument --t-sweep: values must be nondecreasing, got 0.5 after 1.0", id="sumspace-t-drop-after-tie"),
         pytest.param(["fock", "--cutoff", "3", "--kmax", "5"], "--cutoff 3 is below --kmax 5", id="fock-cutoff-below-kmax"),
         # numpy's SeedSequence rejected these with "expected non-negative
         # integer", and bracket and report echoed the seed
-        *[pytest.param([*argv, "--seed", "-1"], "--seed must be >= 0, got -1", id=f"{argv[0]}-seed-negative")
+        *[pytest.param([*argv, "--seed", "-1"], "argument --seed: must be >= 0, got -1", id=f"{argv[0]}-seed-negative")
           for argv in (["pw", "--dim", "2", "--trials", "1", "--nodes", "16"], ["ohnorm", "--trials", "1"],
                        ["basis", "--vectors", "1", "--nodes", "16"], ["sumspace", "--points", "4", "--nodes", "16"],
                        ["bracket", "--n-list", "8"], ["free", "--dim", "8", "--trials", "1"],
                        ["fock", "--cutoff", "4", "--kmax", "2"], ["report", "missing.json"])],
         # this one exited 0 and echoed -5 in each row
-        pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "--grid must be >= 1", id="bracket-grid-negative"),
+        pytest.param(["bracket", "--grid", "-5", "--n-list", "8"], "argument --grid: must be >= 1, got -5", id="bracket-grid-negative"),
         # memory ceilings, checked before any work
-        pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"--m {cli.MAX_OHNORM_M + 1} "
-                     f"exceeds {cli.MAX_OHNORM_M}", id="ohnorm-m-above-bound"),
+        pytest.param(["ohnorm", "--m", str(cli.MAX_OHNORM_M + 1), "--trials", "1"], f"argument --m: must be <= "
+                     f"{cli.MAX_OHNORM_M}, got {cli.MAX_OHNORM_M + 1}", id="ohnorm-m-above-bound"),
         pytest.param(["ohnorm", "--n", "292", "--m", "60", "--trials", "1"], f"--n 292 x --m 60^2 "
                      f"exceeds {cli.MAX_OHNORM_ENTRIES}", id="ohnorm-n-above-bound"),
-        pytest.param(["fock", "--cutoff", "40", "--kmax", str(cli.MAX_FOCK_KMAX + 1)], f"--kmax "
-                     f"{cli.MAX_FOCK_KMAX + 1} exceeds {cli.MAX_FOCK_KMAX}", id="fock-kmax-above-bound"),
-        pytest.param(["pw", "--dim", str(cli.MAX_PW_DIM + 1), "--trials", "1", "--nodes", "1"], f"--dim "
-                     f"{cli.MAX_PW_DIM + 1} exceeds {cli.MAX_PW_DIM}", id="pw-dim-above-bound"),
+        pytest.param(["fock", "--cutoff", "40", "--kmax", str(cli.MAX_FOCK_KMAX + 1)], f"argument --kmax: must be "
+                     f"<= {cli.MAX_FOCK_KMAX}, got {cli.MAX_FOCK_KMAX + 1}", id="fock-kmax-above-bound"),
+        pytest.param(["pw", "--dim", str(cli.MAX_PW_DIM + 1), "--trials", "1", "--nodes", "1"], f"argument --dim: "
+                     f"must be <= {cli.MAX_PW_DIM}, got {cli.MAX_PW_DIM + 1}", id="pw-dim-above-bound"),
         pytest.param(["pw", "--dim", "1024", "--trials", "1", "--nodes", "2049"], f"--nodes 2049 x --dim 1024 "
                      f"exceeds {cli.MAX_PW_NODES_DIM}", id="pw-nodes-above-bound"),
-        pytest.param(["basis", "--n", str(cli.MAX_BASIS_N + 1), "--vectors", "1"], f"--n {cli.MAX_BASIS_N + 1} "
-                     f"exceeds {cli.MAX_BASIS_N}", id="basis-n-above-bound"),
-        pytest.param(["basis", "--nodes", str(cli.MAX_NODES + 1), "--vectors", "1"], f"--nodes "
-                     f"{cli.MAX_NODES + 1} exceeds {cli.MAX_NODES}", id="basis-nodes-above-bound"),
-        pytest.param(["sumspace", "--points", str(cli.MAX_SUMSPACE_POINTS + 1)], f"--points "
-                     f"{cli.MAX_SUMSPACE_POINTS + 1} exceeds {cli.MAX_SUMSPACE_POINTS}", id="sumspace-points-above-bound"),
-        pytest.param(["sumspace", "--nodes", str(cli.MAX_NODES + 1)], f"--nodes {cli.MAX_NODES + 1} "
-                     f"exceeds {cli.MAX_NODES}", id="sumspace-nodes-above-bound"),
+        pytest.param(["basis", "--n", str(cli.MAX_BASIS_N + 1), "--vectors", "1"], f"argument --n: must be <= "
+                     f"{cli.MAX_BASIS_N}, got {cli.MAX_BASIS_N + 1}", id="basis-n-above-bound"),
+        pytest.param(["basis", "--nodes", str(cli.MAX_NODES + 1), "--vectors", "1"], f"argument --nodes: must be "
+                     f"<= {cli.MAX_NODES}, got {cli.MAX_NODES + 1}", id="basis-nodes-above-bound"),
+        pytest.param(["sumspace", "--points", str(cli.MAX_SUMSPACE_POINTS + 1)], f"argument --points: must be "
+                     f"<= {cli.MAX_SUMSPACE_POINTS}, got {cli.MAX_SUMSPACE_POINTS + 1}", id="sumspace-points-above-bound"),
+        pytest.param(["sumspace", "--nodes", str(cli.MAX_NODES + 1)], f"argument --nodes: must be <= "
+                     f"{cli.MAX_NODES}, got {cli.MAX_NODES + 1}", id="sumspace-nodes-above-bound"),
     ])
     def test_empty_run_rejected(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -579,7 +576,7 @@ class TestPw:
     def test_cond_below_one_rejected(self, capsys):
         assert main(["pw", "--dim", "2", "--trials", "1", "--cond", "0.5"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "cond must be >= 1" in err
+        assert out == "" and "argument --cond: must be >= 1.0, got 0.5" in err
 
     @pytest.mark.parametrize("cond", ["1e16", "1e20", "1e100", "1e300"])
     def test_cond_above_strict_positivity_rejected(self, cond, capsys):
@@ -587,7 +584,7 @@ class TestPw:
         # "matrix has non-finite entries" after overflow warnings, which name no flag
         assert main(["pw", "--dim", "2", "--trials", "3", "--cond", cond]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --cond must be <= 1/EPS_PD = {1 / EPS_PD:g}, got {float(cond)}\n"
+        assert out == "" and err.startswith(f"error: argument --cond: must be <= {1 / EPS_PD}, got {float(cond)}\n")
 
     def test_cond_ceiling_is_one_over_eps_pd(self, capsys, monkeypatch):
         # the ceiling is numlin's strict-positivity threshold, checked before any draw
@@ -600,14 +597,14 @@ class TestPw:
         monkeypatch.setattr(geomean, "random_commuting_pair", draw)
         ceiling = 1.0 / EPS_PD
         assert main(["pw", "--dim", "2", "--trials", "1", "--cond", repr(math.nextafter(ceiling, math.inf))]) == 2
-        assert "--cond must be <= 1/EPS_PD" in capsys.readouterr().err
+        assert f"argument --cond: must be <= {1 / EPS_PD}" in capsys.readouterr().err
         with pytest.raises(Drawn):
             main(["pw", "--dim", "2", "--trials", "1", "--cond", repr(ceiling)])
 
     def test_seed_checked_before_any_runner(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.RUNNERS, "bracket", lambda args: pytest.fail("the runner ran"))
         assert main(["bracket", "--seed", "-1"]) == 2
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 COLD_START = """
@@ -650,6 +647,64 @@ def with_report_inputs(argv, tmp_path):
     path = tmp_path / "bracket.json"
     path.write_text(Report("bracket", {}, [{"n": 8}]).to_json(), encoding="utf-8")
     return argv + [str(path), str(path)]
+
+
+# each command's other size flags at small values, so that every walked edge runs fast
+SMALL = {
+    "pw": ["--dim", "2", "--trials", "1", "--nodes", "16"],
+    "ohnorm": ["--n", "2", "--m", "2", "--trials", "1", "--restarts", "1"],
+    "basis": ["--n", "2", "--nodes", "16", "--vectors", "1"],
+    "sumspace": ["--points", "4", "--nodes", "16", "--t-sweep", "1"],
+    "bracket": ["--n-list", "8", "--grid", "16"],
+    "free": ["--dim", "8", "--summands", "2", "--trials", "1"],
+    "fock": ["--cutoff", "4", "--kmax", "2"],
+    "report": [],
+}
+
+
+def walked_flags():
+    """(command, flag, values) for each number and list flag of the parser:
+    numbers get 0, -1, nan, inf and x, and ceiling + 1 where their type has a
+    ceiling (none gets a large value otherwise); lists get '', 0, x and nan."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if getattr(action.type, "kind", action.type) in (int, float):
+                values = ["0", "-1", "nan", "inf", "x"]
+                if getattr(action.type, "hi", math.inf) < math.inf:
+                    values.append(str(action.type.hi + 1))
+            elif action.type in (cli._n_list, cli._t_sweep):
+                values = ["", "0", "x", "nan"]
+            else:
+                continue
+            yield pytest.param(command, action.option_strings[0], values, id=command + action.option_strings[0])
+
+
+class TestFlagEdges:
+    @pytest.mark.parametrize("argv, named", [([], "subcommand"), (["fock", "--bogus", "1"], "--bogus"),
+                                             (["bracket", "--grid", "x"], "--grid")],
+                             ids=["no-command", "unknown-flag", "not-an-int"])
+    def test_parser_errors_return_two(self, argv, named, capsys):
+        # argparse's own errors used to raise SystemExit(2) out of main
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and named in err and "usage: ohlab" in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["bracket", "--help"])
+        assert done.value.code == 0 and "--n-list" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag, values", walked_flags())
+    def test_every_edge_exits_with_a_status(self, command, flag, values, tmp_path, capsys):
+        # the last of a repeated flag wins, so the walked value replaces the small one
+        for value in values:
+            argv = with_report_inputs([command], tmp_path) + SMALL[command] + [f"{flag}={value}"]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), argv
+            assert code != 2 or flag in err, (argv, err)
 
 
 class TestColdStart:
@@ -747,8 +802,6 @@ class TestParams:
         flags = vars(cli.build_parser().parse_args(argv))
         for key in ("subcommand", "format", "out"):
             del flags[key]
-        # the list flags are reported as the lists they parse to
-        flags.update({k: v for k, v in {"t_sweep": [0.1, 1.0], "n_list": [8, 16]}.items() if k in flags})
         out = tmp_path / "r.json"
         assert main(argv + ["--out", str(out), "--format", "json"]) == 0
         params = json.loads(out.read_text())["params"]

@@ -59,6 +59,14 @@ class TestPrimal:
         with pytest.raises(ValueError, match="shape"):
             pw_primal(p, [1.0, 0.0, 0.0], RULE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_vector_rejected(self, bad):
+        # each route returned nan, with a RuntimeWarning from the pencil product
+        p = PWProblem.build(np.eye(2), np.eye(2))
+        for route in (lambda x: pw_primal(p, x, RULE), lambda x: pw_dual(p, x, RULE), lambda x: pw_oracle(p, x)):
+            with pytest.raises(ValueError, match="vector must be finite"):
+                route([1.0, bad])
+
     def test_rejects_singular_input(self):
         with pytest.raises(ValueError, match="strictly positive"):
             PWProblem.build(np.diag([1.0, 0.0]), np.eye(2))

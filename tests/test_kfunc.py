@@ -62,6 +62,23 @@ def brute_l2sum1(k, w):
     return best
 
 
+class TestRecordInputs:
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: WeightedGrid([0.5, 0.5], [1.0, 1.0], [1.0]), "h has shape", id="grid-h-short"),
+        pytest.param(lambda: WeightedGrid([0.5, 0.5], [1.0, np.nan], [1.0, 1.0]), "g must be finite", id="grid-g-nan"),
+        pytest.param(lambda: WeightedGrid([0.5, 0.5], [1.0, 1.0], [1.0, 0.0]), "h must be strictly positive",
+                     id="grid-h-zero"),
+        pytest.param(lambda: WeightedGrid([], [], []), "base_weights has shape", id="grid-empty"),
+        pytest.param(lambda: ThreeTermSpec(1.0, [1.0, 2.0], [1.0]), "base_weights has shape", id="spec-short"),
+        pytest.param(lambda: ThreeTermSpec(1.0, [1.0, 1.0j], [0.5, 0.5]), "d must be real", id="spec-complex"),
+        pytest.param(lambda: ThreeTermSpec(math.nan, [1.0], [1.0]), "t_param", id="spec-t-nan"),
+    ])
+    def test_rejected(self, build, match):
+        # each array enters through numlin.as_array, which names it
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 class TestL2Sum2:
     def test_uniform_constant(self):
         w = WeightedGrid(base_weights=np.full(5, 0.2), g=np.ones(5), h=np.ones(5))

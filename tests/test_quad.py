@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ohlab.quad import (
+    ArcsineRule,
     Grid2D,
     arcsine_rule,
 )
@@ -46,6 +47,13 @@ class TestArcsineRule:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             arcsine_rule(0)
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [1.0, np.nan]])
+    def test_rejects_nan_weights(self, weights):
+        # |sum - 1| > 1e-14 is False for a NaN sum, so such a rule used to
+        # build, and every integral against it read nan
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ArcsineRule(2, np.array([0.25, 0.75]), np.array(weights))
 
     def test_constant(self):
         assert abs(integrate_mu(lambda t: np.ones_like(t), arcsine_rule(8)) - 1.0) < 1e-15

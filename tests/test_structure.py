@@ -1,5 +1,5 @@
 """Structural guards: one interval type, one verdict path, one JSON emitter,
-one Q-forming path, a CLI that imports its computing modules lazily, no
+one Q-forming path, one array ingest, a CLI that imports its computing modules lazily, no
 module that imports numpy when it loads, and no public name in ``src/ohlab``
 that only tests reach.
 
@@ -8,6 +8,9 @@ only, and only ``numlin`` raises ``BoundViolation``; every other module
 states its inequalities through ``numlin.violation`` and ``numlin.require``.
 Each Haar factor is formed by ``numpy.linalg.lapack_lite.zungqr`` in
 ``freeprob``, and no module factors a matrix with ``np.linalg.qr``.
+Arrays are checked for finiteness by ``numlin.as_array`` alone (beside the
+Gram condition number in ``geomean.pw_dual``), and ``cli`` checks each flag
+in its argparse ``type``, with no helper of its own.
 ``cli`` imports only ``numlin`` and ``report`` of ohlab at module level.  No
 module imports numpy there: each imports it inside the functions that handle
 an array, and ``tensorlog`` imports it nowhere.  No module uses
@@ -18,6 +21,8 @@ or the package's script entry point.
 """
 
 import ast
+import copy
+import pickle
 import re
 from pathlib import Path
 
@@ -27,6 +32,7 @@ from numpy.linalg import lapack_lite
 
 import ohlab
 from ohlab import freeprob, geomean, kfunc, ohspace, quad, report, tensorlog
+from ohlab.numlin import PositiveMatrix
 
 SRC = Path(ohlab.__file__).resolve().parent
 SHARED = {"Bounded", "BoundViolation", "ROUNDING"}
@@ -120,6 +126,31 @@ def test_one_q_forming_path():
 def test_numpy_exposes_zungqr():
     # every free and pw run draws through it: a numpy without it fails here
     assert callable(getattr(lapack_lite, "zungqr", None))
+
+
+def array_isfinite_uses(tree) -> set:
+    """Names of the module-level definitions that read an array ``isfinite``
+    (any ``<x>.isfinite`` but ``math``'s) or import it from numpy."""
+    def reads(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "math")) or (
+            isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+            and any(a.name == "isfinite" for a in node.names))
+    return {getattr(top, "name", "<module>") for top in tree.body if any(map(reads, ast.walk(top)))}
+
+
+def test_one_array_ingest():
+    # numlin.as_array checks every array that enters the library; the Gram
+    # operator's condition number is a computed figure, not an input
+    uses = {path.stem: array_isfinite_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in uses.items() if names} == {"numlin": {"as_array"},
+                                                                          "geomean": {"pw_dual"}}
+    assert not definitions(parsed("cli")) & {"check_counts", "check_finite", "parse_list"}
+    # the guard sees an attribute read and an import, and passes over math's
+    probe = ast.parse("import math\nfrom numpy import isfinite\n\n\ndef f(x):\n    return math.isfinite(x)\n\n\n"
+                      "def g(x):\n    return xp.isfinite(x)\n")
+    assert array_isfinite_uses(probe) == {"<module>", "g"}
 
 
 def eager_imports(tree) -> list:
@@ -244,6 +275,30 @@ def test_records_are_immutable(name):
     for attr in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, attr, None)
+
+
+def same(a, b) -> bool:
+    """Field by field: arrays by dtype and value, a PositiveMatrix by its slots, NaN as NaN."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, PositiveMatrix):
+        return type(b) is PositiveMatrix and all(same(getattr(a, s), getattr(b, s)) for s in PositiveMatrix.__slots__)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_copy_and_pickle(name, clone):
+    # a NamedTuple reduces to all its fields, so a record whose __new__ takes
+    # only its inputs (BallPoint, PWProblem) returns them from __getnewargs__
+    record = RECORDS[name][0]()
+    twin = clone(record)
+    assert type(twin) is type(record) and same(tuple(twin), tuple(record))
 
 
 ROOT = Path(__file__).resolve().parents[1]
