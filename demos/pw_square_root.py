@@ -26,7 +26,7 @@ def main():
     rng = np.random.default_rng(2024)
 
     print("scalar warm-up: A=4, B=1 (geometric mean 2)")
-    scalar = PWProblem.build(np.array([[4.0]]), np.array([[1.0]]))
+    scalar = PWProblem(np.array([[4.0]]), np.array([[1.0]]))
     print(f"  primal = {pw_primal(scalar, [1.0], rule):.12f}")
     print(f"  dual   = {pw_dual(scalar, [1.0], rule)[0]:.12f}")
 

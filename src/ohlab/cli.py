@@ -58,6 +58,10 @@ EXIT_NUMERICAL = 3
 # default and ceiling and is echoed in each row, so old invocations still work
 DEFAULT_BRACKET_GRID = 1024
 MAX_BRACKET_GRID = 2048
+# the largest n whose upper-route delta = 1/(e^2 n^2) is a normal float: n^2 may round
+# up to the float 1/(e^2 min), not to the next one (tensorlog.diag_upper_bound checks too)
+_E2N2 = 1.0 / (math.e**2 * sys.float_info.min)
+MAX_BRACKET_N = math.isqrt(int(_E2N2) + int(math.ulp(_E2N2)) // 2)
 # a free trial streams its members' lower block-triangles into one sum, so
 # its memory is the sum, one Haar factor and dim x 128 panels whatever
 # --summands is; cold `free --dim 2048 --summands 16 --trials 1` peaked at
@@ -119,8 +123,8 @@ def _values(text: str, read) -> list:
 
 
 def _n_list(text: str) -> list:
-    """``--n-list``: integers >= 1, run in the order given."""
-    return _values(text, _Range(int, 1))
+    """``--n-list``: integers in [1, MAX_BRACKET_N], run in the order given."""
+    return _values(text, _Range(int, 1, MAX_BRACKET_N))
 
 
 def _t_sweep(text: str) -> list:

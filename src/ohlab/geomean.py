@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .freeprob import haar_unitary
-from .numlin import PositiveMatrix, as_array, commuting_pair, hermitian_part, sqrt_commuting
+from .numlin import PositiveMatrix, as_array, hermitian_part, opnorm
 from .quad import ArcsineRule
 
 if TYPE_CHECKING:  # annotations only: numpy loads when an array is first handled
@@ -54,49 +54,60 @@ __all__ = [
     "random_commuting_pair",
 ]
 
+COMMUTE_TOL = 1e-8      # ||AB-BA|| <= tol * ||A|| ||B||
+
 
 class PWProblem(NamedTuple("PWProblem", [("A", PositiveMatrix), ("B", PositiveMatrix),
                                            ("pencil", "tuple[np.ndarray, np.ndarray]")])):
-    """A commuting, strictly positive pair (A, B).
-
-    ``pencil`` is (lam, X) with
-    (t A^{-1} + (1-t) B^{-1})^{-1} = X diag(1/(t lam + 1 - t)) X^H.
-    From the Cholesky factors B = R R^H and A = S S^H: L = R^{-H} gives
-    B^{-1} = L L^H, and L^{-1} A^{-1} L^{-H} = R^H A^{-1} R = C^H C with
-    C = S^{-1} R.  The SVD C = U diag(sqrt(lam)) V^H gives lam and V, and
-    X = L^{-H} V = R V.  Neither A^{-1} nor B^{-1} is formed, and the SVD
-    keeps the small lam to a relative accuracy that eigh of C^H C loses.
-    Read-only; computed once, when the problem is built, whatever the rule.
-    """
+    """A commuting, strictly positive pair (A, B), as arrays or ``PositiveMatrix``
+    values; ValueError names the first failed check (one dimension, ||AB-BA|| <=
+    COMMUTE_TOL ||A|| ||B||, strict positivity), and no route checks it again.
+    ``pencil`` is ``_pencil(A, B)``.  Read-only; copy and pickle re-certify."""
 
     __slots__ = ()
 
     def __new__(cls, A, B):
-        import numpy as np
-
-        r = np.linalg.cholesky(B.mat)
-        c = np.linalg.solve(np.linalg.cholesky(A.mat), r)
-        _, sv, vh = np.linalg.svd(c)
-        lam, x = sv**2, r @ vh.conj().T
-        lam.flags.writeable = False
-        x.flags.writeable = False
-        return super().__new__(cls, A, B, (lam, x))
+        pa, pb = (m if isinstance(m, PositiveMatrix) else PositiveMatrix(m) for m in (A, B))
+        if pa.dim != pb.dim:
+            raise ValueError("dimension mismatch between A and B")
+        comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
+        bound = COMMUTE_TOL * pa.norm * pb.norm
+        if comm > bound:
+            raise ValueError(f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
+                             f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {bound:.3e}")
+        for name, p in (("A", pa), ("B", pb)):
+            if not p.strictly_positive:
+                raise ValueError(f"{name} must be strictly positive")
+        return super().__new__(cls, pa, pb, _pencil(pa, pb))
 
     def __getnewargs__(self):
         # copy and pickle rebuild the problem from its inputs, as __new__ takes them
         return self.A, self.B
 
-    @classmethod
-    def build(cls, a, b) -> "PWProblem":
-        pa, pb = commuting_pair(a, b)
-        for name, p in (("A", pa), ("B", pb)):
-            if not p.strictly_positive:
-                raise ValueError(f"{name} must be strictly positive")
-        return cls(pa, pb)
-
     @property
     def dim(self) -> int:
         return self.A.dim
+
+
+def _pencil(A: PositiveMatrix, B: PositiveMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, X), read-only, with (t A^{-1} + (1-t) B^{-1})^{-1} = X diag(1/(t lam + 1 - t)) X^H,
+    for any strictly positive pair, commuting or not.
+
+    From the Cholesky factors B = R R^H and A = S S^H: L = R^{-H} gives
+    B^{-1} = L L^H, and L^{-1} A^{-1} L^{-H} = R^H A^{-1} R = C^H C with
+    C = S^{-1} R.  The SVD C = U diag(sqrt(lam)) V^H gives lam and V, and
+    X = L^{-H} V = R V.  Neither A^{-1} nor B^{-1} is formed, and the SVD
+    keeps the small lam to a relative accuracy that eigh of C^H C loses.
+    """
+    import numpy as np
+
+    r = np.linalg.cholesky(B.mat)
+    c = np.linalg.solve(np.linalg.cholesky(A.mat), r)
+    _, sv, vh = np.linalg.svd(c)
+    lam, x = sv**2, r @ vh.conj().T
+    lam.flags.writeable = False
+    x.flags.writeable = False
+    return lam, x
 
 
 class DualWitness(NamedTuple):
@@ -177,12 +188,13 @@ def dual_witness_validate(w: DualWitness, p: PWProblem, rule: ArcsineRule):
 
 
 def pw_oracle(p: PWProblem, x) -> float:
-    """Direct ((AB)^{1/2} x, x) with (AB)^{1/2} = A^{1/2} B^{1/2} (``sqrt_commuting``)."""
+    """Direct ((AB)^{1/2} x, x) with (AB)^{1/2} = A^{1/2} B^{1/2}, each root read from
+    its stored spectrum: no eigenbasis is shared, so close eigenvalues never merge."""
     import numpy as np
 
     v = as_array(x, (p.dim,), "vector")
-    root = sqrt_commuting(p.A, p.B)
-    return float(np.vdot(v, root.mat @ v).real)
+    root = hermitian_part(p.A.func(np.sqrt) @ p.B.func(np.sqrt))
+    return float(np.vdot(v, root @ v).real)
 
 
 def random_commuting_pair(dim: int, rng: np.random.Generator, cond: float = 100.0):
@@ -201,4 +213,4 @@ def random_commuting_pair(dim: int, rng: np.random.Generator, cond: float = 100.
     wb = np.exp(rng.uniform(0.0, span, size=dim))
     a = hermitian_part((q * wa) @ q.conj().T)
     b = hermitian_part((q * wb) @ q.conj().T)
-    return PWProblem.build(a, b)
+    return PWProblem(a, b)

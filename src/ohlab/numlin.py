@@ -3,20 +3,18 @@
 Every inequality ohlab claims is decided by ``violation`` (hard invariants
 raise its line through ``require``), and ``Bounded`` is the one interval type.
 
-One certified matrix type, ``PositiveMatrix``, the one commuting-pair check
-(``commuting_pair``), the one Hermitian part and square roots of commuting
-positive pairs.  A ``PositiveMatrix`` is symmetrised on ingest and factorised
-once: its eigendecomposition ``eig`` is checked by its reconstruction
-residual, eigenvalues just below zero are clamped, and callers read its norm
-and functions of it (``PositiveMatrix.func``: the square roots of
-``sqrt_commuting`` and ``geomean.pw_dual``) from the stored spectrum.
+The one Hermitian part, and one certified matrix type, ``PositiveMatrix``:
+symmetrised on ingest and factorised once, its eigendecomposition ``eig``
+checked by its reconstruction residual and eigenvalues just below zero
+clamped.  Callers read its norm and functions of it (``PositiveMatrix.func``:
+``geomean``'s roots and inverses) from the stored spectrum.
 
 All values are immutable after construction and every operation is pure.
 
 The verdicts and the interval type are pure ``math``: numpy is imported inside
-the four functions that handle an array (``as_array``, ``opnorm``,
-``PositiveMatrix.__init__`` and ``sqrt_commuting``), so a command that checks
-only scalar inequalities, such as ``bracket``, never loads it.
+the three functions that handle an array (``as_array``, ``opnorm`` and
+``PositiveMatrix.__init__``), so a command that checks only scalar
+inequalities, such as ``bracket``, never loads it.
 """
 
 from __future__ import annotations
@@ -35,17 +33,14 @@ __all__ = [
     "violation",
     "require",
     "PositiveMatrix",
-    "commuting_pair",
     "hermitian_part",
     "opnorm",
-    "sqrt_commuting",
 ]
 
 # Relative tolerances for structure certification.
 HERM_TOL = 1e-12        # Hermitian ingest check
 PSD_CLAMP_TOL = 1e-10   # eigenvalues in [-tol*|H|, 0) are clamped to 0
 EPS_PD = 1e-12          # strict positivity: min_eig > EPS_PD * |H|
-COMMUTE_TOL = 1e-8      # ||AB-BA|| <= tol * ||A|| ||B||
 
 # c eps per unit of term magnitude: the rounding bound on a closed form summed
 # from a handful of terms (tensorlog) and on a computed derivative (kfunc)
@@ -201,29 +196,3 @@ class PositiveMatrix:
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
-
-def commuting_pair(a, b) -> tuple[PositiveMatrix, PositiveMatrix]:
-    """(A, B) as PositiveMatrix, of one dimension, with ||AB-BA|| <= COMMUTE_TOL ||A|| ||B||."""
-    pa, pb = (m if isinstance(m, PositiveMatrix) else PositiveMatrix(m) for m in (a, b))
-    if pa.dim != pb.dim:
-        raise ValueError("dimension mismatch between A and B")
-    comm = opnorm(pa.mat @ pb.mat - pb.mat @ pa.mat)
-    bound = COMMUTE_TOL * pa.norm * pb.norm
-    if comm > bound:
-        raise ValueError(f"matrices do not commute: ||AB-BA|| = {comm:.3e} > "
-                         f"{COMMUTE_TOL:.0e} * ||A|| ||B|| = {bound:.3e}")
-    return pa, pb
-
-
-def sqrt_commuting(a, b) -> PositiveMatrix:
-    """Positive square root of AB for a commuting positive pair.
-
-    Commuting positive matrices have commuting positive roots, so
-    (AB)^{1/2} = A^{1/2} B^{1/2}, each root read from its matrix's stored
-    spectrum: no common eigenbasis is needed, so close eigenvalues of A are
-    never merged.  The pair is certified by ``commuting_pair``.
-    """
-    import numpy as np
-
-    pa, pb = commuting_pair(a, b)
-    return PositiveMatrix(hermitian_part(pa.func(np.sqrt) @ pb.func(np.sqrt)))

@@ -74,11 +74,11 @@ def test_traced_sumspace_counts_the_kfunc_solves(capsys):
 
 
 def test_traced_pw_reads_each_factorisation(capsys):
-    # per trial: two ingests and the root's ingest build a PositiveMatrix
-    # (one eigh each); the oracle's roots, the dual and the norm checks read
-    # the stored spectra and solve nothing again.  The pair's eigenbasis is
-    # one freeprob Haar draw, and the commuting check runs at build and again
-    # in the oracle's sqrt_commuting
+    # per trial: the pair's two ingests build a PositiveMatrix (one eigh
+    # each); the oracle's roots, the dual and the norm checks read the stored
+    # spectra, and the oracle ingests no root.  The pair's eigenbasis is one
+    # freeprob Haar draw, and its one commuting check, the opnorm of AB - BA,
+    # runs in the PWProblem constructor
     tracing = load_tracing()
     rec = tracing.Recorder()
     with tracing.tracing(rec):
@@ -87,9 +87,9 @@ def test_traced_pw_reads_each_factorisation(capsys):
     capsys.readouterr()
     records = rec.records()
     m = tracing.layer_metrics(records, 1)
-    assert m["numlin.positive_builds"] == 2 * 3
-    assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 3
+    assert m["numlin.positive_builds"] == 2 * 2
+    assert sum(r["name"] == "linalg.eigh" for r in records) == 2 * 2
     assert m["freeprob.haar_calls"] == 2
-    assert sum(r["name"] == "numlin.commuting_pair" for r in records) == 2 * 2
+    assert sum(r["name"] == "numlin.opnorm" for r in records) == 2 * 1
     # the witness check reads A^{-1} and B^{-1} from the stored spectra
     assert [r for r in records if r["name"] == "linalg.inv"] == []

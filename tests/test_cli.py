@@ -1,14 +1,18 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ohlab import cli, freeprob, geomean, kfunc, ohspace, tensorlog
 from ohlab.cli import main
@@ -308,6 +312,24 @@ class TestBracket:
         code, doc = run_in_process(["bracket", "--n-list", str(24 * 10**152)], capsys)
         assert code == 0 and doc["rows"][0]["delta"]["upper"] >= sys.float_info.min
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(n=st.one_of(st.integers(1, cli.MAX_BRACKET_N),
+                       st.integers(0, 10**6).map(lambda k: cli.MAX_BRACKET_N - k)))
+    def test_every_accepted_n_runs_the_upper_route(self, n):
+        # the parser's ceiling is where the upper route's own check begins
+        assert cli.build_parser().parse_args(["bracket", "--n-list", f"8,{n}"]).n_list == [8, n]
+        assert tensorlog.diag_upper_bound(n).delta >= sys.float_info.min
+
+    def test_n_list_ceiling_is_the_upper_route_limit(self, capsys):
+        # one past the ceiling, the parser names the flag, and the upper route
+        # would refuse it too: MAX_BRACKET_N is the largest n it takes
+        past = cli.MAX_BRACKET_N + 1
+        with pytest.raises(ValueError, match="too large: delta"):
+            tensorlog.diag_upper_bound(past)
+        assert main(["bracket", "--n-list", f"8,{past}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: argument --n-list: must be <= {cli.MAX_BRACKET_N}, got {past}\n")
+
 
 @pytest.fixture
 def fresh_parser():
@@ -482,9 +504,10 @@ class TestPw:
         pytest.param(["sumspace", "--t-sweep", ","], "--t-sweep", id="sumspace"),
         pytest.param(["bracket", "--n-list", ","], "--n-list", id="bracket"),
         # delta = 1/(e^2 n^2) must be a positive normal float; 1e160 used to
-        # overflow in e^2 n^2 (exit 1)
-        pytest.param(["bracket", "--n-list", f"8,{10**160}"], "delta", id="bracket-n-1e160"),
-        pytest.param(["bracket", "--n-list", f"8,{25 * 10**152}"], "delta", id="bracket-n-2.5e153"),
+        # overflow in e^2 n^2 (exit 1), and then to exit 2 naming no flag
+        pytest.param(["bracket", "--n-list", f"8,{10**160}"], "argument --n-list: must be <= ", id="bracket-n-1e160"),
+        pytest.param(["bracket", "--n-list", f"8,{25 * 10**152}"], "argument --n-list: must be <= ",
+                     id="bracket-n-2.5e153"),
         # these ran to the end and then failed in Report.to_json (NaN is not
         # JSON) or in the eigenvalue draw (inf), outside main's error handling
         pytest.param(["pw", "--trials", "1", "--nodes", "16", "--tol", "nan"], "--tol", id="pw-tol-nan"),
@@ -665,7 +688,8 @@ SMALL = {
 def walked_flags():
     """(command, flag, values) for each number and list flag of the parser:
     numbers get 0, -1, nan, inf and x, and ceiling + 1 where their type has a
-    ceiling (none gets a large value otherwise); lists get '', 0, x and nan."""
+    ceiling (none gets a large value otherwise); lists get '', 0, x and nan,
+    and --n-list its ceiling + 1."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     for command, sub in commands.items():
@@ -675,7 +699,7 @@ def walked_flags():
                 if getattr(action.type, "hi", math.inf) < math.inf:
                     values.append(str(action.type.hi + 1))
             elif action.type in (cli._n_list, cli._t_sweep):
-                values = ["", "0", "x", "nan"]
+                values = ["", "0", "x", "nan"] + [str(cli.MAX_BRACKET_N + 1)] * (action.type is cli._n_list)
             else:
                 continue
             yield pytest.param(command, action.option_strings[0], values, id=command + action.option_strings[0])
@@ -705,6 +729,64 @@ class TestFlagEdges:
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), argv
             assert code != 2 or flag in err, (argv, err)
+
+
+EDGES = ["0", "-1", "nan", "inf", "x"]
+PW_FLAGS = ("--dim", "--trials", "--nodes", "--tol", "--cond", "--seed")
+
+
+@st.composite
+def pw_argv(draw):
+    """``pw`` argv: at most two flags at an edge value, the rest small and valid
+    (--dim <= 8, --nodes <= 64, --trials <= 3).  The edges are 0, -1, nan, inf
+    and x, and each ceiling + 1: MAX_PW_DIM, --nodes x --dim and 1/EPS_PD for
+    --cond, which also gets its valid extremes 1 and 1e12.  A valid --tol,
+    --cond or --seed may be left at its default."""
+    edged = draw(st.sets(st.sampled_from(PW_FLAGS), max_size=2))
+
+    def value(flag, valid, *edges):
+        pool = EDGES + [str(e) for e in edges] if flag in edged else []
+        return draw(st.sampled_from(pool) if pool else valid.map(str))
+
+    dim = value("--dim", st.integers(1, 8), cli.MAX_PW_DIM + 1)
+    # the ceiling is on the product, so --nodes's edge is one past it at the drawn dim
+    dims = int(dim) if dim.isdigit() and 1 <= int(dim) <= 8 else 4
+    flags = {"--dim": dim, "--trials": value("--trials", st.integers(1, 3)),
+             "--nodes": value("--nodes", st.integers(1, 64), cli.MAX_PW_NODES_DIM // dims + 1),
+             "--tol": value("--tol", st.floats(1e-12, 1.0)),
+             "--cond": value("--cond", st.floats(1.0, 1e6), 1.0, 1e12, 1.0 / EPS_PD + 1.0),
+             "--seed": value("--seed", st.integers(0, 2**32))}
+    kept = [f for f in flags if f in ("--dim", "--trials", "--nodes") or f in edged or draw(st.booleans())]
+    return ["pw"] + [f"{f}={flags[f]}" for f in kept]
+
+
+class TestPwContract:
+    # each ceiling + 1 and --cond's extremes, whatever the draw reaches
+    @example(argv=["pw", f"--dim={cli.MAX_PW_DIM + 1}", "--trials=1", "--nodes=16"])
+    @example(argv=["pw", "--dim=8", "--trials=1", f"--nodes={cli.MAX_PW_NODES_DIM // 8 + 1}"])
+    @example(argv=["pw", "--dim=2", "--trials=1", "--nodes=16", f"--cond={1.0 / EPS_PD + 1.0}"])
+    @example(argv=["pw", "--dim=8", "--trials=3", "--nodes=64", "--cond=1e12"])
+    @example(argv=["pw", "--dim=8", "--trials=3", "--nodes=64", "--cond=1"])
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=pw_argv())
+    def test_every_pw_argv_exits_with_a_status(self, argv):
+        # main returns for every input and raises nothing; an exit 2 names a
+        # flag, an exit 1 prints only bound violations beside the timing line,
+        # an exit 3 is a numerical failure, and an exit 0 writes strict JSON
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        if code == 0:
+            assert strict_loads(out)["experiment"] == "pw"
+        elif code == 1:
+            lines = [line for line in err.splitlines() if not re.fullmatch(r"ohlab pw: \d+ rows in \S+s", line)]
+            assert lines and all(line.startswith("bound violation: ") for line in lines), (argv, err)
+        elif code == 2:
+            assert any(flag in err for flag in PW_FLAGS), (argv, err)
+        else:
+            assert err.startswith("numerical failure: "), (argv, err)
 
 
 class TestColdStart:

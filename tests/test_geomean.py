@@ -1,9 +1,14 @@
+import copy
+import pickle
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
 
 from ohlab.geomean import (
     PWProblem,
+    _pencil,
     dual_witness_validate,
     pw_dual,
     pw_oracle,
@@ -11,19 +16,19 @@ from ohlab.geomean import (
     random_commuting_pair,
 )
 from ohlab.freeprob import haar_unitary
-from ohlab.numlin import PositiveMatrix, hermitian_part, sqrt_commuting
+from ohlab.numlin import PositiveMatrix, hermitian_part
 from ohlab.quad import arcsine_rule
 
 RULE = arcsine_rule(4096)
 
 
 def scalar_problem(a, b):
-    return PWProblem.build(np.array([[a]]), np.array([[b]]))
+    return PWProblem(np.array([[a]]), np.array([[b]]))
 
 
 class TestPrimal:
     def test_identity_pair(self):
-        p = PWProblem.build(np.eye(3), np.eye(3))
+        p = PWProblem(np.eye(3), np.eye(3))
         x = np.array([1.0, 0.0, 0.0])
         assert pw_primal(p, x, RULE) == pytest.approx(1.0, abs=1e-12)
 
@@ -31,14 +36,14 @@ class TestPrimal:
         assert pw_primal(scalar_problem(4.0, 1.0), [1.0], RULE) == pytest.approx(2.0, rel=1e-10)
 
     def test_diagonal_example(self):
-        p = PWProblem.build(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
+        p = PWProblem(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
         val = pw_primal(p, [1.0, 1.0], RULE)
         assert val == pytest.approx(5.0, rel=1e-10)
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(0)
         p = random_commuting_pair(5, rng, cond=50.0)
-        swapped = PWProblem.build(p.B, p.A)
+        swapped = PWProblem(p.B, p.A)
         x = rng.standard_normal(5)
         a = pw_primal(p, x, RULE)
         b = pw_primal(swapped, x, RULE)
@@ -49,42 +54,65 @@ class TestPrimal:
         p = random_commuting_pair(4, rng, cond=10.0)
         x = rng.standard_normal(4)
         lam = 2.5
-        scaled = PWProblem.build(lam * p.A.mat, lam * p.B.mat)
+        scaled = PWProblem(lam * p.A.mat, lam * p.B.mat)
         a = pw_primal(p, x, RULE)
         b = pw_primal(scaled, x, RULE)
         assert abs(b - lam * a) <= 1e-10 * max(abs(b), 1.0)
 
     def test_dimension_mismatch(self):
-        p = PWProblem.build(np.eye(2), np.eye(2))
+        p = PWProblem(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="shape"):
             pw_primal(p, [1.0, 0.0, 0.0], RULE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_vector_rejected(self, bad):
         # each route returned nan, with a RuntimeWarning from the pencil product
-        p = PWProblem.build(np.eye(2), np.eye(2))
+        p = PWProblem(np.eye(2), np.eye(2))
         for route in (lambda x: pw_primal(p, x, RULE), lambda x: pw_dual(p, x, RULE), lambda x: pw_oracle(p, x)):
             with pytest.raises(ValueError, match="vector must be finite"):
                 route([1.0, bad])
 
     def test_rejects_singular_input(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            PWProblem.build(np.diag([1.0, 0.0]), np.eye(2))
+            PWProblem(np.diag([1.0, 0.0]), np.eye(2))
 
     def test_rejects_non_commuting(self):
         b = np.array([[1.0, 0.4], [0.4, 1.0]])
         with pytest.raises(ValueError, match="commute"):
-            PWProblem.build(np.diag([1.0, 3.0]), b)
+            PWProblem(np.diag([1.0, 3.0]), b)
 
-    def test_non_commuting_message_shared_with_sqrt(self):
-        # the problem and the oracle certify the pair with one check
-        a, b = np.diag([1.0, 3.0]), np.array([[1.0, 0.4], [0.4, 1.0]])
-        with pytest.raises(ValueError) as built:
-            PWProblem.build(a, b)
-        with pytest.raises(ValueError) as rooted:
-            sqrt_commuting(a, b)
-        assert str(built.value) == str(rooted.value)
-        assert str(built.value).startswith("matrices do not commute: ")
+
+BAD_PAIRS = {
+    "non-commuting": (np.diag([1.0, 3.0]), np.array([[1.0, 0.4], [0.4, 1.0]]), "^matrices do not commute: "),
+    "singular": (np.diag([1.0, 0.0]), np.eye(2), "^A must be strictly positive$"),
+    "mismatched": (np.eye(2), np.eye(3), "^dimension mismatch between A and B$"),
+}
+
+
+def forged(a, b):
+    # a PWProblem that skipped its certificate, to see copy and pickle rebuild through it
+    return tuple.__new__(PWProblem, (PositiveMatrix(a), PositiveMatrix(b), None))
+
+
+BUILDS = {
+    "arrays": lambda a, b: PWProblem(a, b),
+    "positive-matrices": lambda a, b: PWProblem(PositiveMatrix(a), PositiveMatrix(b)),
+    "copy": lambda a, b: copy.copy(forged(a, b)),
+    "deepcopy": lambda a, b: copy.deepcopy(forged(a, b)),
+    "pickle": lambda a, b: pickle.loads(pickle.dumps(forged(a, b))),
+}
+
+
+@pytest.mark.parametrize("pair", BAD_PAIRS)
+@pytest.mark.parametrize("build", BUILDS)
+def test_every_construction_path_certifies(build, pair):
+    # the constructor is the pair's one certificate, whether it is given
+    # arrays or PositiveMatrix values (a singular A must not reach the
+    # Cholesky step's LinAlgError), and copy and pickle rebuild through it
+    a, b, message = BAD_PAIRS[pair]
+    with pytest.raises(ValueError, match=message) as raised:
+        BUILDS[build](a, b)
+    assert not isinstance(raised.value, np.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("dim", [1, 4, 7, 64])
@@ -103,7 +131,7 @@ def test_random_pair_draws_a_haar_eigenbasis(dim):
 
 class TestDual:
     def test_identity_witness_constant(self):
-        p = PWProblem.build(np.eye(2), np.eye(2))
+        p = PWProblem(np.eye(2), np.eye(2))
         y = np.array([1.0, 0.0])
         val, w = pw_dual(p, y, RULE)
         assert val == pytest.approx(1.0, abs=1e-12)
@@ -115,7 +143,7 @@ class TestDual:
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_diagonal_unit_vector(self):
-        p = PWProblem.build(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
+        p = PWProblem(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
         val, _ = pw_dual(p, [1.0, 0.0], RULE)
         assert val == pytest.approx(3.0, rel=1e-10)
 
@@ -144,7 +172,7 @@ def close_pair():
     q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     wa = np.array([2.67290, 2.67479, 50.0, 3.8e5])
     wb = np.array([7.0e3, 1.3, 2.0, 45.0])
-    p = PWProblem.build((q * wa) @ q.conj().T, (q * wb) @ q.conj().T)
+    p = PWProblem((q * wa) @ q.conj().T, (q * wb) @ q.conj().T)
     return p, rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
 
@@ -173,7 +201,7 @@ class TestOracle:
 
 class TestWitness:
     def test_identity_witness(self):
-        p = PWProblem.build(np.eye(2), np.eye(2))
+        p = PWProblem(np.eye(2), np.eye(2))
         val, w = pw_dual(p, [1.0, 0.0], RULE)
         fn, resid = dual_witness_validate(w, p, RULE)
         assert fn == pytest.approx(1.0, abs=1e-10)
@@ -185,7 +213,7 @@ class TestWitness:
         assert fn == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
     def test_zero_witness(self):
-        p = PWProblem.build(np.eye(2), np.eye(2))
+        p = PWProblem(np.eye(2), np.eye(2))
         _, w = pw_dual(p, [1.0, 0.0], RULE)
         zero = type(w)(h_values=np.zeros_like(w.h_values))
         fn, resid = dual_witness_validate(zero, p, RULE)
@@ -223,7 +251,7 @@ class TestPencilInverses:
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
         def fresh():
-            return PWProblem.build(prob.A, prob.B)
+            return PWProblem(prob.A, prob.B)
 
         primal = pw_primal(prob, x, RULE)
         dual, witness = pw_dual(prob, x, RULE)
@@ -241,13 +269,13 @@ class TestPencilInverses:
 
 
 def non_commuting_problem(dim, rng, cond):
-    """A strictly positive pair in two unrelated eigenbases.  PWProblem.build
-    rejects it, but the pencil factorisation needs no commutation."""
+    """A strictly positive pair in two unrelated eigenbases, with its pencil.
+    PWProblem rejects it, but the pencil factorisation needs no commutation."""
     mats = []
     for _ in range(2):
         q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
         mats.append(PositiveMatrix((q * np.exp(rng.uniform(0.0, np.log(cond), dim))) @ q.conj().T))
-    return PWProblem(mats[0], mats[1])
+    return SimpleNamespace(A=mats[0], B=mats[1], pencil=_pencil(mats[0], mats[1]))
 
 
 def congruence_resolvent(p, t):
@@ -305,8 +333,8 @@ class TestStoredFactorisation:
     def test_routes_make_no_eigensolve_of_a_or_b(self, monkeypatch):
         # the problem's matrices hold their eigendecompositions from ingest;
         # the oracle, the dual and the primal read them, so once the problem
-        # is built the only eigensolve left is the ingest of the root
-        # A^{1/2} B^{1/2}
+        # is built no eigensolve is left: the root A^{1/2} B^{1/2} is a
+        # product of stored functions, ingested by nothing
         rng = np.random.default_rng(13)
         p = random_commuting_pair(4, rng, cond=1e3)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -321,5 +349,4 @@ class TestStoredFactorisation:
         pw_primal(p, x, RULE)
         pw_dual(p, x, RULE)
         pw_oracle(p, x)
-        assert not any(m.shape == (4, 4) and np.array_equal(m, q.mat) for m in solved for q in (p.A, p.B))
-        assert [m.shape for m in solved] == [(4, 4)]
+        assert solved == []

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ohlab.geomean import PWProblem, pw_oracle, random_commuting_pair
 from ohlab.numlin import (
     BoundViolation,
     PositiveMatrix,
-    commuting_pair,
     hermitian_part,
     opnorm,
     require,
-    sqrt_commuting,
     violation,
 )
 
@@ -187,43 +187,74 @@ class TestParallelSum:
         assert p.mat[0, 0].real == pytest.approx(a * b / (a + b), rel=1e-10)
 
 
+def sqrtm_form(a, b, x) -> float:
+    """((AB)^{1/2} x, x) from scipy's sqrtm of the product: the test's own route."""
+    return float(np.vdot(x, scipy.linalg.sqrtm(np.asarray(a) @ np.asarray(b)) @ x).real)
+
+
+def assert_oracle_matches_sqrtm(a, b, x, rel=1e-12):
+    # the error is measured against ||(AB)^{1/2}|| ||x||^2, the size of the form's terms
+    p = PWProblem(a, b)
+    scale = np.sqrt(p.A.norm * p.B.norm) * np.vdot(x, x).real
+    assert abs(pw_oracle(p, x) - sqrtm_form(p.A.mat, p.B.mat, x)) <= rel * scale
+
+
 class TestSqrtCommuting:
+    """The square root of a commuting positive pair, as ``geomean.pw_oracle``
+    reads it from the spectra the pair's PositiveMatrix values store, against
+    scipy's sqrtm of AB; and the pair's certificate, ``geomean.PWProblem``."""
+
     def test_identity(self):
-        assert np.allclose(sqrt_commuting(np.eye(2), np.eye(2)).mat, np.eye(2))
+        x = np.array([1.0 + 2.0j, -0.5, 3.0])
+        assert pw_oracle(PWProblem(np.eye(3), np.eye(3)), x) == pytest.approx(np.vdot(x, x).real, rel=1e-15)
+        assert_oracle_matches_sqrtm(np.eye(3), np.eye(3), x)
 
     def test_diagonal(self):
-        r = sqrt_commuting(np.diag([1.0, 4.0]), np.diag([9.0, 1.0]))
-        assert np.allclose(np.diag(r.mat).real, [3.0, 2.0], atol=1e-12)
+        # (AB)^{1/2} = diag(3, 2)
+        a, b = np.diag([1.0, 4.0]), np.diag([9.0, 1.0])
+        assert pw_oracle(PWProblem(a, b), [1.0, 1.0]) == pytest.approx(5.0, rel=1e-15)
+        assert_oracle_matches_sqrtm(a, b, np.array([1.0, 1.0]))
 
     def test_scalar_homogeneity(self):
-        r = sqrt_commuting(4.0 * np.eye(3), np.eye(3))
-        assert np.allclose(r.mat, 2.0 * np.eye(3), atol=1e-12)
+        # (4I)^{1/2} = 2I, and the root of (sA)(sB) is s times the root of AB
+        x = np.array([0.3, -1.0j, 2.0])
+        assert pw_oracle(PWProblem(4.0 * np.eye(3), np.eye(3)), x) == pytest.approx(2.0 * np.vdot(x, x).real)
+        p = random_commuting_pair(3, np.random.default_rng(3), cond=100.0)
+        scaled = PWProblem(2.5 * p.A.mat, 2.5 * p.B.mat)
+        assert pw_oracle(scaled, x) == pytest.approx(2.5 * pw_oracle(p, x), rel=1e-12)
+        assert_oracle_matches_sqrtm(scaled.A.mat, scaled.B.mat, x)
 
     def test_rejects_non_commuting(self):
+        # the check is relative, ||AB-BA|| <= 1e-8 ||A|| ||B||: a rescaled
+        # non-commuting pair is still refused, and a commuting pair perturbed
+        # far below the tolerance is still taken
         a = np.diag([1.0, 2.0])
         b = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(ValueError, match="commute"):
-            sqrt_commuting(a, b)
+        for scale in (1e-6, 1.0, 1e6):
+            with pytest.raises(ValueError, match="^matrices do not commute: "):
+                PWProblem(scale * a, b)
+        assert PWProblem(a, np.diag([3.0, 1.0]) + 1e-12 * b).dim == 2
 
     def test_zero_pair_commutes(self):
-        # commutator and bound are both 0, so the certificate passes
-        pa, pb = commuting_pair(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert pa.norm == pb.norm == 0.0
-        assert np.array_equal(sqrt_commuting(pa, pb).mat, np.zeros((3, 3)))
+        # commutator and bound are both 0, so the commuting check passes and
+        # the zero pair fails only for strict positivity
+        with pytest.raises(ValueError, match="^A must be strictly positive$"):
+            PWProblem(np.zeros((3, 3)), np.zeros((3, 3)))
 
     def test_pair_dimensions_must_match(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            commuting_pair(np.eye(2), np.eye(3))
+            PWProblem(np.eye(2), np.eye(3))
 
     def test_square_recovers_product(self):
+        # random commuting pairs with each factor's condition number up to 1e6:
+        # the sqrtm route's own error grows with cond
         rng = np.random.default_rng(4)
-        for _ in range(25):
-            dim = int(rng.integers(1, 9))
-            q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
-            a = (q * rng.uniform(0.1, 10.0, dim)) @ q.conj().T
-            b = (q * rng.uniform(0.1, 10.0, dim)) @ q.conj().T
-            r = sqrt_commuting(a, b).mat
-            assert opnorm(r @ r - a @ b) <= 1e-8 * opnorm(a) * opnorm(b)
+        for cond in (1.0, 1e2, 1e6):
+            for _ in range(10):
+                dim = int(rng.integers(1, 9))
+                p = random_commuting_pair(dim, rng, cond=cond)
+                x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                assert_oracle_matches_sqrtm(p.A, p.B, x, rel=max(1e-12, 1e-17 * cond))
 
     def test_degenerate_spectrum_grouping(self):
         # A = 2I has one eigenspace, in which any basis diagonalises A; the
@@ -232,8 +263,7 @@ class TestSqrtCommuting:
         rng = np.random.default_rng(5)
         q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         b = (q * np.array([1.0, 4.0, 9.0])) @ q.conj().T
-        r = sqrt_commuting(a, b).mat
-        assert opnorm(r @ r - a @ b) < 1e-10
+        assert_oracle_matches_sqrtm(a, b, rng.standard_normal(3) + 1j * rng.standard_normal(3))
 
 
 class TestVerdict:
