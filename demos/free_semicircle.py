@@ -32,8 +32,8 @@ def main():
     print(f"  ||sum a_i||      = {res.lhs:.4f}   (free prediction {2 * math.sqrt(n):.4f})")
     print(f"  inequality rhs   = {res.rhs:.4f}   margin {res.margin:.4f}")
     conv = voiculescu_converse_check(fam)
-    print(f"  trace-norm margins: triangle {conv.triangle:.4f}, "
-          f"column {conv.column:.4f}, row {conv.row:.4f}")
+    print(f"  trace-norm margins: triangle {conv.triangle:.4f}, column {conv.column:.4f}, "
+          f"cross-term defect {conv.cross_term_defect:.4f}")
 
     print("\nexact Fock model:")
     moments = fock_semicircular_moments(8, 5)

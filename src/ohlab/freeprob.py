@@ -8,51 +8,42 @@ Two models of free independence are used side by side:
   an exact matrix identity (:meth:`TruncatedFock.compression_defect`);
 
 * an asymptotic one -- independent Haar rotations U diag(a) U^H of
-  trace-centred real spectra a, which are free only in the large-dimension
-  limit, so the inequalities are asserted with a small finite-dimension
-  slack.  Only the spectrum of a Hermitian base matters: for
-  G = V diag(a) V^H and a Haar U, U G U^H = W diag(a) W^H with W = U V,
-  again Haar, so :func:`free_family` takes spectra only.  Nor does the
-  first member's frame: conjugating sum_i U_i diag(a_i) U_i^H by U_0^H
-  keeps its spectrum and gives diag(a_0) + sum_{i>=1} V_i diag(a_i) V_i^H
-  with V_i = U_0^H U_i iid Haar, so member 0 is not rotated.  Haar and
-  deterministic matrices are strongly asymptotically free (B. Collins and
-  C. Male, "The strong asymptotic freeness of Haar and deterministic
-  matrices", Ann. Sci. Ec. Norm. Super. 47 (2014)): operator norms converge
-  too, so the sum of n such variance-one semicircle spectra has norm tending
-  to 2 sqrt(n), the norm of a semicircular element of variance n.
-  ``ohlab free`` reports its sum norm relative to this target.
-
-:func:`free_family` streams the lower block-triangle of each rotated member,
-all that ``eigvalsh`` reads of the Hermitian sum, into one sum buffer, checks
-each Haar factor on the upper block-triangle of its Hermitian Gram, and keeps
-only the sum's signed spectrum and what else the checks read (a
-:class:`FreeFamily`).  Its memory is the sum, one Haar factor and
-``_BLOCK``-row panels, whatever the number of summands, and none of it
-outlives the build.  Each Haar factor is drawn by the subgroup algorithm and
-formed by LAPACK's ``zungqr`` (:func:`haar_unitary`): nothing is factored.
+  trace-centred real spectra a (:func:`free_family`), free only in the
+  large-dimension limit.  Haar and deterministic matrices are strongly
+  asymptotically free (B. Collins and C. Male, "The strong asymptotic
+  freeness of Haar and deterministic matrices", Ann. Sci. Ec. Norm. Super.
+  47 (2014)): operator norms converge too, so the sum of n such
+  variance-one semicircle spectra has norm tending to 2 sqrt(n), the norm
+  of a semicircular element of variance n.  ``ohlab free`` reports its sum
+  norm relative to this target.
 
 The scalar expectation is the normalised trace throughout.  Voiculescu's
-inequality for a family (a_i) reads
+inequality for centred Hermitian a_i, whose row and column terms agree by
+traciality, reads
 
-    || sum_i a_i ||  <=  max_i ||a_i||
-                         + (sum_i tau(a_i^* a_i))^{1/2}
-                         + (sum_i tau(a_i a_i^*))^{1/2},
+    || sum_i a_i ||  <=  max_i ||a_i|| + 2 (sum_i tau(a_i^2))^{1/2},
 
-and its trace-norm converse gives  || sum_i a_i ||_1 <= sum_i ||a_i||_1  and
-|| sum_i a_i ||_1 <= (sum_i tau(a_i^* a_i))^{1/2}  (plus the adjoint twin).
+which the matrix model meets up to a finite-dimension slack.  Of its
+trace-norm converse for S = sum_i a_i, the triangle inequality
+||S||_1 <= sum_i ||a_i||_1 holds in every model and is asserted, and
+||S||_1 <= (sum_i tau(a_i^2))^{1/2} is reported (:class:`ConverseMargins`):
+it is ||S||_1 <= ||S||_2 and ||S||_2^2 = sum_i tau(a_i^2) + sum_{i != j}
+tau(a_i a_j), whose cross terms vanish for free members but under Haar
+rotations only as dim -> oo, spread by (2(n-1)/(n(dim^2-1)))^{1/2} relative
+to the first sum (B. Collins and P. Sniady, Comm. Math. Phys. 264 (2006)).
 
 The free central limit moments are read from the spectra of the trial
 families a run already built (:meth:`CLTResult.from_families`), so no trial
 is drawn twice.  The semicircle quantiles of the rotated base are roots of
 the closed-form CDF, found by :func:`brentq`, a port of scipy's Brent root
 finder.  The reference routes the tests compare against (a family summed
-from explicit member matrices, the vacuum vector) live under ``tests/``.
+from explicit member matrices, the dense Fock operators and the vacuum
+vector) live under ``tests/``.
 
 numpy is imported inside each function that handles an array, and
 ``numpy.linalg.lapack_lite`` inside :func:`_reflector_q`, not when the
-module loads: :func:`brentq`, the Catalan numbers and the Fock moments are
-pure ``math``.
+module loads: :func:`brentq`, the Catalan numbers, the Fock moments and
+:meth:`TruncatedFock.compression_defect` are pure Python.
 """
 
 from __future__ import annotations
@@ -276,7 +267,8 @@ def free_family(spectra, dim: int, seed=0) -> FreeFamily:
     unitary.
 
     Member i is U_i diag(a_i) U_i^H for the centred spectrum a_i, with the
-    law of any Hermitian base of that spectrum.  Member 0 stays diag(a_0):
+    law of any Hermitian base G = V diag(a_i) V^H of that spectrum, as
+    U V is again Haar.  Member 0 stays diag(a_0):
     conjugating the whole sum by U_0^H changes no eigenvalue, and turns
     member i into V_i diag(a_i) V_i^H with V_i = U_0^H U_i, again iid Haar,
     so the sum's spectrum has the same law with one draw fewer (the Haar and
@@ -340,52 +332,59 @@ class VoiculescuResult(NamedTuple):
     margin: float
     max_member_norm: float
     col_term: float
-    row_term: float
 
 
 def voiculescu_check(fam: FreeFamily) -> VoiculescuResult:
-    """Norm inequality for the family sum; margin = rhs - lhs.
-
-    ``row_term`` equals ``col_term``: tau(a a^*) = tau(a^* a) by traciality.
-    """
+    """Norm inequality for the family sum; margin = rhs - lhs.  The row term
+    is ``col_term`` (traciality), so rhs counts it twice."""
     import numpy as np
 
     lhs = float(np.max(np.abs(fam.eigenvalues)))
     max_norm = max(float(np.max(sv)) for sv in fam.spectra)
     col = math.sqrt(sum(fam.second_moments))
     rhs = max_norm + 2.0 * col
-    return VoiculescuResult(
-        lhs=lhs, rhs=rhs, margin=rhs - lhs, max_member_norm=max_norm, col_term=col, row_term=col
-    )
+    return VoiculescuResult(lhs=lhs, rhs=rhs, margin=rhs - lhs, max_member_norm=max_norm, col_term=col)
 
 
 class ConverseMargins(NamedTuple):
-    """Margins of the three trace-norm inequalities (nonnegative when free)."""
+    """Trace-norm margins of S = sum_i a_i, and D = ||S||_2^2 / sum_i tau(a_i^2) - 1."""
 
-    triangle: float      # sum_i ||a_i||_1        - ||sum a_i||_1
-    column: float        # (sum tau(a_i^* a_i))^{1/2} - ||sum a_i||_1
-    row: float           # (sum tau(a_i a_i^*))^{1/2} - ||sum a_i||_1
+    triangle: float           # sum_i ||a_i||_1 - ||S||_1: a theorem, up to triangle_slack
+    column: float             # (sum tau(a_i^2))^{1/2} - ||S||_1: >= 0 if D <= 0, as for free members
     triangle_rhs: float
     column_rhs: float
-    row_rhs: float
+    triangle_slack: float
+    cross_term_defect: float
 
 
 def voiculescu_converse_check(fam: FreeFamily) -> ConverseMargins:
-    """Trace-norm converse; the row fields equal the column fields by
-    traciality and are kept for the report schema."""
+    """Trace-norm margins, read from the stored spectra; D = 0 if every member is zero."""
     import numpy as np
 
     dim = len(fam.eigenvalues)
+    n = len(fam.spectra)
     l1 = float(np.sum(np.abs(fam.eigenvalues))) / dim
     tri = sum(float(np.sum(sv)) / dim for sv in fam.spectra)
-    col = math.sqrt(sum(fam.second_moments))
+    var = sum(fam.second_moments)
+    col = math.sqrt(var)
+    m = sum(float(np.max(sv)) for sv in fam.spectra)
+    # The triangle inequality holds for members W diag(a_i) W^H, W unitary. A
+    # Haar factor U passes free_family only if max |U^H U - I| <= UNITARITY_SLACK
+    # dim eps, so its polar factor W has ||U - W||_2 <= ||U^H U - I||_2 <= delta =
+    # UNITARITY_SLACK dim^2 eps <= 0.01: a member moves by (2 delta + delta^2) ||a_i||.
+    # Forming and adding members (dim-term dots, n terms) moves the sum by
+    # dim (dim + n + 2) eps m, m = sum_i ||a_i||; eigvalsh is backward stable,
+    # so by Weyl each eigenvalue moves by dim eps ||S|| (LAPACK Users' Guide, 3rd
+    # ed., Sec. 4.7), and each mean rounds by (dim + n) eps m.  The trace norm
+    # moves by at most the operator norm: in all < (33.2 dim^2 + 1.01 dim n + 6 dim + n) eps m <= slack.
+    slack = 3.0 * ((UNITARITY_SLACK + 1.0) * dim + n) * dim * np.finfo(float).eps * m
     return ConverseMargins(
         triangle=tri - l1,
         column=col - l1,
-        row=col - l1,
         triangle_rhs=tri,
         column_rhs=col,
-        row_rhs=col,
+        triangle_slack=slack,
+        cross_term_defect=float(fam.eigenvalues @ fam.eigenvalues) / dim / var - 1.0 if var else 0.0,
     )
 
 
@@ -406,39 +405,18 @@ class TruncatedFock:
         for length in range(1, cutoff + 1):
             words.extend(product(range(letter_dim), repeat=length))
         self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
         self.dim = len(words)
-
-    def creation(self, letter: int) -> np.ndarray:
-        import numpy as np
-
-        if not 0 <= letter < self.letter_dim:
-            raise ValueError("letter out of range")
-        m = np.zeros((self.dim, self.dim))
-        for w, i in self.index.items():
-            if len(w) < self.cutoff:
-                m[self.index[(letter,) + w], i] = 1.0
-        return m
-
-    def letter_start_projection(self, letter: int) -> np.ndarray:
-        """Projection onto words whose first letter is ``letter``."""
-        import numpy as np
-
-        d = np.array([1.0 if w and w[0] == letter else 0.0 for w in self.words])
-        return np.diag(d)
-
-    def semicircular(self, letter: int = 0) -> np.ndarray:
-        l = self.creation(letter)
-        return l + l.T
 
     def compression_defect(self, letter: int) -> float:
         """max |(1 - P_i)(l_i + l_i^*)(1 - P_i)| over the entries, P_i the
-        :meth:`letter_start_projection`: zero, as l_i prepends letter i, so
-        (1 - P_i) l_i = 0 = l_i^* (1 - P_i)."""
-        import numpy as np
-
-        q = np.eye(self.dim) - self.letter_start_projection(letter)
-        return float(np.max(np.abs(q @ self.semicircular(letter) @ q)))
+        projection onto the words that start with i, read on the word basis:
+        l_i + l_i^* is 1 at (iw, w) and (w, iw) for each word w below the
+        cutoff and 0 elsewhere, and 1 - P_i keeps an entry only when neither
+        word starts with i.  Zero, as iw does: (1 - P_i) l_i = 0 = l_i^* (1 - P_i)."""
+        if not 0 <= letter < self.letter_dim:
+            raise ValueError("letter out of range")
+        i = (letter,)
+        return float(any(len(w) < self.cutoff and (i + w)[:1] != i and w[:1] != i for w in self.words))
 
 
 def catalan_numbers(k_max: int):

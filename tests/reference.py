@@ -5,7 +5,10 @@
   the direct way, from explicit member matrices, for ``free_family`` to
   match;
 * :func:`integrate_mu` sums an integrand against an arcsine rule;
-* :func:`vacuum` is the vacuum vector of a truncated Fock space;
+* :func:`vacuum` is the vacuum vector of a truncated Fock space, and
+  :func:`creation`, :func:`semicircular` and :func:`letter_start_projection`
+  its dense operators, the route ``TruncatedFock.compression_defect`` reads
+  on the word basis;
 * :func:`witness_v` and :func:`witness_quadruple` are the bracket's
   rectangle witness pointwise, which ``tensorlog``'s closed forms integrate.
 """
@@ -63,6 +66,30 @@ def vacuum(fock: TruncatedFock) -> np.ndarray:
     v = np.zeros(fock.dim)
     v[0] = 1.0
     return v
+
+
+def creation(fock: TruncatedFock, letter: int) -> np.ndarray:
+    """The creation operator l_i: it prepends letter i to each word below the
+    cutoff and annihilates the top-level words."""
+    if not 0 <= letter < fock.letter_dim:
+        raise ValueError("letter out of range")
+    index = {w: i for i, w in enumerate(fock.words)}
+    m = np.zeros((fock.dim, fock.dim))
+    for w, i in index.items():
+        if len(w) < fock.cutoff:
+            m[index[(letter,) + w], i] = 1.0
+    return m
+
+
+def semicircular(fock: TruncatedFock, letter: int = 0) -> np.ndarray:
+    """l_i + l_i^*."""
+    l = creation(fock, letter)
+    return l + l.T
+
+
+def letter_start_projection(fock: TruncatedFock, letter: int) -> np.ndarray:
+    """Projection onto the words whose first letter is ``letter``."""
+    return np.diag([1.0 if w and w[0] == letter else 0.0 for w in fock.words])
 
 
 def witness_v(delta, t, s):

@@ -468,6 +468,34 @@ class TestFree:
         assert code == 0
         assert [r["unitarity_residual"] for r in doc["rows"]] == [None, None]
 
+    @pytest.mark.parametrize("dim, summands", [(2, 2), (4, 16)])
+    def test_small_dims_exit_zero(self, dim, summands, capsys):
+        # the column converse ||S||_1 <= (sum tau(a_i^2))^(1/2) read 1.590 >
+        # 1.143 at dim 2 and exited 1: its cross terms vanish only as
+        # dim -> oo, so its margin is reported beside D and not asserted
+        code, doc = run_in_process(["free", "--dim", str(dim), "--summands", str(summands), "--trials", "3",
+                                    "--seed", "1"], capsys)
+        assert code == 0 and len(doc["rows"]) == 3
+        for r in doc["rows"]:
+            # 1 + D = mean(mu^2) / sum tau(a_i^2) > 0
+            assert "converse_row_margin" not in r and r["cross_term_defect"] > -1.0
+        if dim == 2:
+            assert min(r["converse_column_margin"] for r in doc["rows"]) < 0.0
+
+    def test_scaled_sum_trips_the_triangle(self, capsys, monkeypatch):
+        # a sum n times its members' sum breaks ||S||_1 <= sum ||a_i||_1
+        real = freeprob.free_family
+
+        def scaled(spectra, dim, seed=0):
+            fam = real(spectra, dim, seed=seed)
+            return fam._replace(eigenvalues=fam.eigenvalues * len(fam.spectra))
+
+        monkeypatch.setattr(freeprob, "free_family", scaled)
+        assert main(["free", "--dim", "16", "--summands", "4", "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if "||sum a_i||_1 <= sum ||a_i||_1 fails" in line]
+        assert len(lines) == 2 and all(line.startswith("bound violation: ") for line in lines)
+
     def test_zero_centred_base_rejected(self, capsys):
         # at dim 1 the centred base is 0, so the CLT sum cannot be normalised
         assert main(["free", "--dim", "1", "--summands", "2", "--trials", "1"]) == 2
@@ -514,8 +542,8 @@ class TestPw:
         pytest.param(["pw", "--trials", "1", "--nodes", "16", "--tol=-1e-6"], "--tol", id="pw-tol-negative"),
         pytest.param(["pw", "--trials", "1", "--nodes", "16", "--cond", "inf"], "--cond", id="pw-cond-inf"),
         pytest.param(["ohnorm", "--trials", "1", "--tol", "nan"], "--tol", id="ohnorm-tol-nan"),
-        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
-        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
+        # the column converse's tolerance, gone with the verdict: its default is rejected too
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "0.02"], "--slack", id="free-slack-removed"),
         # these failed later with messages that did not name the flag: "math
         # domain error" from the 2 sqrt(n) target, and the empty family's
         pytest.param(["free", "--dim", "8", "--trials", "1", "--summands=-2"], "--summands", id="free-summands-negative"),
@@ -661,6 +689,8 @@ COMMAND_MODULES = [
     pytest.param(["fock", "--cutoff", "4", "--kmax", "2"], {"freeprob"}, id="fock"),
     pytest.param(["report"], set(), id="report"),
 ]
+# the commands that compute in pure Python, and so never load numpy
+NUMPY_FREE = ("bracket", "fock", "report")
 
 
 def with_report_inputs(argv, tmp_path):
@@ -760,6 +790,26 @@ def pw_argv(draw):
     return ["pw"] + [f"{f}={flags[f]}" for f in kept]
 
 
+def check_contract(argv, flags):
+    """main returns for every input and raises nothing; an exit 2 names one
+    of ``flags``, an exit 1 prints only bound violations beside the timing
+    line, an exit 3 is a numerical failure, and an exit 0 writes strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if code == 0:
+        assert strict_loads(out)["experiment"] == argv[0]
+    elif code == 1:
+        lines = [line for line in err.splitlines() if not re.fullmatch(rf"ohlab {argv[0]}: \d+ rows in \S+s", line)]
+        assert lines and all(line.startswith("bound violation: ") for line in lines), (argv, err)
+    elif code == 2:
+        assert any(flag in err for flag in flags), (argv, err)
+    else:
+        assert err.startswith("numerical failure: "), (argv, err)
+
+
 class TestPwContract:
     # each ceiling + 1 and --cond's extremes, whatever the draw reaches
     @example(argv=["pw", f"--dim={cli.MAX_PW_DIM + 1}", "--trials=1", "--nodes=16"])
@@ -770,23 +820,44 @@ class TestPwContract:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(argv=pw_argv())
     def test_every_pw_argv_exits_with_a_status(self, argv):
-        # main returns for every input and raises nothing; an exit 2 names a
-        # flag, an exit 1 prints only bound violations beside the timing line,
-        # an exit 3 is a numerical failure, and an exit 0 writes strict JSON
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2, 3), argv
-        if code == 0:
-            assert strict_loads(out)["experiment"] == "pw"
-        elif code == 1:
-            lines = [line for line in err.splitlines() if not re.fullmatch(r"ohlab pw: \d+ rows in \S+s", line)]
-            assert lines and all(line.startswith("bound violation: ") for line in lines), (argv, err)
-        elif code == 2:
-            assert any(flag in err for flag in PW_FLAGS), (argv, err)
-        else:
-            assert err.startswith("numerical failure: "), (argv, err)
+        check_contract(argv, PW_FLAGS)
+
+
+FREE_FLAGS = ("--dim", "--summands", "--trials", "--seed", "--slack")
+
+
+@st.composite
+def free_argv(draw):
+    """``free`` argv: at most two flags at an edge value, the rest small and
+    valid (--dim <= 16, --summands <= 4, --trials <= 2).  The edges are 0, -1,
+    nan, inf and x, --dim's floor - 1 and ceiling + 1, and for the removed
+    --slack also its old default.  A valid --seed may be left at its default."""
+    edged = draw(st.sets(st.sampled_from(FREE_FLAGS), max_size=2))
+
+    def value(flag, valid, *edges):
+        pool = EDGES + [str(e) for e in edges] if flag in edged else []
+        return draw(st.sampled_from(pool) if pool else valid.map(str))
+
+    flags = {"--dim": value("--dim", st.integers(2, 16), 1, cli.MAX_FREE_DIM + 1),
+             "--summands": value("--summands", st.integers(1, 4)),
+             "--trials": value("--trials", st.integers(1, 2)),
+             "--seed": value("--seed", st.integers(0, 2**32))}
+    if "--slack" in edged:
+        flags["--slack"] = value("--slack", None, 0.02)
+    kept = [f for f in flags if f != "--seed" or f in edged or draw(st.booleans())]
+    return ["free"] + [f"{f}={flags[f]}" for f in kept]
+
+
+class TestFreeContract:
+    # the ceiling + 1, small dims where the column converse used to fail, and the removed flag
+    @example(argv=["free", f"--dim={cli.MAX_FREE_DIM + 1}", "--summands=2", "--trials=1"])
+    @example(argv=["free", "--dim=2", "--summands=2", "--trials=2", "--seed=1"])
+    @example(argv=["free", "--dim=4", "--summands=4", "--trials=2", "--seed=1"])
+    @example(argv=["free", "--dim=16", "--summands=4", "--trials=2", "--slack=0.02"])
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(argv=free_argv())
+    def test_every_free_argv_exits_with_a_status(self, argv):
+        check_contract(argv, FREE_FLAGS)
 
 
 class TestColdStart:
@@ -825,7 +896,8 @@ class TestColdStart:
     def test_module_run_loads_only_its_modules(self, argv, modules, tmp_path):
         # beside main's numlin and report, a cold command loads what its runner
         # imports and what those import: geomean draws through freeprob.
-        # bracket's closed forms and report's merge load no numpy either
+        # bracket's closed forms, fock's word walks and report's merge load
+        # no numpy either
         argv = with_report_inputs(argv, tmp_path)
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ohlab.cli", *argv],
                               capture_output=True, text=True)
@@ -834,18 +906,18 @@ class TestColdStart:
                   if line.startswith("import time:")}
         assert {m for m in loaded if m.startswith("ohlab")} == {"ohlab"} | {
             f"ohlab.{m}" for m in modules | {"numlin", "report"}}
-        assert ("numpy" in loaded) == (argv[0] not in ("bracket", "report"))
+        assert ("numpy" in loaded) == (argv[0] not in NUMPY_FREE)
 
     @pytest.mark.parametrize("argv, modules", COMMAND_MODULES)
     def test_script_run_loads_numpy_only_for_array_commands(self, argv, modules, tmp_path):
         # the installed `ohlab` script imports the package, and so all nine
-        # modules, then calls main: only the six array commands load numpy
+        # modules, then calls main: only the five array commands load numpy
         argv = with_report_inputs(argv, tmp_path)
         code = ("import json, sys\nfrom ohlab.cli import main\ncode = main(sys.argv[1:])\n"
                 "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0, argv[0] not in ("bracket", "report")]
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, argv[0] not in NUMPY_FREE]
 
 
 class TestOhnormSeeds:

@@ -23,7 +23,7 @@ from ohlab.freeprob import (
     voiculescu_check,
     voiculescu_converse_check,
 )
-from reference import family_from_members, vacuum
+from reference import creation, family_from_members, letter_start_projection, semicircular, vacuum
 
 
 # test-only oracles: nothing in the library calls them
@@ -432,11 +432,11 @@ class TestKnownSpectra:
         assert voi.lhs == pytest.approx(sum_sv[-1], rel=1e-12)
         assert voi.max_member_norm == pytest.approx(max(sv[-1] for sv in member_sv), rel=1e-12)
         assert voi.col_term == pytest.approx(col, rel=1e-12)
-        assert voi.row_term == pytest.approx(row, rel=1e-12)
+        assert voi.col_term == pytest.approx(row, rel=1e-12)  # traciality: the row term is the column term
         conv = voiculescu_converse_check(direct)
         l1 = sum_sv.sum() / dim
         assert conv.triangle == pytest.approx(sum(sv.sum() for sv in member_sv) / dim - l1, rel=1e-12)
-        assert conv.row == pytest.approx(row - l1, rel=1e-12)
+        assert conv.column == pytest.approx(row - l1, rel=1e-12)
         assert trace_norm(total) == pytest.approx(l1, rel=1e-12)
         # the known-spectra route agrees with the eigensolve route
         for a, b in zip((voi, conv), (voiculescu_check(rotated), voiculescu_converse_check(rotated))):
@@ -662,7 +662,7 @@ class TestConverse:
     def test_zero_family(self):
         fam = family_from_members((np.zeros((6, 6), dtype=complex),) * 2)
         c = voiculescu_converse_check(fam)
-        assert c.triangle == c.column == c.row == 0.0
+        assert c.triangle == c.column == c.cross_term_defect == 0.0
 
     def test_rotated_gue_margins(self):
         dim, n = 256, 8
@@ -671,7 +671,57 @@ class TestConverse:
         c = voiculescu_converse_check(fam)
         assert c.triangle >= 0.0  # exact triangle inequality
         assert c.column >= -0.02 * c.column_rhs
-        assert c.row >= -0.02 * c.row_rhs
+
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_cross_term_defect_matches_the_dense_members(self, dim):
+        # D = sum_{i != j} tau(a_i a_j) / sum_i tau(a_i^2), from the members
+        # whole, against the stored spectrum's mean(mu^2) / sum_i tau(a_i^2) - 1
+        rng = np.random.default_rng(dim)
+        spectra = [semicircle_diag(dim)] + [gue_spectrum(dim, rng) for _ in range(3)]
+        members = rotated_members(spectra, dim, seed=dim)
+        tau = np.array([[np.vdot(a, b).real / dim for b in members] for a in members])  # tau(a_i a_j)
+        cross = (tau.sum() - np.trace(tau)) / np.trace(tau)
+        for fam in (free_family(spectra, dim, seed=dim), family_from_members(members)):
+            assert voiculescu_converse_check(fam).cross_term_defect == pytest.approx(cross, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_trace_norm_below_the_two_norm(self, dim):
+        # ||S||_1 <= ||S||_2 = ((1 + D) sum_i tau(a_i^2))^{1/2}: two power
+        # means of one spectrum, so only rounding could break it
+        eps = np.finfo(float).eps
+        for seed in range(10):
+            rng = np.random.default_rng([dim, seed])
+            n = int(rng.integers(1, 9))
+            fam = free_family([gue_spectrum(dim, rng) for _ in range(n)], dim, seed=seed)
+            c = voiculescu_converse_check(fam)
+            l2 = c.column_rhs * math.sqrt(1.0 + c.cross_term_defect)
+            assert c.triangle_rhs - c.triangle <= l2 + 8 * dim * eps * c.triangle_rhs
+
+    @pytest.mark.parametrize("dim, n, seeds", [(8, 2, 400), (8, 16, 400), (64, 2, 200), (64, 16, 200)])
+    def test_cross_term_spread_is_the_weingarten_value(self, dim, n, seeds):
+        # E tau(a U b U*)^2 = tau(a^2) tau(b^2) / (dim^2 - 1) for centred a, b
+        # and Haar U, and distinct cross terms are uncorrelated, so
+        # Var D = 2 (n - 1) / (n (dim^2 - 1)) (Collins-Sniady 2006); seeds
+        # 0..seeds-1, enough that std(D) has a sampling error near 5 %
+        base = semicircle_diag(dim)
+        d = [voiculescu_converse_check(free_family([base] * n, dim, seed=s)).cross_term_defect for s in range(seeds)]
+        assert np.std(d) == pytest.approx(math.sqrt(2 * (n - 1) / (n * (dim**2 - 1))), rel=0.15)
+
+    def test_triangle_slack_covers_rounding_only(self):
+        # the stated bound, 3 ((UNITARITY_SLACK + 1) dim + n) dim eps sum_i ||a_i||:
+        # far below the margin of a free sum, and no margin exceeds it below zero
+        dim, n = 128, 16
+        c = voiculescu_converse_check(free_family([semicircle_diag(dim)] * n, dim, seed=3))
+        m = n * float(np.max(np.abs(centred(semicircle_diag(dim)))))
+        assert c.triangle_slack == pytest.approx(3 * ((UNITARITY_SLACK + 1) * dim + n) * dim * np.finfo(float).eps * m)
+        assert c.triangle_slack < 1e-6 < c.triangle
+
+    def test_one_member_triangle_is_an_identity(self):
+        # S is the member itself, so the margin is rounding alone, inside the slack
+        for dim in (2, 7, 64):
+            c = voiculescu_converse_check(free_family([gue_spectrum(dim, np.random.default_rng(dim))], dim))
+            assert abs(c.triangle) <= c.triangle_slack
 
 
 class TestFock:
@@ -688,7 +738,7 @@ class TestFock:
 
     def test_odd_moments_vanish(self):
         fock = TruncatedFock(letter_dim=1, cutoff=7)
-        s = fock.semicircular()
+        s = semicircular(fock)
         omega = vacuum(fock)
         for k in (1, 3, 5):
             assert abs(omega @ np.linalg.matrix_power(s, k) @ omega) == 0.0
@@ -701,7 +751,7 @@ class TestFock:
         # the dense (cutoff+1)^2 operator, in int64 so that every walk count
         # (at most binom(60, 30) < 2^63 here) is exact
         fock = TruncatedFock(letter_dim=1, cutoff=cutoff)
-        s = fock.semicircular().astype(np.int64)
+        s = semicircular(fock).astype(np.int64)
         vec = vacuum(fock).astype(np.int64)
         dense = []
         for _ in range(k_max):
@@ -721,7 +771,7 @@ class TestFock:
 
     def test_creation_relations(self):
         fock = TruncatedFock(letter_dim=2, cutoff=4)
-        l0, l1 = fock.creation(0), fock.creation(1)
+        l0, l1 = creation(fock, 0), creation(fock, 1)
         eye = np.eye(fock.dim)
         top = top_level_projection(fock)
         assert np.max(np.abs(l0.T @ l0 - (eye - top))) == 0.0
@@ -730,8 +780,8 @@ class TestFock:
     def test_compression_identity(self):
         # off-diagonal compression of a mean-zero letter vanishes exactly
         fock = TruncatedFock(letter_dim=2, cutoff=5)
-        a = fock.semicircular(letter=0)
-        p1 = fock.letter_start_projection(0)
+        a = semicircular(fock, 0)
+        p1 = letter_start_projection(fock, 0)
         comp = (np.eye(fock.dim) - p1) @ a @ (np.eye(fock.dim) - p1)
         assert np.max(np.abs(comp)) <= 1e-12
 
@@ -739,15 +789,15 @@ class TestFock:
     def test_compression_defect_is_the_compressed_letter(self, letter):
         # the one producer the CLI and the demo read, against the products by hand
         fock = TruncatedFock(letter_dim=2, cutoff=5)
-        q = np.eye(fock.dim) - fock.letter_start_projection(letter)
-        comp = q @ fock.semicircular(letter) @ q
+        q = np.eye(fock.dim) - letter_start_projection(fock, letter)
+        comp = q @ semicircular(fock, letter) @ q
         assert fock.compression_defect(letter) == float(np.max(np.abs(comp))) == 0.0
         with pytest.raises(ValueError, match="letter"):
             fock.compression_defect(2)
 
     def test_vacuum_mean_zero(self):
         fock = TruncatedFock(letter_dim=2, cutoff=4)
-        a = fock.semicircular(letter=1)
+        a = semicircular(fock, 1)
         omega = vacuum(fock)
         assert omega @ a @ omega == 0.0
 
