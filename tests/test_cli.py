@@ -542,6 +542,8 @@ class TestPw:
         pytest.param(["pw", "--trials", "1", "--nodes", "16", "--tol=-1e-6"], "--tol", id="pw-tol-negative"),
         pytest.param(["pw", "--trials", "1", "--nodes", "16", "--cond", "inf"], "--cond", id="pw-cond-inf"),
         pytest.param(["ohnorm", "--trials", "1", "--tol", "nan"], "--tol", id="ohnorm-tol-nan"),
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "nan"], "--slack", id="free-slack-nan"),
+        pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "inf"], "--slack", id="free-slack-inf"),
         # the column converse's tolerance, gone with the verdict: its default is rejected too
         pytest.param(["free", "--dim", "8", "--trials", "1", "--slack", "0.02"], "--slack", id="free-slack-removed"),
         # these failed later with messages that did not name the flag: "math
